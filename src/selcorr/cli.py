@@ -21,6 +21,7 @@ from .evaluation import (
     drop_mask,
     inter_ocular_error,
     match_pair,
+    pair_similarity,
     projected_featurizer,
     raw_featurizer,
     regressor_forward,
@@ -110,7 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="landmark matching on generated pairs (no manifest needed; "
         "pairs are derived from the config seed)",
     )
-    p.add_argument("--manifest", type=Path, default=None, help="accepted and unused")
     p.add_argument("--checkpoint", type=Path, default=None)
     p.add_argument("--out", type=Path, required=True)
     _add_config_flags(p)
@@ -150,19 +150,31 @@ def _featurizer(cfg: ExperimentConfig, checkpoint: Path | None):
 
 def _match_protocol(cfg: ExperimentConfig, featurize, drop_rate: float = 0.0):
     """cfg.pairs same-identity then cfg.pairs different-identity matches."""
+    return _match_sweep(cfg, featurize, (drop_rate,))[0]
+
+
+def _match_sweep(cfg: ExperimentConfig, featurize, drop_rates) -> list:
+    """The match protocol once per drop rate, each pair generated and
+    featurized once; one summary per rate, in order."""
+    if cfg.pairs < 1:
+        raise ConfigError("matching needs pairs >= 1")
     base = cfg.face_spec()
     seeds = pair_seeds(cfg.seed, 2 * cfg.pairs)
-    records = []
+    records: list[list] = [[] for _ in drop_rates]
     for i in range(2 * cfg.pairs):
         kind = "same" if i < cfg.pairs else "different"
         pair = make_pair(base, kind, seeds[i], sigma_frac=cfg.tps_sigma_frac)
-        mask = None
-        if drop_rate > 0.0:
-            grid = pair.test.main
-            scores = cls_similarity(pair.test.q_cls, pair.test.keys)
-            mask = drop_mask(scores, drop_rate, grid.grid_h, grid.grid_w, grid.patch)
-        records.extend(match_pair(pair, featurize, pair_id=i, test_mask=mask))
-    return summarize_matches(records)
+        sims = pair_similarity(pair, featurize)
+        grid = pair.test.main
+        scores = None
+        for rate, rate_records in zip(drop_rates, records):
+            mask = None
+            if rate > 0.0:
+                if scores is None:
+                    scores = cls_similarity(pair.test.q_cls, pair.test.keys)
+                mask = drop_mask(scores, rate, grid.grid_h, grid.grid_w, grid.patch)
+            rate_records.extend(match_pair(pair, pair_id=i, test_mask=mask, sims=sims))
+    return [summarize_matches(r) for r in records]
 
 
 def _write_match_csv(path: Path, result) -> None:
@@ -254,7 +266,7 @@ def cmd_eval_detect(
     lines = ["sample_id,landmark_id,err_iod_pct"]
     for s in range(first.per_sample_pct.shape[0]):
         for l in range(first.per_sample_pct.shape[1]):
-            lines.append(f"{s},{l},{first.per_sample_pct[s, l]!r}")
+            lines.append(f"{s},{l},{float(first.per_sample_pct[s, l])!r}")
     (out / "detect.csv").write_text("".join(line + "\n" for line in lines))
     mean = float(np.mean(means))
     std = float(np.std(means))
@@ -277,9 +289,8 @@ def cmd_ablate(
 ) -> int:
     rows: list[tuple[str, float, float]] = []
     if axis == "drop_rate":
-        featurize = _featurizer(cfg, checkpoint)
-        for rate in DROP_SWEEP:
-            result = _match_protocol(cfg, featurize, drop_rate=rate)
+        results = _match_sweep(cfg, _featurizer(cfg, checkpoint), DROP_SWEEP)
+        for rate, result in zip(DROP_SWEEP, results):
             rows.append((f"{rate!r}", result.same_mean, result.diff_mean))
     else:
         if manifest is None:
@@ -315,7 +326,9 @@ def cmd_export_simmap(
         raise ConfigError(f"landmark index {landmark} out of range")
     featurize = _featurizer(cfg, checkpoint)
     sims = similarity_map(
-        featurize(pair.ref), featurize(pair.test), tuple(pair.ref_landmarks[landmark])
+        upsample_features(featurize(pair.ref)),
+        upsample_features(featurize(pair.test)),
+        tuple(pair.ref_landmarks[landmark]),
     )
     out.parent.mkdir(parents=True, exist_ok=True)
     write_pgm(out, sims)

@@ -1,7 +1,9 @@
 """Downstream protocols: landmark matching, heatmap-regression detection,
 and clustering quality.
 
-Matching compares dense cosine-similarity argmaxes at image resolution.
+Matching takes cosine-similarity argmaxes at image resolution: only the
+test map is upsampled to pixels, and each reference query feature is
+sampled at its one pixel.
 Detection runs a 3x3 conv over concatenated first/second-stage channels,
 decodes each heatmap with a soft-argmax, and maps the decoded coordinates
 through a small per-landmark linear head; its backward pass is derived by
@@ -19,7 +21,7 @@ import numpy as np
 
 from .projector import DivergenceError, Projector, TrainConfig, TrainTrace, project
 from .synth import BackboneOutput, EvalPair
-from .tensorio import DenseFeatureMap, FeatureGrid, bilinear_upsample
+from .tensorio import DenseFeatureMap, FeatureGrid, bilinear_sample, bilinear_upsample
 
 # a finite stand-in for -inf: exp((MASKED - x)/T) underflows to exactly 0,
 # so masked pixels carry zero probability and one-hot decoding is exact
@@ -57,17 +59,70 @@ def similarity_map(
     """
     if ref_map.channels != test_map.channels:
         raise ValueError("feature maps disagree on channel count")
-    qx = int(np.clip(round(query_px[0]), 0, ref_map.width - 1))
-    qy = int(np.clip(round(query_px[1]), 0, ref_map.height - 1))
-    q = ref_map.values[qy, qx]
+    qx, qy = _query_pixel(query_px, ref_map.height, ref_map.width)
+    flat = test_map.values.reshape(-1, test_map.channels)
+    sims = _cosine_rows(ref_map.values[qy, qx], (qx, qy), flat, _TestNorms(flat))
+    return sims.reshape(test_map.height, test_map.width)
+
+
+def similarity_stack(ref: FeatureGrid, test: FeatureGrid, queries_px: np.ndarray) -> np.ndarray:
+    """(L, H, W) cosine similarity of each query pixel's reference feature to
+    every pixel of the upsampled test map.
+
+    Equal, bit for bit, to `similarity_map` of both upsampled maps for each
+    query, but only the test grid is upsampled in full; each query feature
+    is sampled at its rounded, clipped pixel. Zero-norm rules as there.
+    """
+    if ref.channels != test.channels:
+        raise ValueError("feature maps disagree on channel count")
+    test_map = upsample_features(test)
+    flat = test_map.values.reshape(-1, test_map.channels)
+    norms = _TestNorms(flat)
+    sims = np.empty((len(queries_px), test_map.height, test_map.width))
+    for i, query_px in enumerate(queries_px):
+        qx, qy = _query_pixel(query_px, ref.image_h, ref.image_w)
+        q = bilinear_sample(ref, ref.image_h, ref.image_w, [qy], [qx])[0, 0]
+        sims[i] = _cosine_rows(q, (qx, qy), flat, norms).reshape(sims.shape[1:])
+    return sims
+
+
+def _query_pixel(query_px, height: int, width: int) -> tuple[int, int]:
+    qx = int(np.clip(round(query_px[0]), 0, width - 1))
+    qy = int(np.clip(round(query_px[1]), 0, height - 1))
+    return qx, qy
+
+
+class _TestNorms:
+    """Per-pixel norms of a flattened test map, computed once per map."""
+
+    def __init__(self, flat: np.ndarray):
+        norms = np.linalg.norm(flat, axis=1)
+        self.zero = norms == 0.0
+        self.safe = np.where(self.zero, 1.0, norms)
+
+
+def _cosine_rows(q: np.ndarray, q_px, flat: np.ndarray, norms: _TestNorms) -> np.ndarray:
     qn = np.linalg.norm(q)
     if qn == 0.0:
-        raise ValueError(f"zero-norm feature at query pixel ({qx}, {qy})")
-    flat = test_map.values.reshape(-1, test_map.channels)
-    norms = np.linalg.norm(flat, axis=1)
-    sims = (flat @ q) / (qn * np.where(norms == 0.0, 1.0, norms))
-    sims[norms == 0.0] = -1.0
-    return sims.reshape(test_map.height, test_map.width)
+        raise ValueError(f"zero-norm feature at query pixel {q_px}")
+    sims = (flat @ q) / (qn * norms.safe)
+    sims[norms.zero] = -1.0
+    return sims
+
+
+def _best_pixels(sims: np.ndarray, test_mask: np.ndarray | None) -> list[tuple[int, int]]:
+    """(x, y) argmax of each (H, W) map in an (L, H, W) stack.
+
+    Ties resolve in scanline order (first row, then column). `test_mask`
+    marks excluded test pixels (True = dropped).
+    """
+    if test_mask is not None:
+        if test_mask.shape != sims.shape[1:]:
+            raise ValueError("mask shape does not match the test map")
+        sims = np.where(test_mask, -np.inf, sims)
+    width = sims.shape[2]
+    best = sims.reshape(sims.shape[0], -1).argmax(axis=1)
+    return [(int(b) % width, int(b) // width) for b in best]
 
 
 def match_landmark(
@@ -81,13 +136,7 @@ def match_landmark(
     Ties resolve in scanline order (first row, then column). `test_mask`
     marks excluded test pixels (True = dropped).
     """
-    sims = similarity_map(ref_map, test_map, query_px)
-    if test_mask is not None:
-        if test_mask.shape != sims.shape:
-            raise ValueError("mask shape does not match the test map")
-        sims = np.where(test_mask, -np.inf, sims)
-    best = int(np.argmax(sims))
-    return best % test_map.width, best // test_map.width
+    return _best_pixels(similarity_map(ref_map, test_map, query_px)[None], test_mask)[0]
 
 
 def mean_pixel_error(preds: np.ndarray, gts: np.ndarray) -> float:
@@ -99,19 +148,31 @@ def mean_pixel_error(preds: np.ndarray, gts: np.ndarray) -> float:
     return float(np.linalg.norm(preds - gts, axis=1).mean())
 
 
+def pair_similarity(pair: EvalPair, featurize) -> np.ndarray:
+    """The pair's (L, H, W) `similarity_stack`, one map per reference landmark."""
+    return similarity_stack(featurize(pair.ref), featurize(pair.test), pair.ref_landmarks)
+
+
 def match_pair(
     pair: EvalPair,
-    featurize,
+    featurize=None,
     pair_id: int = 0,
     test_mask: np.ndarray | None = None,
+    sims: np.ndarray | None = None,
 ) -> list[MatchRecord]:
-    """Match every landmark of one pair; `featurize` maps an output to a dense map."""
-    ref_map = featurize(pair.ref)
-    test_map = featurize(pair.test)
+    """Match every landmark of one pair by the argmax of its similarity stack.
+
+    `featurize` maps an output to a token grid. Pass `sims`, the pair's
+    `pair_similarity`, instead to match it under several masks without
+    recomputing it.
+    """
+    if (featurize is None) == (sims is None):
+        raise ValueError("pass exactly one of featurize and sims")
+    if sims is None:
+        sims = pair_similarity(pair, featurize)
     kind = "same" if pair.same_identity else "different"
     records = []
-    for lid in range(pair.ref_landmarks.shape[0]):
-        px, py = match_landmark(ref_map, test_map, tuple(pair.ref_landmarks[lid]), test_mask)
+    for lid, (px, py) in enumerate(_best_pixels(sims, test_mask)):
         gx, gy = pair.test_landmarks[lid]
         records.append(
             MatchRecord(
@@ -144,13 +205,13 @@ def upsample_features(grid: FeatureGrid) -> DenseFeatureMap:
 
 
 def raw_featurizer():
-    """Dense map of the first-stage tokens."""
-    return lambda out: upsample_features(out.main)
+    """Token grid of the first-stage features."""
+    return lambda out: out.main
 
 
 def projected_featurizer(p: Projector):
-    """Dense map of the second-stage (projected) tokens."""
-    return lambda out: upsample_features(project(p, out.main))
+    """Token grid of the second-stage (projected) features."""
+    return lambda out: project(p, out.main)
 
 
 def soft_argmax(heatmap: np.ndarray, temperature: float = 0.1) -> tuple[float, float]:

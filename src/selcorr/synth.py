@@ -437,12 +437,13 @@ def write_sample(directory: str | Path, output: BackboneOutput, landmarks: np.nd
 def read_sample(directory: str | Path) -> tuple[BackboneOutput, np.ndarray]:
     """Inverse of `write_sample`; the returned output carries no generating spec."""
     directory = Path(directory)
-    meta: dict[str, int] = {}
-    for line in (directory / "meta.txt").read_text().splitlines():
+    meta_path = directory / "meta.txt"
+    meta: dict[str, str] = {}
+    for line in meta_path.read_text().splitlines():
         if line.strip():
             k, _, v = line.partition("=")
-            meta[k.strip()] = int(v)
-    gh, gw, patch = meta["grid_h"], meta["grid_w"], meta["patch"]
+            meta[k.strip()] = v.strip()
+    gh, gw, patch = (_meta_int(meta, key, meta_path) for key in ("grid_h", "grid_w", "patch"))
     output = BackboneOutput(
         main=FeatureGrid(gh, gw, patch, read_tensor(directory / "main.scet")),
         aux=FeatureGrid(gh, gw, patch, read_tensor(directory / "aux.scet")),
@@ -452,3 +453,12 @@ def read_sample(directory: str | Path) -> tuple[BackboneOutput, np.ndarray]:
     rows = (directory / "landmarks.csv").read_text().splitlines()[1:]
     pts = [tuple(float(c) for c in row.split(",")[1:]) for row in rows if row.strip()]
     return output, np.asarray(pts, dtype=np.float64)
+
+
+def _meta_int(meta: dict[str, str], key: str, path: Path) -> int:
+    if key not in meta:
+        raise ValueError(f"{path}: missing {key}")
+    try:
+        return int(meta[key])
+    except ValueError:
+        raise ValueError(f"{path}: {key}={meta[key]!r} is not an integer") from None

@@ -159,31 +159,63 @@ def assemble_feature_grid(
 
 
 def bilinear_upsample(grid: FeatureGrid, target_h: int, target_w: int) -> DenseFeatureMap:
-    """Upsample a feature grid to per-pixel resolution.
+    """Upsample a feature grid to per-pixel resolution (see `bilinear_sample`)."""
+    return DenseFeatureMap(bilinear_sample(grid, target_h, target_w))
 
-    Each cell's value is anchored at its cell-center pixel; in between the
+
+def bilinear_sample(
+    grid: FeatureGrid,
+    target_h: int,
+    target_w: int,
+    rows: np.ndarray | list[int] | None = None,
+    cols: np.ndarray | list[int] | None = None,
+) -> np.ndarray:
+    """(len(rows), len(cols), d) block of the grid upsampled to target_h x target_w.
+
+    `rows` and `cols` select pixel rows and columns (all when None). Each
+    cell's value is anchored at its cell-center pixel; in between the
     interpolation is linear per axis, and pixels outside the convex hull of
     centers clamp to the nearest edge value.
+
+    Rows are blended first on the small (rows, grid_w, d) arrays, then the
+    columns are gathered. The products and sums run in the order of the
+    4-tap formula v00 (1-wy)(1-wx) + v01 (1-wy) wx + v10 wy (1-wx) + v11 wy wx,
+    so any block is bit-identical to the same block of the full map.
     """
     if target_h < grid.grid_h or target_w < grid.grid_w:
         raise ValueError("target dims must be >= grid dims")
     vals = grid.features.reshape(grid.grid_h, grid.grid_w, grid.channels)
-    out = np.empty((target_h, target_w, grid.channels))
-    gy = _grid_coords(target_h, grid.grid_h)
-    gx = _grid_coords(target_w, grid.grid_w)
-    y0 = np.clip(np.floor(gy).astype(np.intp), 0, max(grid.grid_h - 2, 0))
-    x0 = np.clip(np.floor(gx).astype(np.intp), 0, max(grid.grid_w - 2, 0))
-    y1 = np.minimum(y0 + 1, grid.grid_h - 1)
-    x1 = np.minimum(x0 + 1, grid.grid_w - 1)
-    wy = (gy - y0)[:, None, None]
-    wx = (gx - x0)[None, :, None]
-    out = (
-        vals[np.ix_(y0, x0)] * (1.0 - wy) * (1.0 - wx)
-        + vals[np.ix_(y0, x1)] * (1.0 - wy) * wx
-        + vals[np.ix_(y1, x0)] * wy * (1.0 - wx)
-        + vals[np.ix_(y1, x1)] * wy * wx
-    )
-    return DenseFeatureMap(out)
+    y0, y1, wy = _axis_taps(target_h, grid.grid_h, rows)
+    x0, x1, wx = _axis_taps(target_w, grid.grid_w, cols)
+    wy = wy[:, None, None]
+    wx = wx[None, :, None]
+    wx0 = 1.0 - wx
+    r0 = vals[y0] * (1.0 - wy)
+    r1 = vals[y1] * wy
+    # in place from here: one output and one scratch buffer at full size;
+    # take() keeps them C-contiguous, as r0[:, x0] would not be
+    out = np.take(r0, x0, axis=1)
+    out *= wx0
+    tap = np.take(r0, x1, axis=1)
+    tap *= wx
+    out += tap
+    np.take(r1, x0, axis=1, out=tap)
+    tap *= wx0
+    out += tap
+    np.take(r1, x1, axis=1, out=tap)
+    tap *= wx
+    out += tap
+    return out
+
+
+def _axis_taps(target: int, cells: int, pixels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # lower cell, upper cell and upper weight of each selected pixel
+    coords = _grid_coords(target, cells)
+    if pixels is not None:
+        coords = coords[np.asarray(pixels, dtype=np.intp)]
+    lo = np.clip(np.floor(coords).astype(np.intp), 0, max(cells - 2, 0))
+    hi = np.minimum(lo + 1, cells - 1)
+    return lo, hi, coords - lo
 
 
 def _grid_coords(target: int, cells: int) -> np.ndarray:

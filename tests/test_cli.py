@@ -6,8 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from selcorr.cli import main
+from selcorr.cli import DROP_SWEEP, _match_protocol, _match_sweep, main
 from selcorr.config import load_config
+from selcorr.evaluation import projected_featurizer, raw_featurizer
+from selcorr.projector import init_projector
 from selcorr.synth import read_sample
 from selcorr.tensorio import read_manifest
 
@@ -18,6 +20,12 @@ TINY = [
     "--proj-steps", "4", "--reg-steps", "3", "--heatmaps", "2",
     "--pairs", "2", "--holdout", "2", "--seed", "0",
 ]
+
+
+def _tiny_overrides(**extra: str) -> dict[str, str]:
+    flags = dict(zip(TINY[::2], TINY[1::2]))
+    flags.update({f"--{k}": v for k, v in extra.items()})
+    return {k[2:].replace("-", "_"): v for k, v in flags.items()}
 
 
 def _gen(out: Path, count: int = 6) -> None:
@@ -99,12 +107,36 @@ def test_pipeline_and_rerun_determinism(tmp_path):
 
 def test_eval_match_runs_raw_without_checkpoint(tmp_path):
     out = tmp_path / "match"
-    # --manifest is accepted for symmetry with the other commands but the
-    # matching protocol generates its own pairs, so the path is never opened
-    rc = main(["eval-match", "--manifest", str(tmp_path / "missing.txt"),
-               "--out", str(out), *TINY])
+    rc = main(["eval-match", "--out", str(out), *TINY])
     assert rc == 0
     assert (out / "match.csv").is_file()
+    # the protocol generates its own pairs, so eval-match has no --manifest
+    with pytest.raises(SystemExit) as exc:
+        main(["eval-match", "--manifest", str(tmp_path / "missing.txt"),
+              "--out", str(out), *TINY])
+    assert exc.value.code == 1
+
+
+def test_zero_pairs_is_a_usage_error(tmp_path, capsys):
+    rc = main(["eval-match", "--out", str(tmp_path / "m"), *TINY, "--pairs", "0"])
+    assert rc == 1
+    rc = main(["ablate", "--axis", "drop_rate", "--out", str(tmp_path / "a"), *TINY,
+               "--pairs", "0"])
+    assert rc == 1
+    assert capsys.readouterr().err.count("pairs >= 1") == 2
+    assert not (tmp_path / "m").exists() and not (tmp_path / "a").exists()
+
+
+def test_drop_rate_sweep_equals_one_protocol_per_rate():
+    cfg = load_config(None, _tiny_overrides(pairs="2"))
+    for featurize in (raw_featurizer(), projected_featurizer(init_projector(8, 4, seed=0))):
+        swept = _match_sweep(cfg, featurize, DROP_SWEEP)
+        for rate, got in zip(DROP_SWEEP, swept):
+            want = _match_protocol(cfg, featurize, drop_rate=rate)
+            assert got.records == want.records
+            assert (got.same_mean, got.diff_mean) == (want.same_mean, want.diff_mean)
+        # the high rates must actually move some matches
+        assert swept[0].records != swept[-1].records
 
 
 def test_ablate_drop_rate_and_eta(tmp_path):
@@ -155,6 +187,39 @@ def test_data_errors_exit_2(tmp_path):
     rc = main(["eval-detect", "--manifest", str(small / "manifest.txt"),
                "--checkpoint", str(tmp_path / "ck"), "--out", str(tmp_path / "out"), *TINY])
     assert rc == 2
+
+
+def test_sample_meta_without_grid_h_is_a_data_error(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    _gen(corpus, count=3)
+    meta = corpus / "sample_0002" / "meta.txt"
+    meta.write_text("grid_w=4\npatch=8\n")
+    rc = main(["train-projector", "--manifest", str(corpus / "manifest.txt"),
+               "--out", str(tmp_path / "out"), *TINY])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(meta) in err and "grid_h" in err
+    meta.write_text("grid_h=four\ngrid_w=4\npatch=8\n")
+    rc = main(["train-projector", "--manifest", str(corpus / "manifest.txt"),
+               "--out", str(tmp_path / "out"), *TINY])
+    assert rc == 2
+    assert str(meta) in capsys.readouterr().err
+
+
+def test_detect_csv_cells_are_plain_floats(tmp_path):
+    corpus = tmp_path / "corpus"
+    _gen(corpus)
+    run = tmp_path / "run"
+    assert main(["train-projector", "--manifest", str(corpus / "manifest.txt"),
+                 "--out", str(run), *TINY]) == 0
+    det = tmp_path / "det"
+    assert main(["eval-detect", "--manifest", str(corpus / "manifest.txt"),
+                 "--checkpoint", str(run / "checkpoint"), "--budget", "2",
+                 "--out", str(det), *TINY]) == 0
+    rows = (det / "detect.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2 * 5
+    for row in rows:
+        assert float(row.split(",")[2]) >= 0.0
 
 
 def test_divergence_exits_3(tmp_path):

@@ -9,18 +9,22 @@ from selcorr.evaluation import (
     match_landmark,
     match_pair,
     mean_pixel_error,
+    pair_similarity,
     projected_featurizer,
     raw_featurizer,
     regressor_forward,
     silhouette_coefficient,
     similarity_map,
+    similarity_stack,
     soft_argmax,
     summarize_matches,
     train_regressor,
+    upsample_features,
     write_pgm,
 )
 from selcorr.evaluation import RegressorParams, init_regressor
 from selcorr.projector import TrainConfig, init_projector
+from selcorr.partition import cls_similarity
 from selcorr.synth import SyntheticFaceSpec, generate_backbone_output, make_pair
 from selcorr.tensorio import DenseFeatureMap, FeatureGrid
 
@@ -108,6 +112,36 @@ def test_match_pair_and_summary():
     result = summarize_matches(records)
     assert result.same_mean == pytest.approx(np.mean([r.err_px for r in records]))
     assert np.isnan(result.diff_mean)
+
+
+@pytest.mark.parametrize("featurizer", ["raw", "projected"])
+@pytest.mark.parametrize("drop_rate", [0.0, 0.5])
+def test_pair_similarity_equals_dense_oracle_bit_for_bit(featurizer, drop_rate):
+    """The token-grid stack against similarity_map of both upsampled maps."""
+    spec = SyntheticFaceSpec(**{**SMALL, "image_size": 48})
+    if featurizer == "raw":
+        featurize = raw_featurizer()
+    else:
+        featurize = projected_featurizer(init_projector(8, 4, seed=1))
+    for kind, seed in [("same", 0), ("different", 1), ("same", 2)]:
+        pair = make_pair(spec, kind, seed)
+        mask = None
+        if drop_rate > 0.0:
+            grid = pair.test.main
+            scores = cls_similarity(pair.test.q_cls, pair.test.keys)
+            mask = drop_mask(scores, drop_rate, grid.grid_h, grid.grid_w, grid.patch)
+        ref_map = upsample_features(featurize(pair.ref))
+        test_map = upsample_features(featurize(pair.test))
+        assert pair_similarity(pair, featurize).shape == (5, 48, 48)
+        # off-grid and out-of-image queries exercise the rounding and clipping
+        queries = [*pair.ref_landmarks, (0.4, 47.6), (-3.0, 60.0), (23.5, 24.5)]
+        stack = similarity_stack(featurize(pair.ref), featurize(pair.test), queries)
+        for query, sims in zip(queries, stack):
+            assert sims.tobytes() == similarity_map(ref_map, test_map, tuple(query)).tobytes()
+        records = match_pair(pair, featurize, test_mask=mask)
+        for lid, query in enumerate(pair.ref_landmarks):
+            px, py = match_landmark(ref_map, test_map, tuple(query), test_mask=mask)
+            assert (records[lid].pred_x, records[lid].pred_y) == (px, py)
 
 
 def test_soft_argmax_single_finite_value_is_exact():
@@ -433,7 +467,9 @@ def test_projected_featurizer_channels():
     spec = SyntheticFaceSpec(**SMALL)
     out = generate_backbone_output(spec, seed=0)
     proj = init_projector(8, 4, seed=0)
-    dense = projected_featurizer(proj)(out)
-    assert dense.values.shape == (32, 32, 4)
+    projected = projected_featurizer(proj)(out)
+    assert projected.channels == 4
+    assert (projected.image_h, projected.image_w) == (32, 32)
     raw = raw_featurizer()(out)
-    assert raw.values.shape == (32, 32, 8)
+    assert raw.channels == 8
+    assert (raw.image_h, raw.image_w) == (32, 32)
