@@ -25,10 +25,9 @@ from .evaluation import (
     projected_featurizer,
     raw_featurizer,
     regressor_forward,
-    similarity_map,
+    similarity_stack,
     summarize_matches,
     train_regressor,
-    upsample_features,
     write_pgm,
 )
 from .partition import cls_similarity
@@ -153,11 +152,15 @@ def _match_protocol(cfg: ExperimentConfig, featurize, drop_rate: float = 0.0):
     return _match_sweep(cfg, featurize, (drop_rate,))[0]
 
 
+def _require_pairs(cfg: ExperimentConfig) -> None:
+    if cfg.pairs < 1:
+        raise ConfigError("matching needs pairs >= 1")
+
+
 def _match_sweep(cfg: ExperimentConfig, featurize, drop_rates) -> list:
     """The match protocol once per drop rate, each pair generated and
     featurized once; one summary per rate, in order."""
-    if cfg.pairs < 1:
-        raise ConfigError("matching needs pairs >= 1")
+    _require_pairs(cfg)
     base = cfg.face_spec()
     seeds = pair_seeds(cfg.seed, 2 * cfg.pairs)
     records: list[list] = [[] for _ in drop_rates]
@@ -279,14 +282,10 @@ def cmd_eval_detect(
     return EXIT_OK
 
 
-def _train_and_match(cfg: ExperimentConfig, corpus: list[BackboneOutput]):
-    proj, _ = train_projector(corpus, cfg.projector_train(), out_dim=cfg.d_proj)
-    return _match_protocol(cfg, projected_featurizer(proj))
-
-
 def cmd_ablate(
     cfg: ExperimentConfig, axis: str, manifest: Path | None, checkpoint: Path | None, out: Path
 ) -> int:
+    _require_pairs(cfg)  # before any variant is trained
     rows: list[tuple[str, float, float]] = []
     if axis == "drop_rate":
         results = _match_sweep(cfg, _featurizer(cfg, checkpoint), DROP_SWEEP)
@@ -308,7 +307,8 @@ def cmd_ablate(
                 ("no_inatt_inatt", replace(cfg, r_ii=0.0)),
             ]
         for label, variant in variants:
-            result = _train_and_match(variant, corpus)
+            proj, _ = train_projector(corpus, variant.projector_train(), out_dim=variant.d_proj)
+            result = _match_protocol(variant, projected_featurizer(proj))
             rows.append((label, result.same_mean, result.diff_mean))
     out.mkdir(parents=True, exist_ok=True)
     lines = ["axis,value,same_mean_px,diff_mean_px"]
@@ -325,11 +325,8 @@ def cmd_export_simmap(
     if not 0 <= landmark < pair.ref_landmarks.shape[0]:
         raise ConfigError(f"landmark index {landmark} out of range")
     featurize = _featurizer(cfg, checkpoint)
-    sims = similarity_map(
-        upsample_features(featurize(pair.ref)),
-        upsample_features(featurize(pair.test)),
-        tuple(pair.ref_landmarks[landmark]),
-    )
+    query = pair.ref_landmarks[landmark : landmark + 1]
+    sims = similarity_stack(featurize(pair.ref), featurize(pair.test), query)[0]
     out.parent.mkdir(parents=True, exist_ok=True)
     write_pgm(out, sims)
     print(f"wrote {out}")

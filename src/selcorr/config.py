@@ -10,7 +10,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .lcr import RepellenceConfig
-from .projector import TrainConfig
+from .projector import OptimConfig, TrainConfig
 from .synth import DEFAULT_ANCHORS, DEFAULT_LANDMARKS, SyntheticFaceSpec
 
 
@@ -129,17 +129,13 @@ class ExperimentConfig:
             rho_verbatim=self.rho_verbatim,
         )
 
-    def regressor_train(self, seed: int | None = None) -> TrainConfig:
-        return TrainConfig(
+    def regressor_train(self, seed: int | None = None) -> OptimConfig:
+        return OptimConfig(
             lr=self.reg_lr,
             steps=self.reg_steps,
             seed=self.seed if seed is None else seed,
-            eta=self.eta,
-            kc=self.kc,
-            repel=self.repellence(),
             optimizer=self.reg_optimizer,
             momentum=self.momentum,
-            rho_verbatim=self.rho_verbatim,
         )
 
 

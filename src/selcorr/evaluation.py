@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .projector import DivergenceError, Projector, TrainConfig, TrainTrace, project
+from .projector import OptimConfig, Projector, TrainTrace, descend, project
 from .synth import BackboneOutput, EvalPair
 from .tensorio import DenseFeatureMap, FeatureGrid, bilinear_sample, bilinear_upsample
 
@@ -367,7 +367,7 @@ def regressor_checksum(params: RegressorParams) -> str:
 def train_regressor(
     samples: list[tuple[BackboneOutput, np.ndarray]],
     proj: Projector,
-    cfg: TrainConfig,
+    cfg: OptimConfig,
     heatmaps: int = 50,
     temperature: float = 0.1,
 ) -> tuple[RegressorParams, TrainTrace]:
@@ -392,33 +392,15 @@ def train_regressor(
         temperature=temperature,
         center=(grid.image_w / 2.0, grid.image_h / 2.0),
     )
-    losses: list[float] = []
-    vel = None
-    for step in range(cfg.steps):
-        grads = None
-        total = 0.0
+
+    def item_losses(arrays):
+        step_params = RegressorParams(*arrays, heatmaps=heatmaps, temperature=temperature)
         for x, t in zip(inputs, targets):
-            loss, g = _loss_and_grads(params, x, t, patch)
-            total += loss
-            grads = g if grads is None else [a + b for a, b in zip(grads, g)]
-        mean_loss = total / len(samples)
-        if not np.isfinite(mean_loss):
-            raise DivergenceError(step)
-        losses.append(mean_loss)
-        grads = [g / len(samples) for g in grads]
-        if cfg.optimizer == "momentum":
-            vel = grads if vel is None else [cfg.momentum * v + g for v, g in zip(vel, grads)]
-            update = vel
-        else:
-            update = grads
-        params = RegressorParams(
-            conv=params.conv - cfg.lr * update[0],
-            conv_bias=params.conv_bias - cfg.lr * update[1],
-            head_w=params.head_w - cfg.lr * update[2],
-            head_b=params.head_b - cfg.lr * update[3],
-            heatmaps=params.heatmaps,
-            temperature=params.temperature,
-        )
+            yield _loss_and_grads(step_params, x, t, patch)
+
+    arrays = [params.conv, params.conv_bias, params.head_w, params.head_b]
+    arrays, losses = descend(arrays, item_losses, cfg)
+    params = RegressorParams(*arrays, heatmaps=heatmaps, temperature=temperature)
     trace = TrainTrace(
         losses=losses,
         wall_seconds=time.perf_counter() - start,

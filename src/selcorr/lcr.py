@@ -3,9 +3,11 @@
 Pairs of tokens that are far apart on the patch grid are pushed toward low
 correspondence probability; the push strength depends on whether each
 token of the pair is attentive. The loss is a plain double sum of
-log-distance * repellence-weight * correspondence with no normalization,
-and the analytic gradient is checked against finite differences in the
-tests.
+log-distance * repellence-weight * correspondence with no normalization.
+The first two factors form the fixed per-image `pair_weight`; both
+`evaluate_loss` (the loss split by pair type) and `loss_and_gradient` (the
+loss with its analytic gradient, checked against finite differences in the
+tests) multiply it by the correspondence matrix.
 """
 
 from __future__ import annotations
@@ -38,13 +40,12 @@ class RepellenceConfig:
 
 @dataclass
 class LossBreakdown:
-    """Loss total, its exact split by pair type, and the matrices behind it."""
+    """Loss total, its exact split by pair type, and the correspondence behind it."""
 
     total: float
     att_att: float
     att_inatt: float
     inatt_inatt: float
-    locality: np.ndarray
     correspondence: np.ndarray
 
 
@@ -122,47 +123,32 @@ def _pair_masks(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return aa, ~aa & ~ii, ii
 
 
-def lcr_loss(
-    correspondence: np.ndarray,
-    locality: np.ndarray,
-    repellence: np.ndarray,
-    labels: np.ndarray,
-) -> LossBreakdown:
-    """Sum over all ordered pairs of locality * repellence * correspondence.
-
-    No averaging anywhere, so the value scales with N^2. The diagonal
-    contributes nothing because the locality matrix has a zero diagonal.
-    `labels` only routes each term into the per-type partials, which
-    partition the total.
-    """
-    n = np.asarray(labels).shape[0]
-    for name, m in (("correspondence", correspondence), ("locality", locality), ("repellence", repellence)):
-        if np.asarray(m).shape != (n, n):
-            raise ValueError(f"{name} matrix shape {np.asarray(m).shape} != ({n}, {n})")
-    terms = np.asarray(locality) * np.asarray(repellence) * np.asarray(correspondence)
-    aa, ai, ii = _pair_masks(labels)
-    return LossBreakdown(
-        total=float(terms.sum()),
-        att_att=float(terms[aa].sum()),
-        att_inatt=float(terms[ai].sum()),
-        inatt_inatt=float(terms[ii].sum()),
-        locality=np.asarray(locality),
-        correspondence=np.asarray(correspondence),
-    )
-
-
 def evaluate_loss(
     projected: np.ndarray,
     positions: np.ndarray,
     labels: np.ndarray,
     cfg: RepellenceConfig,
 ) -> LossBreakdown:
-    """Build all three matrices from raw inputs and reduce to a LossBreakdown."""
+    """Sum over all ordered pairs of pair weight * correspondence, split by pair type.
+
+    No averaging anywhere, so the value scales with N^2. The diagonal
+    contributes nothing because the locality factor of the pair weight is
+    zero there. `labels` routes each term into the per-type partials, which
+    partition the total.
+    """
     phi = np.asarray(projected, dtype=np.float64)
     if np.asarray(positions).shape[0] != phi.shape[0] or np.asarray(labels).shape[0] != phi.shape[0]:
         raise ValueError("projected, positions and labels disagree on token count")
     corr = correspondence_matrix(phi, tau=cfg.tau, cosine=cfg.cosine)
-    return lcr_loss(corr, locality_matrix(positions), repellence_matrix(labels, cfg), labels)
+    terms = pair_weight(positions, labels, cfg) * corr
+    aa, ai, ii = _pair_masks(labels)
+    return LossBreakdown(
+        total=float(terms.sum()),
+        att_att=float(terms[aa].sum()),
+        att_inatt=float(terms[ai].sum()),
+        inatt_inatt=float(terms[ii].sum()),
+        correspondence=corr,
+    )
 
 
 def pair_weight(positions: np.ndarray, labels: np.ndarray, cfg: RepellenceConfig) -> np.ndarray:
@@ -206,6 +192,5 @@ def lcr_gradient(
     cfg: RepellenceConfig,
 ) -> np.ndarray:
     """Analytic d(loss)/d(projected), matching `evaluate_loss` term for term."""
-    cfg.validate()
     weight = pair_weight(positions, labels, cfg)
     return loss_and_gradient(projected, weight, tau=cfg.tau, cosine=cfg.cosine)[1]

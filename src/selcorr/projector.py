@@ -1,4 +1,5 @@
-"""Per-token affine projector and its gradient-descent training loop.
+"""Per-token affine projector, its training, and the descent loop that
+both trainers (this one and the detection regressor's) share.
 
 The backbone is frozen, so each image's partition, clustering and
 substitution are computed once and reused every step; only the projector
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import time
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,7 +22,7 @@ from .dpc import approximate_inattentive, cluster_tokens
 from .lcr import RepellenceConfig, loss_and_gradient, pair_weight, token_coords
 from .partition import cls_similarity, split_tokens
 from .synth import BackboneOutput
-from .tensorio import FeatureGrid, read_tensor, write_tensor
+from .tensorio import FeatureGrid, read_meta, read_tensor, write_tensor
 
 _INIT_TAG = 31
 
@@ -62,18 +64,14 @@ class Projector:
 
 
 @dataclass
-class TrainConfig:
-    """Projector optimization settings plus the per-image pipeline knobs."""
+class OptimConfig:
+    """Gradient-descent settings shared by the projector and the detector."""
 
     lr: float = 1e-3
     steps: int = 200
     seed: int = 0
-    eta: float = 0.25
-    kc: int = 4
-    repel: RepellenceConfig = field(default_factory=RepellenceConfig)
     optimizer: str = "gd"
     momentum: float = 0.9
-    rho_verbatim: bool = False
 
     def validate(self) -> None:
         if self.lr <= 0.0:
@@ -84,6 +82,19 @@ class TrainConfig:
             raise ValueError(f"optimizer must be 'gd' or 'momentum', got {self.optimizer!r}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum coefficient must be in [0, 1), got {self.momentum}")
+
+
+@dataclass
+class TrainConfig(OptimConfig):
+    """Projector training: the optimiser settings plus the per-image pipeline knobs."""
+
+    eta: float = 0.25
+    kc: int = 4
+    repel: RepellenceConfig = field(default_factory=RepellenceConfig)
+    rho_verbatim: bool = False
+
+    def validate(self) -> None:
+        super().validate()
         self.repel.validate()
 
 
@@ -94,6 +105,37 @@ class TrainTrace:
     losses: list[float]
     wall_seconds: float
     checksum: str
+
+
+def descend(
+    params: list[np.ndarray],
+    item_losses: Callable[[list[np.ndarray]], Iterable[tuple[float, list[np.ndarray]]]],
+    cfg: OptimConfig,
+) -> tuple[list[np.ndarray], list[float]]:
+    """Gradient descent (gd or momentum) on the mean of per-item losses.
+
+    `item_losses(params)` yields each item's (loss, grads) at `params`, one
+    gradient per array. Returns the final arrays and each step's mean loss;
+    a non-finite mean loss raises `DivergenceError`.
+    """
+    losses: list[float] = []
+    vel = None
+    for step in range(cfg.steps):
+        total = 0.0
+        grads = None
+        for count, (loss, item_grads) in enumerate(item_losses(params), start=1):
+            total += loss
+            grads = item_grads if grads is None else [a + g for a, g in zip(grads, item_grads)]
+        mean_loss = total / count
+        if not np.isfinite(mean_loss):
+            raise DivergenceError(step)
+        losses.append(mean_loss)
+        update = [g / count for g in grads]
+        if cfg.optimizer == "momentum":
+            vel = update if vel is None else [cfg.momentum * v + g for v, g in zip(vel, update)]
+            update = vel
+        params = [p - cfg.lr * u for p, u in zip(params, update)]
+    return params, losses
 
 
 def init_projector(in_dim: int, out_dim: int, seed: int) -> Projector:
@@ -151,36 +193,18 @@ def train_projector(
         raise ValueError("corpus is empty")
     start = time.perf_counter()
     prepared = [prepare_image(out, cfg) for out in corpus]
-    proj = init_projector(corpus[0].main.channels, out_dim, cfg.seed)
-    w, b = proj.weight, proj.bias
-    vel_w = np.zeros_like(w)
-    vel_b = np.zeros_like(b)
-    losses: list[float] = []
-    for step in range(cfg.steps):
-        grad_w = np.zeros_like(w)
-        grad_b = np.zeros_like(b)
-        total = 0.0
+    init = init_projector(corpus[0].main.channels, out_dim, cfg.seed)
+
+    def item_losses(params):
+        # chain rule through the affine map: phi = feats @ w + b
+        w, b = params
         for feats, weight in prepared:
             loss, g_phi = loss_and_gradient(
                 feats @ w + b, weight, tau=cfg.repel.tau, cosine=cfg.repel.cosine
             )
-            grad_w += feats.T @ g_phi
-            grad_b += g_phi.sum(axis=0)
-            total += loss
-        mean_loss = total / len(prepared)
-        if not np.isfinite(mean_loss):
-            raise DivergenceError(step)
-        losses.append(mean_loss)
-        grad_w /= len(prepared)
-        grad_b /= len(prepared)
-        if cfg.optimizer == "momentum":
-            vel_w = cfg.momentum * vel_w + grad_w
-            vel_b = cfg.momentum * vel_b + grad_b
-            w -= cfg.lr * vel_w
-            b -= cfg.lr * vel_b
-        else:
-            w -= cfg.lr * grad_w
-            b -= cfg.lr * grad_b
+            yield loss, [feats.T @ g_phi, g_phi.sum(axis=0)]
+
+    (w, b), losses = descend([init.weight, init.bias], item_losses, cfg)
     proj = Projector(w, b)
     trace = TrainTrace(
         losses=losses,
@@ -209,8 +233,21 @@ def save_checkpoint(directory: str | Path, p: Projector, seed: int, steps: int) 
 
 
 def load_checkpoint(directory: str | Path) -> Projector:
+    """Inverse of `save_checkpoint`. The meta.txt in_dim/out_dim and sha256
+    must match the tensors; a missing or different value raises ValueError."""
     directory = Path(directory)
-    return Projector(
-        weight=read_tensor(directory / "weight.scet"),
-        bias=read_tensor(directory / "bias.scet"),
-    )
+    meta = read_meta(directory / "meta.txt")
+    weight = read_tensor(directory / "weight.scet")
+    bias = read_tensor(directory / "bias.scet")
+    try:
+        p = Projector(weight, bias)
+    except ValueError as exc:
+        raise ValueError(f"checkpoint {directory}: {exc}") from None
+    actual = {"in_dim": str(p.in_dim), "out_dim": str(p.out_dim), "sha256": projector_checksum(p)}
+    for key, value in actual.items():
+        if meta.get(key) != value:
+            recorded = f"{key}={meta[key]}" if key in meta else f"no {key}"
+            raise ValueError(
+                f"checkpoint {directory}: meta.txt has {recorded}, the tensors give {value}"
+            )
+    return p

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensorio import FeatureGrid, read_tensor, write_tensor
+from .tensorio import FeatureGrid, read_meta, read_tensor, write_tensor
 
 DEFAULT_LANDMARKS = ((30.0, 36.0), (66.0, 36.0), (48.0, 56.0), (34.0, 72.0), (62.0, 72.0))
 # eye, eye, nose, mouth corner, mouth corner: symmetric landmarks look alike
@@ -171,10 +171,6 @@ def landmark_cells(spec: SyntheticFaceSpec) -> np.ndarray:
     cols = np.clip((pts[:, 0] // spec.patch).astype(np.intp), 0, g - 1)
     rows = np.clip((pts[:, 1] // spec.patch).astype(np.intp), 0, g - 1)
     return rows * g + cols
-
-
-def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
 
 
 def _prototypes(spec: SyntheticFaceSpec) -> dict[str, np.ndarray]:
@@ -438,11 +434,7 @@ def read_sample(directory: str | Path) -> tuple[BackboneOutput, np.ndarray]:
     """Inverse of `write_sample`; the returned output carries no generating spec."""
     directory = Path(directory)
     meta_path = directory / "meta.txt"
-    meta: dict[str, str] = {}
-    for line in meta_path.read_text().splitlines():
-        if line.strip():
-            k, _, v = line.partition("=")
-            meta[k.strip()] = v.strip()
+    meta = read_meta(meta_path)
     gh, gw, patch = (_meta_int(meta, key, meta_path) for key in ("grid_h", "grid_w", "patch"))
     output = BackboneOutput(
         main=FeatureGrid(gh, gw, patch, read_tensor(directory / "main.scet")),

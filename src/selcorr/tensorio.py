@@ -239,3 +239,9 @@ def read_manifest(path: str | Path) -> list[Path]:
 
 def write_manifest(path: str | Path, names: list[str]) -> None:
     Path(path).write_text("".join(name + "\n" for name in names))
+
+
+def read_meta(path: str | Path) -> dict[str, str]:
+    """A `meta.txt` as a dict: one key=value per non-blank line, both stripped."""
+    lines = Path(path).read_text().splitlines()
+    return {k.strip(): v.strip() for k, _, v in (ln.partition("=") for ln in lines if ln.strip())}

@@ -6,12 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from selcorr import cli
 from selcorr.cli import DROP_SWEEP, _match_protocol, _match_sweep, main
 from selcorr.config import load_config
 from selcorr.evaluation import projected_featurizer, raw_featurizer
 from selcorr.projector import init_projector
 from selcorr.synth import read_sample
-from selcorr.tensorio import read_manifest
+from selcorr.tensorio import read_manifest, read_tensor, write_tensor
 
 # small geometry so every command finishes in well under a second
 TINY = [
@@ -117,7 +118,7 @@ def test_eval_match_runs_raw_without_checkpoint(tmp_path):
     assert exc.value.code == 1
 
 
-def test_zero_pairs_is_a_usage_error(tmp_path, capsys):
+def test_zero_pairs_is_a_usage_error(tmp_path, capsys, monkeypatch):
     rc = main(["eval-match", "--out", str(tmp_path / "m"), *TINY, "--pairs", "0"])
     assert rc == 1
     rc = main(["ablate", "--axis", "drop_rate", "--out", str(tmp_path / "a"), *TINY,
@@ -125,6 +126,35 @@ def test_zero_pairs_is_a_usage_error(tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err.count("pairs >= 1") == 2
     assert not (tmp_path / "m").exists() and not (tmp_path / "a").exists()
+
+    # retraining axes reject the pair count before loading or training:
+    # the manifest does not exist, and training would raise
+    def no_training(*args, **kwargs):
+        raise AssertionError("a projector was trained")
+
+    monkeypatch.setattr(cli, "train_projector", no_training)
+    for axis in ("eta", "kc", "repellence"):
+        rc = main(["ablate", "--axis", axis, "--manifest", str(tmp_path / "none.txt"),
+                   "--out", str(tmp_path / "a"), *TINY, "--pairs", "0"])
+        assert rc == 1
+    assert capsys.readouterr().err.count("pairs >= 1") == 3
+
+
+def test_tampered_checkpoint_is_a_data_error(tmp_path, capsys):
+    corpus, run = tmp_path / "corpus", tmp_path / "run"
+    _gen(corpus, count=3)
+    assert main(["train-projector", "--manifest", str(corpus / "manifest.txt"),
+                 "--out", str(run), *TINY]) == 0
+    weight = run / "checkpoint" / "weight.scet"
+    write_tensor(weight, np.zeros_like(read_tensor(weight)))
+    capsys.readouterr()
+    rc = main(["eval-match", "--checkpoint", str(run / "checkpoint"),
+               "--out", str(tmp_path / "m"), *TINY])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(run / "checkpoint") in err and "sha256" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "m").exists()
 
 
 def test_drop_rate_sweep_equals_one_protocol_per_rate():

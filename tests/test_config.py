@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from selcorr.config import (
@@ -128,4 +130,6 @@ def test_train_config_wiring():
     assert pt.repel.tau == cfg.tau
     rt = cfg.regressor_train()
     assert rt.lr == 0.25 and rt.optimizer == "momentum" and rt.seed == 3
+    # the regressor gets optimiser settings only, none of the projector's
+    assert [f.name for f in fields(rt)] == ["lr", "steps", "seed", "optimizer", "momentum"]
     assert cfg.regressor_train(seed=7).seed == 7

@@ -3,7 +3,6 @@ import pytest
 
 from selcorr.evaluation import (
     MASKED,
-    DivergenceError,
     drop_mask,
     inter_ocular_error,
     match_landmark,
@@ -23,7 +22,7 @@ from selcorr.evaluation import (
     write_pgm,
 )
 from selcorr.evaluation import RegressorParams, init_regressor
-from selcorr.projector import TrainConfig, init_projector
+from selcorr.projector import DivergenceError, OptimConfig, init_projector
 from selcorr.partition import cls_similarity
 from selcorr.synth import SyntheticFaceSpec, generate_backbone_output, make_pair
 from selcorr.tensorio import DenseFeatureMap, FeatureGrid
@@ -288,13 +287,13 @@ def _training_setup(n=3):
 
 def test_train_regressor_zero_steps_and_determinism():
     samples, proj = _training_setup()
-    p0, t0 = train_regressor(samples, proj, TrainConfig(steps=0), heatmaps=2)
+    p0, t0 = train_regressor(samples, proj, OptimConfig(steps=0), heatmaps=2)
     ref = init_regressor(5, 12, heatmaps=2, seed=0, center=(16.0, 16.0))
     assert np.array_equal(p0.conv, ref.conv)
     assert np.array_equal(p0.head_b, ref.head_b)
     assert t0.losses == []
-    pa, ta = train_regressor(samples, proj, TrainConfig(lr=1e-3, steps=5), heatmaps=2)
-    pb, tb = train_regressor(samples, proj, TrainConfig(lr=1e-3, steps=5), heatmaps=2)
+    pa, ta = train_regressor(samples, proj, OptimConfig(lr=1e-3, steps=5), heatmaps=2)
+    pb, tb = train_regressor(samples, proj, OptimConfig(lr=1e-3, steps=5), heatmaps=2)
     assert ta.checksum == tb.checksum
     assert ta.losses == tb.losses
 
@@ -302,7 +301,7 @@ def test_train_regressor_zero_steps_and_determinism():
 def test_train_regressor_reduces_loss():
     samples, proj = _training_setup()
     _, trace = train_regressor(
-        samples, proj, TrainConfig(lr=1e-2, steps=30, optimizer="momentum"), heatmaps=2
+        samples, proj, OptimConfig(lr=1e-2, steps=30, optimizer="momentum"), heatmaps=2
     )
     assert trace.losses[-1] < trace.losses[0]
 
@@ -345,7 +344,7 @@ def test_train_regressor_gradient_matches_finite_differences():
 def test_train_regressor_divergence():
     samples, proj = _training_setup(1)
     with np.errstate(all="ignore"), pytest.raises(DivergenceError):
-        train_regressor(samples, proj, TrainConfig(lr=1e9, steps=200), heatmaps=2)
+        train_regressor(samples, proj, OptimConfig(lr=1e9, steps=200), heatmaps=2)
 
 
 def test_inter_ocular_trivial_cases():

@@ -15,7 +15,7 @@ from selcorr.projector import (
     train_projector,
 )
 from selcorr.synth import SyntheticFaceSpec, generate_backbone_output
-from selcorr.tensorio import FeatureGrid
+from selcorr.tensorio import FeatureGrid, write_tensor
 
 # a 4x4-token world small enough for finite differences
 SMALL = dict(
@@ -101,6 +101,48 @@ def test_momentum_optimizer_runs():
     assert trace.losses[-1] < trace.losses[0]
 
 
+@pytest.mark.parametrize("optimizer", ["gd", "momentum"])
+def test_training_equals_a_hand_written_loop(optimizer):
+    """Three steps of `train_projector`, bit for bit, against the update
+    written out over `loss_and_gradient`."""
+    corpus = _small_corpus()
+    cfg = TrainConfig(lr=1e-3, steps=3, kc=2, optimizer=optimizer, momentum=0.9)
+    proj, trace = train_projector(corpus, cfg, out_dim=4)
+
+    prepared = [prepare_image(o, cfg) for o in corpus]
+    init = init_projector(8, 4, seed=0)
+    w, b = init.weight.copy(), init.bias.copy()
+    vel_w, vel_b = np.zeros_like(w), np.zeros_like(b)
+    losses = []
+    for _ in range(3):
+        grad_w, grad_b, total = np.zeros_like(w), np.zeros_like(b), 0.0
+        for f, pw in prepared:
+            loss, g_phi = loss_and_gradient(f @ w + b, pw, tau=cfg.repel.tau)
+            grad_w += f.T @ g_phi
+            grad_b += g_phi.sum(axis=0)
+            total += loss
+        losses.append(total / 2)
+        grad_w /= 2
+        grad_b /= 2
+        if optimizer == "momentum":
+            vel_w = 0.9 * vel_w + grad_w
+            vel_b = 0.9 * vel_b + grad_b
+            grad_w, grad_b = vel_w, vel_b
+        w = w - 1e-3 * grad_w
+        b = b - 1e-3 * grad_b
+    assert trace.losses == losses
+    assert proj.weight.tobytes() == w.tobytes()
+    assert proj.bias.tobytes() == b.tobytes()
+
+
+def test_training_divergence():
+    # the cosine softmax saturates, so a runaway step size only diverges on
+    # raw dot-product logits, whose Z Z^T overflows
+    cfg = TrainConfig(lr=1e50, steps=20, kc=2, repel=RepellenceConfig(cosine=False))
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError):
+        train_projector(_small_corpus(), cfg, out_dim=4)
+
+
 def test_corpus_gradient_matches_finite_differences():
     """The W/b gradient assembled inside the training loop, re-derived by
     central differences on the mean corpus loss."""
@@ -167,3 +209,26 @@ def test_checkpoint_roundtrip(tmp_path):
     meta = (tmp_path / "ck" / "meta.txt").read_text()
     assert f"sha256={digest}" in meta
     assert "in_dim=8" in meta and "out_dim=4" in meta
+
+
+def _edit_meta(old, new):
+    return lambda ck: (ck / "meta.txt").write_text((ck / "meta.txt").read_text().replace(old, new))
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        _edit_meta("in_dim=8", "in_dim=9"),
+        _edit_meta("out_dim=4\n", ""),
+        _edit_meta("sha256=", "sha256=0"),
+        lambda ck: write_tensor(ck / "weight.scet", np.full((8, 4), np.nan)),
+    ],
+    ids=["in_dim", "no_out_dim", "sha256", "nan_weight"],
+)
+def test_checkpoint_is_checked_on_load(tmp_path, tamper):
+    proj, _ = train_projector(_small_corpus(), TrainConfig(steps=1, kc=2), out_dim=4)
+    ck = tmp_path / "ck"
+    save_checkpoint(ck, proj, seed=0, steps=1)
+    tamper(ck)
+    with pytest.raises(ValueError, match=str(ck)):
+        load_checkpoint(ck)
