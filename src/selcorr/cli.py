@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, dump_config, load_config
+from .config import ConfigError, ExperimentConfig, load_config
 from .evaluation import (
     drop_mask,
     inter_ocular_error,
@@ -41,15 +41,14 @@ from .projector import (
 from .synth import (
     LEFT_EYE,
     RIGHT_EYE,
-    BackboneOutput,
     generate_backbone_output,
     make_pair,
     pair_seeds,
-    read_sample,
+    read_corpus,
     sample_spec,
     write_sample,
 )
-from .tensorio import ScetError, read_manifest, write_manifest
+from .tensorio import ScetError, write_csv, write_key_values, write_manifest
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -137,11 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_corpus(manifest: Path) -> list[tuple[BackboneOutput, np.ndarray]]:
-    return [read_sample(d) for d in read_manifest(manifest)]
-
-
-def _featurizer(cfg: ExperimentConfig, checkpoint: Path | None):
+def _featurizer(checkpoint: Path | None):
     if checkpoint is None:
         return raw_featurizer()
     return projected_featurizer(load_checkpoint(checkpoint))
@@ -176,16 +171,8 @@ def _match_sweep(cfg: ExperimentConfig, featurize, drop_rates) -> list:
                 if scores is None:
                     scores = cls_similarity(pair.test.q_cls, pair.test.keys)
                 mask = drop_mask(scores, rate, grid.grid_h, grid.grid_w, grid.patch)
-            rate_records.extend(match_pair(pair, pair_id=i, test_mask=mask, sims=sims))
+            rate_records.extend(match_pair(pair, sims, pair_id=i, test_mask=mask))
     return [summarize_matches(r) for r in records]
-
-
-def _write_match_csv(path: Path, result) -> None:
-    lines = ["pair_id,landmark_id,kind,err_px"]
-    lines += [
-        f"{r.pair_id},{r.landmark_id},{r.kind},{r.err_px!r}" for r in result.records
-    ]
-    path.write_text("".join(line + "\n" for line in lines))
 
 
 def cmd_gen(cfg: ExperimentConfig, count: int, out: Path) -> int:
@@ -201,33 +188,33 @@ def cmd_gen(cfg: ExperimentConfig, count: int, out: Path) -> int:
         write_sample(out / name, output, np.asarray(spec.landmarks_px))
         names.append(name)
     write_manifest(out / "manifest.txt", names)
-    (out / "config.txt").write_text(dump_config(cfg))
+    write_key_values(out / "config.txt", asdict(cfg))
     print(f"wrote {count} samples to {out}")
     return EXIT_OK
 
 
 def cmd_train_projector(cfg: ExperimentConfig, manifest: Path, out: Path) -> int:
-    corpus = [output for output, _ in _load_corpus(manifest)]
+    corpus = [output for output, _ in read_corpus(manifest)]
     proj, trace = train_projector(corpus, cfg.projector_train(), out_dim=cfg.d_proj)
     out.mkdir(parents=True, exist_ok=True)
     digest = save_checkpoint(out / "checkpoint", proj, seed=cfg.seed, steps=cfg.proj_steps)
-    lines = ["step,loss"] + [f"{i},{loss!r}" for i, loss in enumerate(trace.losses)]
-    (out / "trace.csv").write_text("".join(line + "\n" for line in lines))
+    write_csv(out / "trace.csv", [("step", "loss"), *enumerate(trace.losses)])
     last = trace.losses[-1] if trace.losses else float("nan")
     print(f"trained {cfg.proj_steps} steps, final_loss={last!r}, sha256={digest}")
     return EXIT_OK
 
 
 def cmd_eval_match(cfg: ExperimentConfig, out: Path, checkpoint: Path | None) -> int:
-    result = _match_protocol(cfg, _featurizer(cfg, checkpoint), drop_rate=cfg.drop_rate)
+    result = _match_protocol(cfg, _featurizer(checkpoint), drop_rate=cfg.drop_rate)
     out.mkdir(parents=True, exist_ok=True)
-    _write_match_csv(out / "match.csv", result)
-    summary = (
-        f"pairs={cfg.pairs}\nsame_mean_px={result.same_mean!r}\n"
-        f"diff_mean_px={result.diff_mean!r}\n"
-    )
-    (out / "summary.txt").write_text(summary)
-    print(summary.strip().replace("\n", " "))
+    rows = [(r.pair_id, r.landmark_id, r.kind, r.err_px) for r in result.records]
+    write_csv(out / "match.csv", [("pair_id", "landmark_id", "kind", "err_px"), *rows])
+    summary = {
+        "pairs": cfg.pairs,
+        "same_mean_px": result.same_mean,
+        "diff_mean_px": result.diff_mean,
+    }
+    print(write_key_values(out / "summary.txt", summary).strip().replace("\n", " "))
     return EXIT_OK
 
 
@@ -236,7 +223,7 @@ def cmd_eval_detect(
 ) -> int:
     if budget < 1:
         raise ConfigError("budget must be >= 1")
-    samples = _load_corpus(manifest)
+    samples = read_corpus(manifest)
     if len(samples) <= cfg.holdout:
         raise ValueError(
             f"corpus of {len(samples)} cannot reserve {cfg.holdout} held-out samples"
@@ -266,18 +253,12 @@ def cmd_eval_detect(
         if first is None:
             first = metrics
     out.mkdir(parents=True, exist_ok=True)
-    lines = ["sample_id,landmark_id,err_iod_pct"]
-    for s in range(first.per_sample_pct.shape[0]):
-        for l in range(first.per_sample_pct.shape[1]):
-            lines.append(f"{s},{l},{float(first.per_sample_pct[s, l])!r}")
-    (out / "detect.csv").write_text("".join(line + "\n" for line in lines))
+    rows = [(s, l, err) for (s, l), err in np.ndenumerate(first.per_sample_pct)]
+    write_csv(out / "detect.csv", [("sample_id", "landmark_id", "err_iod_pct"), *rows])
     mean = float(np.mean(means))
     std = float(np.std(means))
-    summary = (
-        f"budget={train_n}\nrepeats={cfg.repeats}\n"
-        f"mean_iod_pct={mean!r}\nstd_iod_pct={std!r}\n"
-    )
-    (out / "summary.txt").write_text(summary)
+    summary = {"budget": train_n, "repeats": cfg.repeats, "mean_iod_pct": mean, "std_iod_pct": std}
+    write_key_values(out / "summary.txt", summary)
     print(f"budget={train_n} iod_pct={mean:.3f} +- {std:.3f}")
     return EXIT_OK
 
@@ -285,20 +266,25 @@ def cmd_eval_detect(
 def cmd_ablate(
     cfg: ExperimentConfig, axis: str, manifest: Path | None, checkpoint: Path | None, out: Path
 ) -> int:
-    _require_pairs(cfg)  # before any variant is trained
-    rows: list[tuple[str, float, float]] = []
+    # usage checks come before any variant is trained
+    _require_pairs(cfg)
+    if axis == "drop_rate" and manifest is not None:
+        raise ConfigError("axis drop_rate generates its own pairs and takes no --manifest")
+    if axis != "drop_rate" and checkpoint is not None:
+        raise ConfigError(f"axis {axis} trains a projector per variant and takes no --checkpoint")
+    rows: list[tuple[object, float, float]] = []
     if axis == "drop_rate":
-        results = _match_sweep(cfg, _featurizer(cfg, checkpoint), DROP_SWEEP)
+        results = _match_sweep(cfg, _featurizer(checkpoint), DROP_SWEEP)
         for rate, result in zip(DROP_SWEEP, results):
-            rows.append((f"{rate!r}", result.same_mean, result.diff_mean))
+            rows.append((rate, result.same_mean, result.diff_mean))
     else:
         if manifest is None:
             raise ConfigError(f"axis {axis} requires --manifest")
-        corpus = [output for output, _ in _load_corpus(manifest)]
+        corpus = [output for output, _ in read_corpus(manifest)]
         if axis == "eta":
-            variants = [(f"{v!r}", replace(cfg, eta=v)) for v in ETA_SWEEP]
+            variants = [(v, replace(cfg, eta=v)) for v in ETA_SWEEP]
         elif axis == "kc":
-            variants = [(str(v), replace(cfg, kc=v)) for v in KC_SWEEP]
+            variants = [(v, replace(cfg, kc=v)) for v in KC_SWEEP]
         else:
             variants = [
                 ("full", cfg),
@@ -311,9 +297,8 @@ def cmd_ablate(
             result = _match_protocol(variant, projected_featurizer(proj))
             rows.append((label, result.same_mean, result.diff_mean))
     out.mkdir(parents=True, exist_ok=True)
-    lines = ["axis,value,same_mean_px,diff_mean_px"]
-    lines += [f"{axis},{label},{same!r},{diff!r}" for label, same, diff in rows]
-    (out / f"ablate_{axis}.csv").write_text("".join(line + "\n" for line in lines))
+    header = ("axis", "value", "same_mean_px", "diff_mean_px")
+    write_csv(out / f"ablate_{axis}.csv", [header, *((axis, *row) for row in rows)])
     print(f"{axis}: {len(rows)} rows")
     return EXIT_OK
 
@@ -324,7 +309,7 @@ def cmd_export_simmap(
     pair = make_pair(cfg.face_spec(), kind, cfg.seed, sigma_frac=cfg.tps_sigma_frac)
     if not 0 <= landmark < pair.ref_landmarks.shape[0]:
         raise ConfigError(f"landmark index {landmark} out of range")
-    featurize = _featurizer(cfg, checkpoint)
+    featurize = _featurizer(checkpoint)
     query = pair.ref_landmarks[landmark : landmark + 1]
     sims = similarity_stack(featurize(pair.ref), featurize(pair.test), query)[0]
     out.parent.mkdir(parents=True, exist_ok=True)

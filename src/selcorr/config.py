@@ -12,6 +12,7 @@ from pathlib import Path
 from .lcr import RepellenceConfig
 from .projector import OptimConfig, TrainConfig
 from .synth import DEFAULT_ANCHORS, DEFAULT_LANDMARKS, SyntheticFaceSpec
+from .tensorio import parse_key_values
 
 
 class ConfigError(ValueError):
@@ -154,18 +155,12 @@ def _parse_value(name: str, text: str, target_type: type):
         raise ConfigError(f"bad value for {name}: {exc}") from exc
 
 
-def parse_config_lines(text: str) -> dict[str, str]:
-    """key=value per line; blank lines and #-comments are skipped."""
-    out: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        if not sep or not key.strip():
-            raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
-        out[key.strip()] = value.strip()
-    return out
+def parse_config_lines(text: str, origin: str = "config") -> dict[str, str]:
+    """`tensorio.parse_key_values`, its errors raised as ConfigError."""
+    try:
+        return parse_key_values(text, origin)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def load_config(
@@ -174,7 +169,7 @@ def load_config(
     """Defaults, then the config file, then explicit overrides; validated."""
     values: dict[str, str] = {}
     if path is not None:
-        values.update(parse_config_lines(Path(path).read_text()))
+        values.update(parse_config_lines(Path(path).read_text(), str(path)))
     values.update(overrides or {})
     by_name = {f.name: f for f in fields(ExperimentConfig)}
     kwargs = {}
@@ -187,11 +182,3 @@ def load_config(
     cfg.validate()
     return cfg
 
-
-def dump_config(cfg: ExperimentConfig) -> str:
-    """Round-trippable flat text form, fields in declaration order."""
-    lines = []
-    for f in fields(ExperimentConfig):
-        v = getattr(cfg, f.name)
-        lines.append(f"{f.name}={str(v).lower() if isinstance(v, bool) else v}")
-    return "".join(line + "\n" for line in lines)

@@ -7,12 +7,12 @@ feature grid can substitute member rows with their center's row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .partition import TokenPartition
-from .tensorio import FeatureGrid
+from .tensorio import FeatureGrid, sq_dists, top_k
 
 
 @dataclass
@@ -31,19 +31,9 @@ class ClusterAssignment:
     member_center: np.ndarray
 
     @property
-    def center_tokens(self) -> np.ndarray:
-        """Grid token ids of the selected centers, ascending."""
-        return self.token_indices[self.centers]
-
-    @property
     def member_center_tokens(self) -> np.ndarray:
         """Grid token id of the assigned center, per clustered token."""
         return self.token_indices[self.member_center]
-
-
-def _pairwise_sq_dists(features: np.ndarray) -> np.ndarray:
-    diff = features[:, None, :] - features[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
 
 
 def density(features: np.ndarray, verbatim: bool = False) -> np.ndarray:
@@ -58,7 +48,7 @@ def density(features: np.ndarray, verbatim: bool = False) -> np.ndarray:
         raise ValueError(f"expected (M, d) features with M >= 1, got {features.shape}")
     if not np.isfinite(features).all():
         raise ValueError("non-finite features")
-    sq = _pairwise_sq_dists(features)
+    sq = sq_dists(features, features)
     if verbatim:
         return np.exp(sq.sum(axis=1))
     return np.exp(-sq).sum(axis=1) - 1.0  # drop the self term exp(0)
@@ -78,7 +68,7 @@ def peak_distance(features: np.ndarray, rho: np.ndarray) -> np.ndarray:
         raise ValueError("no tokens")
     if rho.shape != (m,):
         raise ValueError(f"rho shape {rho.shape} does not match {m} tokens")
-    dist = np.sqrt(_pairwise_sq_dists(features))
+    dist = np.sqrt(sq_dists(features, features))
     idx = np.arange(m)
     denser = (rho[None, :] > rho[:, None]) | (
         (rho[None, :] == rho[:, None]) & (idx[None, :] < idx[:, None])
@@ -97,22 +87,20 @@ def select_centers(rho: np.ndarray, delta: np.ndarray, kc: int) -> np.ndarray:
         raise ValueError(f"cluster count must be >= 1, got {kc}")
     if rho.shape != delta.shape or rho.ndim != 1:
         raise ValueError("rho and delta must be equal-length vectors")
-    score = rho * delta
-    order = np.argsort(-score, kind="stable")
-    return np.sort(order[: min(kc, rho.shape[0])])
+    return top_k(rho * delta, min(kc, rho.shape[0]))
 
 
 def assign_members(
     features: np.ndarray,
     centers: np.ndarray,
-    rho: np.ndarray | None = None,
-    delta: np.ndarray | None = None,
+    rho: np.ndarray,
+    delta: np.ndarray,
     token_indices: np.ndarray | None = None,
 ) -> ClusterAssignment:
     """Assign every token to its nearest center in feature space.
 
     Ties go to the center with the lower token index; centers always map
-    to themselves. rho/delta are recomputed when not supplied.
+    to themselves. `rho` and `delta` are carried into the result.
     """
     features = np.asarray(features, dtype=np.float64)
     centers = np.unique(np.asarray(centers, dtype=np.intp))  # ascending, for the tie rule
@@ -121,14 +109,9 @@ def assign_members(
     m = features.shape[0]
     if centers[0] < 0 or centers[-1] >= m:
         raise ValueError("center index out of range")
-    if rho is None:
-        rho = density(features)
-    if delta is None:
-        delta = peak_distance(features, rho)
     if token_indices is None:
         token_indices = np.arange(m)
-    diff = features[:, None, :] - features[centers][None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    d2 = sq_dists(features, features[centers])
     member_center = centers[np.argmin(d2, axis=1)]  # argmin ties -> first, centers ascending
     member_center[centers] = centers
     return ClusterAssignment(
@@ -151,7 +134,7 @@ def cluster_tokens(
     rho = density(features, verbatim=verbatim)
     delta = peak_distance(features, rho)
     centers = select_centers(rho, delta, kc)
-    return assign_members(features, centers, rho=rho, delta=delta, token_indices=token_indices)
+    return assign_members(features, centers, rho, delta, token_indices=token_indices)
 
 
 def approximate_inattentive(

@@ -1,5 +1,4 @@
-"""Downstream protocols: landmark matching, heatmap-regression detection,
-and clustering quality.
+"""Downstream protocols: landmark matching and heatmap-regression detection.
 
 Matching takes cosine-similarity argmaxes at image resolution: only the
 test map is upsampled to pixels, and each reference query feature is
@@ -12,7 +11,6 @@ hand and verified against a dense oracle in the tests.
 
 from __future__ import annotations
 
-import hashlib
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,7 +19,14 @@ import numpy as np
 
 from .projector import OptimConfig, Projector, TrainTrace, descend, project
 from .synth import BackboneOutput, EvalPair
-from .tensorio import DenseFeatureMap, FeatureGrid, bilinear_sample, bilinear_upsample
+from .tensorio import (
+    DenseFeatureMap,
+    FeatureGrid,
+    bilinear_sample,
+    bilinear_upsample,
+    softmax,
+    top_k,
+)
 
 # a finite stand-in for -inf: exp((MASKED - x)/T) underflows to exactly 0,
 # so masked pixels carry zero probability and one-hot decoding is exact
@@ -139,15 +144,6 @@ def match_landmark(
     return _best_pixels(similarity_map(ref_map, test_map, query_px)[None], test_mask)[0]
 
 
-def mean_pixel_error(preds: np.ndarray, gts: np.ndarray) -> float:
-    """Mean Euclidean distance in pixels over (n, 2) predictions."""
-    preds = np.asarray(preds, dtype=np.float64)
-    gts = np.asarray(gts, dtype=np.float64)
-    if preds.shape != gts.shape or preds.ndim != 2 or preds.shape[0] == 0:
-        raise ValueError(f"bad prediction/target shapes {preds.shape} / {gts.shape}")
-    return float(np.linalg.norm(preds - gts, axis=1).mean())
-
-
 def pair_similarity(pair: EvalPair, featurize) -> np.ndarray:
     """The pair's (L, H, W) `similarity_stack`, one map per reference landmark."""
     return similarity_stack(featurize(pair.ref), featurize(pair.test), pair.ref_landmarks)
@@ -155,21 +151,12 @@ def pair_similarity(pair: EvalPair, featurize) -> np.ndarray:
 
 def match_pair(
     pair: EvalPair,
-    featurize=None,
+    sims: np.ndarray,
     pair_id: int = 0,
     test_mask: np.ndarray | None = None,
-    sims: np.ndarray | None = None,
 ) -> list[MatchRecord]:
-    """Match every landmark of one pair by the argmax of its similarity stack.
-
-    `featurize` maps an output to a token grid. Pass `sims`, the pair's
-    `pair_similarity`, instead to match it under several masks without
-    recomputing it.
-    """
-    if (featurize is None) == (sims is None):
-        raise ValueError("pass exactly one of featurize and sims")
-    if sims is None:
-        sims = pair_similarity(pair, featurize)
+    """Match every landmark of one pair by the argmax of `sims`, the pair's
+    `pair_similarity`, which can serve several masks."""
     kind = "same" if pair.same_identity else "different"
     records = []
     for lid, (px, py) in enumerate(_best_pixels(sims, test_mask)):
@@ -226,16 +213,9 @@ def soft_argmax(heatmap: np.ndarray, temperature: float = 0.1) -> tuple[float, f
         raise ValueError(f"expected (H, W) heatmap, got {heatmap.shape}")
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
-    p = _softmax2d(heatmap[None, :, :] / temperature)[0]
+    p = softmax((heatmap / temperature).reshape(-1)).reshape(heatmap.shape)
     ys, xs = np.mgrid[0 : heatmap.shape[0], 0 : heatmap.shape[1]]
     return float((p * xs).sum()), float((p * ys).sum())
-
-
-def _softmax2d(batch: np.ndarray) -> np.ndarray:
-    flat = batch.reshape(batch.shape[0], -1)
-    flat = flat - flat.max(axis=1, keepdims=True)
-    e = np.exp(flat)
-    return (e / e.sum(axis=1, keepdims=True)).reshape(batch.shape)
 
 
 @dataclass
@@ -329,7 +309,7 @@ def _stack_inputs(stage1: FeatureGrid, stage2: FeatureGrid) -> np.ndarray:
 def _forward(params: RegressorParams, x: np.ndarray, patch: int):
     """All intermediates: heatmaps, per-map probabilities, coords, predictions."""
     heat = _conv3x3(x, params.conv, params.conv_bias)
-    probs = _softmax2d(heat / params.temperature)
+    probs = softmax((heat / params.temperature).reshape(heat.shape[0], -1)).reshape(heat.shape)
     gh, gw = heat.shape[1:]
     ys, xs = np.mgrid[0:gh, 0:gw]
     # decoded at patch centers, as a fraction of the image size with the
@@ -355,13 +335,6 @@ def regressor_forward(
             f"{x.shape[2]} input channels, regressor expects {params.in_channels}"
         )
     return _forward(params, x, stage1.patch)[4]
-
-
-def regressor_checksum(params: RegressorParams) -> str:
-    digest = hashlib.sha256()
-    for arr in (params.conv, params.conv_bias, params.head_w, params.head_b):
-        digest.update(np.ascontiguousarray(arr).tobytes())
-    return digest.hexdigest()
 
 
 def train_regressor(
@@ -401,12 +374,7 @@ def train_regressor(
     arrays = [params.conv, params.conv_bias, params.head_w, params.head_b]
     arrays, losses = descend(arrays, item_losses, cfg)
     params = RegressorParams(*arrays, heatmaps=heatmaps, temperature=temperature)
-    trace = TrainTrace(
-        losses=losses,
-        wall_seconds=time.perf_counter() - start,
-        checksum=regressor_checksum(params),
-    )
-    return params, trace
+    return params, TrainTrace(losses=losses, wall_seconds=time.perf_counter() - start)
 
 
 def _loss_and_grads(params: RegressorParams, x: np.ndarray, target: np.ndarray, patch: int):
@@ -468,39 +436,14 @@ def inter_ocular_error(
     )
 
 
-def silhouette_coefficient(embeddings: np.ndarray, labels: np.ndarray) -> float:
-    """Mean silhouette score; singleton clusters contribute 0."""
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    labels = np.asarray(labels)
-    m = embeddings.shape[0]
-    if labels.shape != (m,):
-        raise ValueError("labels length mismatch")
-    uniq = np.unique(labels)
-    if uniq.size < 2:
-        raise ValueError("need at least two clusters")
-    diff = embeddings[:, None, :] - embeddings[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    scores = np.zeros(m)
-    for i in range(m):
-        own = labels == labels[i]
-        if own.sum() == 1:
-            continue  # singleton: defined as 0
-        a = dist[i, own].sum() / (own.sum() - 1)
-        b = min(dist[i, labels == c].mean() for c in uniq if c != labels[i])
-        scores[i] = (b - a) / max(a, b)
-    return float(scores.mean())
-
-
 def drop_mask(scores: np.ndarray, drop_rate: float, grid_h: int, grid_w: int, patch: int) -> np.ndarray:
     """Pixel mask excluding the lowest-scoring drop_rate * N token cells."""
     if not 0.0 <= drop_rate < 1.0:
         raise ValueError("drop rate must be in [0, 1)")
     n = scores.shape[0]
     k = min(int(np.floor(drop_rate * n + 0.5)), n - 1)
-    cell_mask = np.zeros(n, dtype=bool)
-    if k > 0:
-        order = np.argsort(-scores, kind="stable")
-        cell_mask[order[n - k :]] = True
+    cell_mask = np.ones(n, dtype=bool)
+    cell_mask[top_k(scores, n - k)] = False  # the kept cells
     return np.kron(cell_mask.reshape(grid_h, grid_w), np.ones((patch, patch), dtype=bool))
 
 

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tensorio import softmax, sq_dists
+
 
 @dataclass
 class RepellenceConfig:
@@ -62,8 +64,7 @@ def locality_matrix(positions: np.ndarray) -> np.ndarray:
     positions = np.asarray(positions, dtype=np.float64)
     if positions.ndim != 2 or positions.shape[1] != 2:
         raise ValueError(f"expected (N, 2) positions, got {positions.shape}")
-    diff = positions[:, None, :] - positions[None, :, :]
-    return np.log1p(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)))
+    return np.log1p(np.sqrt(sq_dists(positions, positions)))
 
 
 def repellence_matrix(labels: np.ndarray, cfg: RepellenceConfig) -> np.ndarray:
@@ -93,10 +94,7 @@ def correspondence_matrix(
     if tau <= 0.0:
         raise ValueError(f"temperature must be positive, got {tau}")
     z = _unit_rows(projected) if cosine else _finite_rows(projected)
-    logits = (z @ z.T) / tau
-    logits -= logits.max(axis=1, keepdims=True)
-    e = np.exp(logits)
-    return e / e.sum(axis=1, keepdims=True)
+    return softmax((z @ z.T) / tau)
 
 
 def _finite_rows(projected: np.ndarray) -> np.ndarray:

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tensorio import softmax, top_k
+
 
 @dataclass
 class TokenPartition:
@@ -36,10 +38,7 @@ def cls_similarity(q_cls: np.ndarray, keys: np.ndarray) -> np.ndarray:
         raise ValueError("latent dimension must be >= 1")
     if not (np.isfinite(q_cls).all() and np.isfinite(keys).all()):
         raise ValueError("non-finite values in similarity inputs")
-    logits = keys @ q_cls / math.sqrt(q_cls.shape[0])
-    logits -= logits.max()
-    e = np.exp(logits)
-    return e / e.sum()
+    return softmax(keys @ q_cls / math.sqrt(q_cls.shape[0]))
 
 
 def split_tokens(scores: np.ndarray, eta: float) -> TokenPartition:
@@ -55,7 +54,6 @@ def split_tokens(scores: np.ndarray, eta: float) -> TokenPartition:
     if abs(scores.sum() - 1.0) > 1e-9:
         raise ValueError(f"scores must sum to 1, got {scores.sum()}")
     n_att = min(max(int(math.floor(eta * n + 0.5)), 1), n - 1)  # round half up
-    order = np.argsort(-scores, kind="stable")  # stable: ties keep lower index first
-    attentive = np.sort(order[:n_att])
-    inattentive = np.sort(order[n_att:])
+    attentive = top_k(scores, n_att)
+    inattentive = np.setdiff1d(np.arange(n), attentive)
     return TokenPartition(scores, attentive, inattentive, eta)

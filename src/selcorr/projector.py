@@ -22,7 +22,7 @@ from .dpc import approximate_inattentive, cluster_tokens
 from .lcr import RepellenceConfig, loss_and_gradient, pair_weight, token_coords
 from .partition import cls_similarity, split_tokens
 from .synth import BackboneOutput
-from .tensorio import FeatureGrid, read_meta, read_tensor, write_tensor
+from .tensorio import FeatureGrid, read_meta, read_tensor, write_key_values, write_tensor
 
 _INIT_TAG = 31
 
@@ -100,11 +100,10 @@ class TrainConfig(OptimConfig):
 
 @dataclass
 class TrainTrace:
-    """Mean per-image loss at each step, wall time, and a parameter digest."""
+    """Mean per-item loss at each step and the training wall time."""
 
     losses: list[float]
     wall_seconds: float
-    checksum: str
 
 
 def descend(
@@ -205,13 +204,7 @@ def train_projector(
             yield loss, [feats.T @ g_phi, g_phi.sum(axis=0)]
 
     (w, b), losses = descend([init.weight, init.bias], item_losses, cfg)
-    proj = Projector(w, b)
-    trace = TrainTrace(
-        losses=losses,
-        wall_seconds=time.perf_counter() - start,
-        checksum=projector_checksum(proj),
-    )
-    return proj, trace
+    return Projector(w, b), TrainTrace(losses=losses, wall_seconds=time.perf_counter() - start)
 
 
 def save_checkpoint(directory: str | Path, p: Projector, seed: int, steps: int) -> str:
@@ -228,7 +221,7 @@ def save_checkpoint(directory: str | Path, p: Projector, seed: int, steps: int) 
         "steps": steps,
         "sha256": digest,
     }
-    (directory / "meta.txt").write_text("".join(f"{k}={v}\n" for k, v in meta.items()))
+    write_key_values(directory / "meta.txt", meta)
     return digest
 
 

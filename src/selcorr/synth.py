@@ -17,7 +17,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensorio import FeatureGrid, read_meta, read_tensor, write_tensor
+from .tensorio import (
+    FeatureGrid,
+    read_manifest,
+    read_meta,
+    read_tensor,
+    sq_dists,
+    write_csv,
+    write_key_values,
+    write_tensor,
+)
 
 DEFAULT_LANDMARKS = ((30.0, 36.0), (66.0, 36.0), (48.0, 56.0), (34.0, 72.0), (62.0, 72.0))
 # eye, eye, nose, mouth corner, mouth corner: symmetric landmarks look alike
@@ -226,8 +235,7 @@ def _region_of_cells(spec: SyntheticFaceSpec) -> np.ndarray:
     """Nearest region anchor per patch cell (by cell-center pixel), ties to lower index."""
     centers = _cell_centers(spec)
     anchors = np.asarray(spec.region_anchors_px)
-    d2 = ((centers[:, None, :] - anchors[None, :, :]) ** 2).sum(axis=2)
-    return np.argmin(d2, axis=1)
+    return np.argmin(sq_dists(centers, anchors), axis=1)
 
 
 def _position_code(spec: SyntheticFaceSpec, points: np.ndarray) -> np.ndarray:
@@ -243,8 +251,7 @@ def _position_code(spec: SyntheticFaceSpec, points: np.ndarray) -> np.ndarray:
     anchors = np.asarray(list(spec.landmarks_px) + list(spec.region_anchors_px))
     taus = np.full(anchors.shape[0], 0.25 * spec.image_size)
     taus[: spec.n_landmarks] = 0.08 * spec.image_size
-    d2 = ((points[:, None, :] - anchors[None, :, :]) ** 2).sum(axis=2)
-    return np.exp(-d2 / (2.0 * taus * taus))
+    return np.exp(-sq_dists(points, anchors) / (2.0 * taus * taus))
 
 
 def generate_backbone_output(spec: SyntheticFaceSpec, seed: int) -> BackboneOutput:
@@ -310,7 +317,7 @@ def tps_warp(points: np.ndarray, params: TpsParams) -> np.ndarray:
         raise ValueError("points outside image bounds")
     ctrl = params.control_points()
     n = ctrl.shape[0]
-    kernel = _tps_kernel(_dists(ctrl, ctrl))
+    kernel = _tps_kernel(np.sqrt(sq_dists(ctrl, ctrl)))
     poly = np.hstack([np.ones((n, 1)), ctrl])
     a = np.zeros((n + 3, n + 3))
     a[:n, :n] = kernel + params.reg * np.eye(n)
@@ -324,13 +331,9 @@ def tps_warp(points: np.ndarray, params: TpsParams) -> np.ndarray:
         raise ValueError(f"degenerate control grid {params.grid_shape}") from exc
     if np.abs(a @ sol - rhs).max() > 1e-6 * max(1.0, np.abs(rhs).max()):
         raise ValueError(f"degenerate control grid {params.grid_shape}")
-    u = _tps_kernel(_dists(points, ctrl))
+    u = _tps_kernel(np.sqrt(sq_dists(points, ctrl)))
     disp = u @ sol[:n] + np.hstack([np.ones((points.shape[0], 1)), points]) @ sol[n:]
     return np.clip(points + disp, 0.0, hi)
-
-
-def _dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
 
 
 def _tps_kernel(r: np.ndarray) -> np.ndarray:
@@ -411,6 +414,9 @@ def pair_seeds(master_seed: int, count: int) -> list[int]:
     return [int(s) for s in ss.generate_state(count)]
 
 
+LANDMARK_HEADER = ("landmark_index", "x_px", "y_px")
+
+
 def write_sample(directory: str | Path, output: BackboneOutput, landmarks: np.ndarray) -> None:
     """Persist one image's tensors plus its landmark table into `directory`."""
     directory = Path(directory)
@@ -419,32 +425,95 @@ def write_sample(directory: str | Path, output: BackboneOutput, landmarks: np.nd
     write_tensor(directory / "aux.scet", output.aux.features)
     write_tensor(directory / "qcls.scet", output.q_cls)
     write_tensor(directory / "keys.scet", output.keys)
-    landmarks = np.asarray(landmarks, dtype=np.float64)
-    lines = ["landmark_index,x_px,y_px"]
-    lines += [f"{i},{float(x)!r},{float(y)!r}" for i, (x, y) in enumerate(landmarks)]
-    (directory / "landmarks.csv").write_text("".join(line + "\n" for line in lines))
+    rows = [(i, x, y) for i, (x, y) in enumerate(np.asarray(landmarks, dtype=np.float64))]
+    write_csv(directory / "landmarks.csv", [LANDMARK_HEADER, *rows])
     grid = output.main
     meta = {"grid_h": grid.grid_h, "grid_w": grid.grid_w, "patch": grid.patch}
-    (directory / "meta.txt").write_text(
-        "".join(f"{k}={v}\n" for k, v in meta.items())
-    )
+    write_key_values(directory / "meta.txt", meta)
 
 
 def read_sample(directory: str | Path) -> tuple[BackboneOutput, np.ndarray]:
-    """Inverse of `write_sample`; the returned output carries no generating spec."""
+    """Inverse of `write_sample`; the returned output carries no generating spec.
+
+    Malformed metadata, tensors or landmark tables raise ValueError naming
+    the file: the table needs the `write_sample` header, one
+    `index,x,y` row per landmark numbered from 0, and finite coordinates
+    inside the image.
+    """
     directory = Path(directory)
     meta_path = directory / "meta.txt"
     meta = read_meta(meta_path)
     gh, gw, patch = (_meta_int(meta, key, meta_path) for key in ("grid_h", "grid_w", "patch"))
-    output = BackboneOutput(
-        main=FeatureGrid(gh, gw, patch, read_tensor(directory / "main.scet")),
-        aux=FeatureGrid(gh, gw, patch, read_tensor(directory / "aux.scet")),
-        q_cls=read_tensor(directory / "qcls.scet"),
-        keys=read_tensor(directory / "keys.scet"),
+    main, aux, q_cls, keys = (
+        read_tensor(directory / f"{name}.scet") for name in ("main", "aux", "qcls", "keys")
     )
-    rows = (directory / "landmarks.csv").read_text().splitlines()[1:]
-    pts = [tuple(float(c) for c in row.split(",")[1:]) for row in rows if row.strip()]
-    return output, np.asarray(pts, dtype=np.float64)
+    try:
+        output = BackboneOutput(
+            FeatureGrid(gh, gw, patch, main), FeatureGrid(gh, gw, patch, aux), q_cls, keys
+        )
+    except ValueError as exc:
+        raise ValueError(f"sample {directory}: {exc}") from None
+    return output, _read_landmarks(directory / "landmarks.csv", output.main)
+
+
+def _read_landmarks(path: Path, grid: FeatureGrid) -> np.ndarray:
+    lines = path.read_text().splitlines()
+    if not lines or tuple(lines[0].split(",")) != LANDMARK_HEADER:
+        raise ValueError(f"{path}: header must be {','.join(LANDMARK_HEADER)}")
+    rows = [row.split(",") for row in lines[1:] if row.strip()]
+    if not rows:
+        raise ValueError(f"{path}: no landmarks")
+    pts = []
+    for i, cells in enumerate(rows):
+        if len(cells) != 3 or cells[0].strip() != str(i):
+            raise ValueError(f"{path}: row {i + 1} must be {i},x,y, got {','.join(cells)!r}")
+        try:
+            x, y = float(cells[1]), float(cells[2])
+        except ValueError:
+            raise ValueError(f"{path}: row {i + 1} has a non-numeric coordinate") from None
+        # compared as Python numbers, so nan and inf fail and no bound overflows
+        if not (0.0 <= x <= grid.image_w - 1 and 0.0 <= y <= grid.image_h - 1):
+            raise ValueError(
+                f"{path}: row {i + 1}: ({x}, {y}) is not a finite point inside "
+                f"[0, {grid.image_w - 1}] x [0, {grid.image_h - 1}]"
+            )
+        pts.append((x, y))
+    return np.asarray(pts)
+
+
+def read_corpus(manifest: str | Path) -> list[tuple[BackboneOutput, np.ndarray]]:
+    """Every sample the manifest lists, each checked to agree with the first
+    on landmark count, grid geometry and channel counts.
+
+    An empty manifest or a disagreeing sample raises ValueError naming it.
+    """
+    corpus = []
+    for directory in read_manifest(manifest):
+        sample = read_sample(directory)
+        if corpus:
+            want, got = _sample_shape(*corpus[0]), _sample_shape(*sample)
+            for key, value in got.items():
+                if value != want[key]:
+                    raise ValueError(
+                        f"sample {directory}: {key}={value}, "
+                        f"but the first sample has {key}={want[key]}"
+                    )
+        corpus.append(sample)
+    if not corpus:
+        raise ValueError(f"manifest {manifest} lists no samples")
+    return corpus
+
+
+def _sample_shape(output: BackboneOutput, landmarks: np.ndarray) -> dict[str, int]:
+    grid = output.main
+    return {
+        "landmarks": landmarks.shape[0],
+        "grid_h": grid.grid_h,
+        "grid_w": grid.grid_w,
+        "patch": grid.patch,
+        "d": grid.channels,
+        "d_aux": output.aux.channels,
+    }
 
 
 def _meta_int(meta: dict[str, str], key: str, path: Path) -> int:

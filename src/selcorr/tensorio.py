@@ -1,12 +1,19 @@
-"""Binary tensor persistence and the spatial feature-grid containers.
+"""The lowest layer: on-disk formats, feature-grid containers, and the
+numeric primitives every other module shares.
 
-Everything downstream works on float64 in memory; float32 is allowed on
-disk and round-trips bit-exactly.
+Formats: `.scet` binary tensors (float64 in memory; float32 is allowed on
+disk and round-trips bit-exactly), key=value text, CSV and manifests.
+Primitives: pairwise squared distances, the last-axis softmax, the stable
+top-k, and bilinear upsampling of token grids. Imports nothing from the
+rest of the package.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -65,14 +72,15 @@ def read_tensor(path: str | Path) -> np.ndarray:
         if any(d < 1 for d in dims):
             raise ScetError(f"{path}: all dims must be >= 1, got {dims}")
         dtype = _CODE_TO_DTYPE[code]
-        expected = int(np.prod(dims)) * dtype.itemsize
-        payload = fh.read(expected)
-        if len(payload) < expected:
+        expected = math.prod(dims) * dtype.itemsize  # exact: no fixed-width overflow
+        available = os.fstat(fh.fileno()).st_size - fh.tell()
+        if available < expected:
             raise ScetError(
-                f"{path}: truncated payload (expected {expected} bytes, got {len(payload)})"
+                f"{path}: truncated payload (expected {expected} bytes, got {available})"
             )
-        if fh.read(1):
+        if available > expected:
             raise ScetError(f"{path}: payload length mismatch (trailing bytes)")
+        payload = fh.read(expected)
     arr = np.frombuffer(payload, dtype=dtype).reshape(dims)
     # native byte order, writable copy
     return arr.astype(dtype.newbyteorder("="), copy=True)
@@ -116,9 +124,6 @@ class FeatureGrid:
     def image_w(self) -> int:
         return self.grid_w * self.patch
 
-    def token_cell(self, index: int) -> tuple[int, int]:
-        return index // self.grid_w, index % self.grid_w
-
 
 @dataclass
 class DenseFeatureMap:
@@ -142,20 +147,6 @@ class DenseFeatureMap:
     @property
     def channels(self) -> int:
         return self.values.shape[2]
-
-
-def assemble_feature_grid(
-    tokens: np.ndarray, grid_h: int, grid_w: int, patch: int
-) -> FeatureGrid:
-    """Wrap an (N, d) token matrix as a FeatureGrid; N must equal grid_h*grid_w."""
-    tokens = np.asarray(tokens, dtype=np.float64)
-    if tokens.ndim != 2:
-        raise ValueError(f"tokens must be (N, d), got shape {tokens.shape}")
-    if tokens.shape[0] != grid_h * grid_w:
-        raise ValueError(
-            f"token count {tokens.shape[0]} does not match {grid_h}x{grid_w} grid"
-        )
-    return FeatureGrid(grid_h, grid_w, patch, tokens.copy())
 
 
 def bilinear_upsample(grid: FeatureGrid, target_h: int, target_w: int) -> DenseFeatureMap:
@@ -225,6 +216,24 @@ def _grid_coords(target: int, cells: int) -> np.ndarray:
     return np.clip(coords, 0.0, cells - 1.0)
 
 
+def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(m, n) squared Euclidean distances between the rows of (m, d) `a` and (n, d) `b`."""
+    diff = a[:, None, :] - b[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, max-subtracted; `logits` is overwritten."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    e = np.exp(logits)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Ascending indices of the k highest scores; ties go to the lower index."""
+    return np.sort(np.argsort(-scores, kind="stable")[:k])
+
+
 def read_manifest(path: str | Path) -> list[Path]:
     """List of sample directories, one per non-empty line, relative to the manifest."""
     path = Path(path)
@@ -238,10 +247,52 @@ def read_manifest(path: str | Path) -> list[Path]:
 
 
 def write_manifest(path: str | Path, names: list[str]) -> None:
-    Path(path).write_text("".join(name + "\n" for name in names))
+    write_csv(path, [(name,) for name in names])
+
+
+def parse_key_values(text: str, origin: str) -> dict[str, str]:
+    """key=value per line, both stripped; blank lines and #-comments are skipped.
+
+    A line without `=` or with an empty key raises ValueError naming
+    `origin` and the line number.
+    """
+    out: dict[str, str] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        if not sep or not key.strip():
+            raise ValueError(f"{origin}: line {lineno}: expected key=value, got {raw!r}")
+        out[key.strip()] = value.strip()
+    return out
 
 
 def read_meta(path: str | Path) -> dict[str, str]:
-    """A `meta.txt` as a dict: one key=value per non-blank line, both stripped."""
-    lines = Path(path).read_text().splitlines()
-    return {k.strip(): v.strip() for k, _, v in (ln.partition("=") for ln in lines if ln.strip())}
+    """A `meta.txt` (or any key=value file) as a dict; see `parse_key_values`."""
+    return parse_key_values(Path(path).read_text(), str(path))
+
+
+def write_key_values(path: str | Path, items: Mapping[str, object]) -> str:
+    """One `key=value` line per item, in order, values formatted as `write_csv`
+    cells (bools as true/false); returns the text written."""
+    text = "".join(f"{key}={_cell(value)}\n" for key, value in items.items())
+    Path(path).write_text(text)
+    return text
+
+
+def write_csv(path: str | Path, rows: Iterable[Sequence[object]]) -> None:
+    """Comma-joined rows, one line each; the header, if any, is the first row.
+
+    Each cell is `str()` of a Python scalar (numpy scalars are converted
+    first, so a float is written as its shortest round-trip repr).
+    """
+    Path(path).write_text("".join(",".join(map(_cell, row)) + "\n" for row in rows))
+
+
+def _cell(value: object) -> str:
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)

@@ -279,3 +279,75 @@ def test_budget_clamp_warning(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "clamped to 4" in err
     assert "budget=4" in (tmp_path / "det" / "summary.txt").read_text()
+
+
+def test_bad_landmarks_are_a_data_error(tmp_path, capsys):
+    corpus, run = tmp_path / "corpus", tmp_path / "run"
+    _gen(corpus)
+    manifest = str(corpus / "manifest.txt")
+    assert main(["train-projector", "--manifest", manifest, "--out", str(run), *TINY]) == 0
+    ckpt = str(run / "checkpoint")
+    # sample 5 is held out by eval-detect (holdout 2); sample 0 is trained on
+    for sample, value in [("sample_0005", "nan"), ("sample_0005", "1e9"), ("sample_0000", "nan")]:
+        table = corpus / sample / "landmarks.csv"
+        original = table.read_text()
+        lines = original.splitlines()
+        lines[2] = f"1,{value},10.0"
+        table.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["eval-detect", "--manifest", manifest, "--checkpoint", ckpt,
+                     "--budget", "2", "--out", str(tmp_path / "det"), *TINY]) == 2
+        assert main(["train-projector", "--manifest", manifest,
+                     "--out", str(tmp_path / "run2"), *TINY]) == 2
+        err = capsys.readouterr().err
+        assert err.count(str(table)) == 2 and "Traceback" not in err
+        table.write_text(original)
+    assert not (tmp_path / "det").exists() and not (tmp_path / "run2").exists()
+
+
+def test_inconsistent_corpus_is_a_data_error(tmp_path, capsys):
+    corpus, run = tmp_path / "corpus", tmp_path / "run"
+    _gen(corpus)
+    manifest = corpus / "manifest.txt"
+    assert main(["train-projector", "--manifest", str(manifest), "--out", str(run), *TINY]) == 0
+    detect = ["eval-detect", "--manifest", str(manifest), "--checkpoint", str(run / "checkpoint"),
+              "--budget", "2", "--out", str(tmp_path / "det"), *TINY]
+    # a sample with four landmarks where the others have five
+    table = corpus / "sample_0003" / "landmarks.csv"
+    table.write_text("".join(line + "\n" for line in table.read_text().splitlines()[:-1]))
+    capsys.readouterr()
+    assert main(detect) == 2
+    err = capsys.readouterr().err
+    assert f"sample {corpus / 'sample_0003'}: landmarks=4" in err and "Traceback" not in err
+    # a sample on another grid: 48-pixel images, 6x6 tokens
+    other = tmp_path / "other"
+    assert main(["gen", "--count", "1", "--out", str(other), *TINY, "--crop", "48"]) == 0
+    manifest.write_text("sample_0000\n../other/sample_0000\n")
+    assert main(detect) == 2
+    assert "grid_h=6, but the first sample has grid_h=4" in capsys.readouterr().err
+    # an empty manifest
+    manifest.write_text("\n")
+    for argv in (detect, ["train-projector", "--manifest", str(manifest),
+                          "--out", str(tmp_path / "run2"), *TINY]):
+        assert main(argv) == 2
+        assert f"manifest {manifest} lists no samples" in capsys.readouterr().err
+
+
+def test_ablate_rejects_flags_it_would_ignore(tmp_path, capsys, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("a projector was trained")
+
+    monkeypatch.setattr(cli, "train_projector", no_training)
+    corpus = tmp_path / "corpus"
+    _gen(corpus, count=3)
+    manifest = str(corpus / "manifest.txt")
+    for axis in ("eta", "kc", "repellence"):
+        rc = main(["ablate", "--axis", axis, "--manifest", manifest,
+                   "--checkpoint", str(tmp_path / "ck"), "--out", str(tmp_path / "a"), *TINY])
+        assert rc == 1
+    rc = main(["ablate", "--axis", "drop_rate", "--manifest", manifest,
+               "--out", str(tmp_path / "a"), *TINY])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("takes no --checkpoint") == 3 and err.count("takes no --manifest") == 1
+    assert not (tmp_path / "a").exists()

@@ -1,14 +1,9 @@
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import pytest
 
-from selcorr.config import (
-    ConfigError,
-    ExperimentConfig,
-    dump_config,
-    load_config,
-    parse_config_lines,
-)
+from selcorr.config import ConfigError, ExperimentConfig, load_config, parse_config_lines
+from selcorr.tensorio import write_key_values
 
 
 def test_default_values():
@@ -40,8 +35,8 @@ def test_parse_lines_skips_comments_and_blanks():
 
 @pytest.mark.parametrize("bad", ["just words", "=0.5", "   = 3"])
 def test_parse_lines_rejects_malformed(bad):
-    with pytest.raises(ConfigError):
-        parse_config_lines(bad)
+    with pytest.raises(ConfigError, match="run.cfg: line 2: expected key=value"):
+        parse_config_lines("kc=2\n" + bad, "run.cfg")
 
 
 def test_precedence_defaults_file_overrides(tmp_path):
@@ -74,13 +69,14 @@ def test_bool_parsing():
 
 
 def test_dump_load_roundtrip(tmp_path):
+    # the config.txt that gen writes
     cfg = ExperimentConfig(eta=0.4, kc=2, cosine=False, optimizer="momentum", seed=9)
-    text = dump_config(cfg)
+    path = tmp_path / "dump.cfg"
+    text = write_key_values(path, asdict(cfg))
+    assert path.read_text() == text
     assert "cosine=false\n" in text
     assert "rho_verbatim=false\n" in text
     assert "eta=0.4\n" in text
-    path = tmp_path / "dump.cfg"
-    path.write_text(text)
     assert load_config(path) == cfg
 
 

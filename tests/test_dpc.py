@@ -113,14 +113,16 @@ def test_select_centers():
 
 def test_assign_members_tie_prefers_lower_center():
     feats = np.array([[0.0], [2.0], [1.0]])  # index 2 equidistant from both centers
-    asg = assign_members(feats, np.array([0, 1]))
+    rho = density(feats)
+    asg = assign_members(feats, np.array([0, 1]), rho, peak_distance(feats, rho))
     assert asg.member_center.tolist() == [0, 1, 0]
 
 
 def test_assign_members_maps_centers_to_themselves():
     rng = np.random.default_rng(9)
     feats = rng.standard_normal((8, 2))
-    asg = assign_members(feats, np.array([5, 1]))
+    rho = density(feats)
+    asg = assign_members(feats, np.array([5, 1]), rho, peak_distance(feats, rho))
     assert asg.centers.tolist() == [1, 5]
     assert asg.member_center[1] == 1 and asg.member_center[5] == 5
 
@@ -129,7 +131,7 @@ def test_token_indices_passthrough():
     feats = np.array([[0.0], [10.0], [0.2]])
     tokens = np.array([40, 41, 42])
     asg = cluster_tokens(feats, 2, token_indices=tokens)
-    assert set(asg.center_tokens) <= {40, 41, 42}
+    assert set(asg.token_indices[asg.centers]) <= {40, 41, 42}
     assert asg.member_center_tokens.shape == (3,)
     assert np.isin(asg.member_center_tokens, tokens).all()
 

@@ -7,12 +7,10 @@ from selcorr.evaluation import (
     inter_ocular_error,
     match_landmark,
     match_pair,
-    mean_pixel_error,
     pair_similarity,
     projected_featurizer,
     raw_featurizer,
     regressor_forward,
-    silhouette_coefficient,
     similarity_map,
     similarity_stack,
     soft_argmax,
@@ -95,17 +93,10 @@ def test_similarity_map_zero_norm_rules():
         similarity_map(_dense([[[0.0, 0.0]]]), _dense(test), (0, 0))
 
 
-def test_mean_pixel_error_345():
-    assert mean_pixel_error(np.array([[3.0, 4.0]]), np.array([[0.0, 0.0]])) == 5.0
-    assert mean_pixel_error(np.array([[1.0, 1.0]]), np.array([[1.0, 1.0]])) == 0.0
-    with pytest.raises(ValueError):
-        mean_pixel_error(np.zeros((0, 2)), np.zeros((0, 2)))
-
-
 def test_match_pair_and_summary():
     spec = SyntheticFaceSpec(**SMALL)
     pair = make_pair(spec, "same", 0)
-    records = match_pair(pair, raw_featurizer(), pair_id=3)
+    records = match_pair(pair, pair_similarity(pair, raw_featurizer()), pair_id=3)
     assert len(records) == 5
     assert all(r.kind == "same" and r.pair_id == 3 and r.err_px >= 0.0 for r in records)
     result = summarize_matches(records)
@@ -137,7 +128,7 @@ def test_pair_similarity_equals_dense_oracle_bit_for_bit(featurizer, drop_rate):
         stack = similarity_stack(featurize(pair.ref), featurize(pair.test), queries)
         for query, sims in zip(queries, stack):
             assert sims.tobytes() == similarity_map(ref_map, test_map, tuple(query)).tobytes()
-        records = match_pair(pair, featurize, test_mask=mask)
+        records = match_pair(pair, pair_similarity(pair, featurize), test_mask=mask)
         for lid, query in enumerate(pair.ref_landmarks):
             px, py = match_landmark(ref_map, test_map, tuple(query), test_mask=mask)
             assert (records[lid].pred_x, records[lid].pred_y) == (px, py)
@@ -294,7 +285,9 @@ def test_train_regressor_zero_steps_and_determinism():
     assert t0.losses == []
     pa, ta = train_regressor(samples, proj, OptimConfig(lr=1e-3, steps=5), heatmaps=2)
     pb, tb = train_regressor(samples, proj, OptimConfig(lr=1e-3, steps=5), heatmaps=2)
-    assert ta.checksum == tb.checksum
+    for a, b in zip((pa.conv, pa.conv_bias, pa.head_w, pa.head_b),
+                    (pb.conv, pb.conv_bias, pb.head_w, pb.head_b)):
+        assert a.tobytes() == b.tobytes()
     assert ta.losses == tb.losses
 
 
@@ -395,43 +388,6 @@ def test_inter_ocular_rejects_bad_eyes():
         inter_ocular_error(gts, gts, 0, 0)
     with pytest.raises(ValueError):
         inter_ocular_error(gts, gts, 0, 2)  # coincident eye ground truths
-
-
-def test_silhouette_far_clusters_approach_one():
-    a = np.zeros((5, 2)) + np.random.default_rng(39).normal(0, 1e-4, (5, 2))
-    b = a + np.array([1000.0, 0.0])
-    val = silhouette_coefficient(np.vstack([a, b]), np.array([0] * 5 + [1] * 5))
-    assert val > 1.0 - 1e-6
-
-
-def test_silhouette_six_point_hand_case():
-    # two clusters on a line: {0, 1, 2} and {10, 11, 12}
-    pts = np.array([[0.0], [1.0], [2.0], [10.0], [11.0], [12.0]])
-    labels = np.array([0, 0, 0, 1, 1, 1])
-    # point 0: a = (1+2)/2 = 1.5, b = (10+11+12)/3 = 11 -> (11-1.5)/11
-    # point 1: a = 1, b = 10 -> 9/10; symmetric on the other side
-    expect = np.mean([(11 - 1.5) / 11, 0.9, (9 - 1.5) / 9] * 2)
-    assert silhouette_coefficient(pts, labels) == pytest.approx(expect, abs=1e-12)
-
-
-def test_silhouette_matches_sklearn():
-    metrics = pytest.importorskip("sklearn.metrics")
-    rng = np.random.default_rng(40)
-    emb = rng.standard_normal((40, 5))
-    labels = rng.integers(0, 4, size=40)
-    ours = silhouette_coefficient(emb, labels)
-    assert ours == pytest.approx(metrics.silhouette_score(emb, labels), abs=1e-12)
-
-
-def test_silhouette_singletons_and_errors():
-    pts = np.array([[0.0], [1.0], [50.0]])
-    # singleton cluster contributes exactly 0
-    val = silhouette_coefficient(pts, np.array([0, 0, 1]))
-    a0, b0 = 1.0, 50.0
-    a1, b1 = 1.0, 49.0
-    assert val == pytest.approx(((b0 - a0) / b0 + (b1 - a1) / b1 + 0.0) / 3.0)
-    with pytest.raises(ValueError):
-        silhouette_coefficient(pts, np.array([0, 0, 0]))
 
 
 def test_drop_mask_selects_lowest_scores():

@@ -1,0 +1,143 @@
+"""Property tests at the data boundary: the key=value parser and the sample
+loader either return a result or raise ValueError (ScetError is one), never
+any other exception, whatever the text or bytes on disk."""
+
+import shutil
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from selcorr.synth import SyntheticFaceSpec, generate_backbone_output, read_sample, write_sample
+from selcorr.tensorio import parse_key_values, write_key_values
+
+# reproducible in CI: a fixed example sequence and no example database
+FUZZ = settings(derandomize=True, database=None, deadline=None)
+
+SAMPLE_FILES = ("meta.txt", "landmarks.csv", "main.scet", "aux.scet", "qcls.scet", "keys.scet")
+TEXT_FILES = ("meta.txt", "landmarks.csv")
+# the characters these formats are made of, plus a few that break them
+FORMAT_CHARS = "0123456789.,-+_eEnaifxy=# \t"
+text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=60)
+format_text = st.text(FORMAT_CHARS, max_size=30)
+
+
+@settings(FUZZ, max_examples=200)
+@given(st.one_of(text, st.lists(format_text, max_size=6).map("\n".join)))
+def test_key_value_parser_returns_a_dict_or_raises_value_error(source):
+    try:
+        parsed = parse_key_values(source, "fuzz.txt")
+    except ValueError as exc:
+        assert str(exc).startswith("fuzz.txt: line ")
+        return
+    for key, value in parsed.items():
+        assert key and key == key.strip() and value == value.strip()
+        assert "=" not in key and "#" not in key + value
+
+
+@settings(FUZZ, max_examples=100)
+@given(
+    st.dictionaries(
+        st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8),
+        st.one_of(st.integers(), st.floats(allow_nan=False), st.booleans(),
+                  st.text("abcxyz019.-", max_size=8)),
+        max_size=5,
+    )
+)
+def test_written_key_values_parse_back(items):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "meta.txt"
+        write_key_values(path, items)
+        parsed = parse_key_values(path.read_text(), str(path))
+    assert list(parsed) == list(items)
+    for key, value in items.items():
+        if isinstance(value, bool):
+            assert parsed[key] == str(value).lower()
+        elif isinstance(value, float):
+            assert float(parsed[key]) == value
+        else:
+            assert parsed[key] == str(value).strip()
+
+
+@pytest.fixture(scope="module")
+def sample_dir(tmp_path_factory):
+    spec = SyntheticFaceSpec(
+        landmarks_px=((6.0, 6.0), (20.0, 6.0), (13.0, 13.0), (8.0, 24.0), (20.0, 24.0)),
+        region_anchors_px=((16.0, 3.0), (4.0, 22.0), (28.0, 22.0)),
+        image_size=32,
+        d=8,
+        d_aux=4,
+    )
+    directory = tmp_path_factory.mktemp("fuzz") / "sample"
+    write_sample(directory, generate_backbone_output(spec, seed=0), np.asarray(spec.landmarks_px))
+    return directory
+
+
+def _replace_text(path: Path, new: str) -> None:
+    path.write_text(new)
+
+
+def _lines(path: Path) -> list[str]:
+    # an earlier byte edit may have left text that is not valid UTF-8
+    return path.read_text(errors="replace").splitlines()
+
+
+def _edit_line(path: Path, index: int, new: str) -> None:
+    lines = _lines(path) or [""]
+    lines[index % len(lines)] = new
+    path.write_text("".join(line + "\n" for line in lines))
+
+
+def _set_coordinate(path: Path, index: int, value: float) -> None:
+    lines = _lines(path)
+    if len(lines) < 2:
+        return
+    row = 1 + index % (len(lines) - 1)
+    cells = lines[row].split(",")
+    if len(cells) == 3:
+        cells[1 + index % 2] = repr(value)
+        lines[row] = ",".join(cells)
+        path.write_text("".join(line + "\n" for line in lines))
+
+
+def _set_byte(path: Path, index: int, value: int) -> None:
+    data = bytearray(path.read_bytes()) or bytearray(1)
+    data[index % len(data)] = value
+    path.write_bytes(bytes(data))
+
+
+def _truncate(path: Path, index: int) -> None:
+    data = path.read_bytes()
+    path.write_bytes(data[: index % (len(data) + 1)])
+
+
+mutations = st.one_of(
+    st.tuples(st.just(_set_coordinate), st.just("landmarks.csv"), st.integers(0, 9), st.floats()),
+    st.tuples(st.just(_replace_text), st.sampled_from(TEXT_FILES), text),
+    st.tuples(st.just(_edit_line), st.sampled_from(TEXT_FILES), st.integers(0, 9), format_text),
+    st.tuples(st.just(_set_byte), st.sampled_from(SAMPLE_FILES), st.integers(0, 2**16),
+              st.integers(0, 255)),
+    st.tuples(st.just(_truncate), st.sampled_from(SAMPLE_FILES), st.integers(0, 2**16)),
+)
+
+
+@settings(FUZZ, max_examples=120)
+@given(st.lists(mutations, min_size=1, max_size=3))
+def test_read_sample_returns_a_sample_or_raises_value_error(sample_dir, edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp) / "sample"
+        shutil.copytree(sample_dir, directory)
+        for mutate, name, *args in edits:
+            mutate(directory / name, *args)
+        try:
+            output, landmarks = read_sample(directory)
+        except ValueError:
+            return
+    assert landmarks.ndim == 2 and landmarks.shape[1] == 2 and landmarks.shape[0] >= 1
+    assert np.isfinite(landmarks).all()
+    assert (landmarks >= 0.0).all()
+    assert (landmarks[:, 0] <= output.main.image_w - 1).all()
+    assert (landmarks[:, 1] <= output.main.image_h - 1).all()

@@ -13,6 +13,7 @@ from selcorr.synth import (
     landmark_cells,
     make_pair,
     pair_seeds,
+    read_corpus,
     read_sample,
     sample_spec,
     tps_warp,
@@ -192,6 +193,79 @@ def test_sample_roundtrip(tmp_path):
     assert np.array_equal(lm_back, lm)
     assert (back.main.grid_h, back.main.grid_w, back.main.patch) == (12, 12, 8)
     assert back.spec is None
+
+
+def _written_sample(directory, spec=None):
+    spec = spec or sample_spec(SyntheticFaceSpec(), 0, 3)
+    write_sample(directory, generate_backbone_output(spec, seed=3), np.asarray(spec.landmarks_px))
+    return directory
+
+
+GOOD_ROW_1 = "1,67.5,34.8"
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        "",  # no header
+        "index,x,y\n0,30.0,34.0\n",  # wrong header
+        "landmark_index,x_px,y_px\n",  # no rows
+        "landmark_index,x_px,y_px\n0,30.0\n",  # two cells
+        "landmark_index,x_px,y_px\n0,30.0,34.0,1\n",  # four cells
+        "landmark_index,x_px,y_px\n1,30.0,34.0\n0,67.5,34.8\n",  # index is not the row
+        "landmark_index,x_px,y_px\n0,30.0,34.0\n2,67.5,34.8\n",  # index skips a row
+        "landmark_index,x_px,y_px\n0,thirty,34.0\n",  # not a number
+        "landmark_index,x_px,y_px\n0,nan,34.0\n",  # not finite
+        "landmark_index,x_px,y_px\n0,30.0,inf\n",  # not finite
+        "landmark_index,x_px,y_px\n0,1e9,34.0\n",  # right of the image
+        "landmark_index,x_px,y_px\n0,30.0,-0.5\n",  # above the image
+        "landmark_index,x_px,y_px\n0,96.0,34.0\n",  # one past the last pixel
+    ],
+)
+def test_read_sample_rejects_bad_landmarks(tmp_path, table):
+    directory = _written_sample(tmp_path / "s")
+    (directory / "landmarks.csv").write_text(table)
+    with pytest.raises(ValueError, match="landmarks.csv"):
+        read_sample(directory)
+
+
+def test_read_sample_accepts_the_image_corners(tmp_path):
+    directory = _written_sample(tmp_path / "s")
+    (directory / "landmarks.csv").write_text("landmark_index,x_px,y_px\n0,0.0,0.0\n1,95.0,95.0\n")
+    assert read_sample(directory)[1].tolist() == [[0.0, 0.0], [95.0, 95.0]]
+
+
+def test_read_sample_names_the_sample_on_a_token_count_mismatch(tmp_path):
+    directory = _written_sample(tmp_path / "s")
+    (directory / "meta.txt").write_text("grid_h=11\ngrid_w=12\npatch=8\n")
+    with pytest.raises(ValueError, match=str(directory)):
+        read_sample(directory)
+
+
+def test_read_corpus_checks_consistency(tmp_path):
+    spec = SyntheticFaceSpec()
+    _written_sample(tmp_path / "a", spec)
+    _written_sample(tmp_path / "b", spec)
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("a\nb\n")
+    assert len(read_corpus(manifest)) == 2
+    # four landmarks, against the first sample's five
+    four = SyntheticFaceSpec(landmarks_px=spec.landmarks_px[:4], landmark_groups=(0, 0, 1, 2))
+    _written_sample(tmp_path / "b", four)
+    with pytest.raises(ValueError, match=f"sample {tmp_path / 'b'}: landmarks=4"):
+        read_corpus(manifest)
+    # the same five landmarks on 64-pixel images: an 8x8 grid against 12x12
+    small = SyntheticFaceSpec(
+        landmarks_px=tuple((x * 2 / 3, y * 2 / 3) for x, y in spec.landmarks_px),
+        region_anchors_px=tuple((x * 2 / 3, y * 2 / 3) for x, y in spec.region_anchors_px),
+        image_size=64,
+    )
+    _written_sample(tmp_path / "b", small)
+    with pytest.raises(ValueError, match=f"sample {tmp_path / 'b'}: grid_h=8, .* grid_h=12"):
+        read_corpus(manifest)
+    manifest.write_text("\n")
+    with pytest.raises(ValueError, match=f"manifest {manifest} lists no samples"):
+        read_corpus(manifest)
 
 
 def test_backbone_output_shape_check():

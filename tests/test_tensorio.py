@@ -6,11 +6,16 @@ import pytest
 from selcorr.tensorio import (
     FeatureGrid,
     ScetError,
-    assemble_feature_grid,
     bilinear_sample,
     bilinear_upsample,
     read_manifest,
+    read_meta,
     read_tensor,
+    softmax,
+    sq_dists,
+    top_k,
+    write_csv,
+    write_key_values,
     write_manifest,
     write_tensor,
 )
@@ -88,6 +93,15 @@ def test_read_rejects_corruption(tmp_path, mutate):
         read_tensor(path)
 
 
+def test_read_rejects_a_header_larger_than_the_file(tmp_path):
+    # 2**31 x 2**31 float64 is 2**65 bytes, more than any read can ask for: the
+    # size is checked against the file before anything is read
+    path = tmp_path / "t.scet"
+    path.write_bytes(struct.pack("<4sIHH", b"SCET", 1, 1, 2) + struct.pack("<2Q", 2**31, 2**31))
+    with pytest.raises(ScetError, match="truncated payload"):
+        read_tensor(path)
+
+
 def test_read_result_is_writable(tmp_path):
     path = tmp_path / "t.scet"
     write_tensor(path, np.zeros((2, 2)))
@@ -100,21 +114,10 @@ def test_feature_grid_properties():
     assert grid.n_tokens == 12
     assert grid.channels == 5
     assert (grid.image_h, grid.image_w) == (24, 32)
-    assert grid.token_cell(0) == (0, 0)
-    assert grid.token_cell(7) == (1, 3)
     with pytest.raises(ValueError):
         FeatureGrid(3, 4, 8, np.zeros((11, 5)))
     with pytest.raises(ValueError):
         FeatureGrid(0, 4, 8, np.zeros((0, 5)))
-
-
-def test_assemble_copies_tokens():
-    tokens = np.ones((6, 2))
-    grid = assemble_feature_grid(tokens, 2, 3, 4)
-    tokens[0, 0] = 99.0
-    assert grid.features[0, 0] == 1.0
-    with pytest.raises(ValueError):
-        assemble_feature_grid(np.ones((5, 2)), 2, 3, 4)
 
 
 def test_upsample_constant_grid():
@@ -184,3 +187,40 @@ def test_manifest_roundtrip(tmp_path):
 def test_manifest_skips_blank_lines(tmp_path):
     (tmp_path / "m.txt").write_text("one\n\n  \ntwo\n")
     assert read_manifest(tmp_path / "m.txt") == [tmp_path / "one", tmp_path / "two"]
+
+
+def test_sq_dists_hand_values():
+    a = np.array([[0.0, 0.0], [3.0, 4.0]])
+    b = np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 0.0]])
+    assert sq_dists(a, b).tolist() == [[0.0, 2.0, 9.0], [25.0, 13.0, 16.0]]
+
+
+def test_softmax_last_axis_and_in_place():
+    logits = np.array([[0.0, np.log(3.0)], [1000.0, 1000.0]])
+    probs = softmax(logits)
+    assert np.allclose(probs, [[0.25, 0.75], [0.5, 0.5]])
+    assert logits.max(axis=1).tolist() == [0.0, 0.0]  # max-subtracted in place
+
+
+def test_top_k_ascending_with_ties_to_the_lower_index():
+    scores = np.array([0.1, 0.5, 0.3, 0.5, 0.3])
+    assert top_k(scores, 1).tolist() == [1]
+    assert top_k(scores, 3).tolist() == [1, 2, 3]
+    assert top_k(scores, 0).tolist() == []
+    assert top_k(scores, 9).tolist() == [0, 1, 2, 3, 4]
+
+
+def test_key_values_roundtrip_and_strict_parse(tmp_path):
+    path = tmp_path / "meta.txt"
+    text = write_key_values(path, {"a": 1, "b": np.float64(0.1), "c": True, "d": "x y"})
+    assert text == path.read_text() == "a=1\nb=0.1\nc=true\nd=x y\n"
+    assert read_meta(path) == {"a": "1", "b": "0.1", "c": "true", "d": "x y"}
+    path.write_text("a=1\n\n# note\nno equals sign\n")
+    with pytest.raises(ValueError, match=f"{path}: line 4: expected key=value"):
+        read_meta(path)
+
+
+def test_csv_cells_are_str_of_python_scalars(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, [("i", "v"), (np.int64(3), np.float64(9.5)), (4, float("nan"))])
+    assert path.read_text() == "i,v\n3,9.5\n4,nan\n"
