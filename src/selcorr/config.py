@@ -6,6 +6,7 @@ same name; flags win over the file, the file wins over defaults.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -65,19 +66,28 @@ class ExperimentConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if not 0.0 < self.eta < 1.0:
             raise ConfigError(f"eta must be in (0, 1), got {self.eta}")
         if self.kc < 1 or self.heatmaps < 1:
             raise ConfigError("kc and heatmaps must be >= 1")
         if self.crop > self.resize:
             raise ConfigError(f"crop {self.crop} exceeds resize {self.resize}")
-        if self.crop < self.patch or self.crop % self.patch != 0:
-            raise ConfigError("crop must be a positive multiple of patch")
+        if self.patch < 1 or self.crop < self.patch or self.crop % self.patch != 0:
+            raise ConfigError("patch must be >= 1 and crop a positive multiple of it")
+        if self.seed < 0 or self.d_proj < 2:
+            raise ConfigError("seed must be >= 0 and d_proj >= 2")
+        if self.softargmax_temp <= 0.0:
+            raise ConfigError(f"softargmax_temp must be positive, got {self.softargmax_temp}")
         if not 0.0 <= self.drop_rate < 1.0:
             raise ConfigError(f"drop rate must be in [0, 1), got {self.drop_rate}")
         if self.pairs < 0 or self.holdout < 1 or self.repeats < 1:
             raise ConfigError("pairs must be >= 0; holdout and repeats >= 1")
         try:
+            self.face_spec()
             self.repellence().validate()
             self.projector_train().validate()
             self.regressor_train().validate()

@@ -206,16 +206,25 @@ def soft_argmax(heatmap: np.ndarray, temperature: float = 0.1) -> tuple[float, f
 
     Returns (x, y) in array index units. Cells at or below the MASKED
     sentinel relative to the peak get exactly zero probability, so a map
-    with one finite value decodes to that cell's coordinates exactly.
+    with one finite value decodes to that cell's coordinates exactly. The
+    detector decodes its heatmaps through the same `_expect`.
     """
     heatmap = np.asarray(heatmap, dtype=np.float64)
     if heatmap.ndim != 2:
         raise ValueError(f"expected (H, W) heatmap, got {heatmap.shape}")
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
-    p = softmax((heatmap / temperature).reshape(-1)).reshape(heatmap.shape)
     ys, xs = np.mgrid[0 : heatmap.shape[0], 0 : heatmap.shape[1]]
-    return float((p * xs).sum()), float((p * ys).sum())
+    _, x, y = _expect(heatmap, temperature, xs, ys)
+    return float(x), float(y)
+
+
+def _expect(heat: np.ndarray, temperature: float, xs: np.ndarray, ys: np.ndarray):
+    """Softmax of each (H, W) map of (..., H, W) `heat` over its cells, and
+    the expected `xs` and `ys` under it."""
+    flat = (heat / temperature).reshape(*heat.shape[:-2], -1)
+    probs = softmax(flat).reshape(heat.shape)
+    return probs, (probs * xs).sum(axis=(-2, -1)), (probs * ys).sum(axis=(-2, -1))
 
 
 @dataclass
@@ -287,15 +296,8 @@ def init_regressor(
     )
 
 
-def _conv3x3(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """(H, W, C) -> (O, H, W), zero padding, stride 1."""
-    padded = np.pad(x, ((1, 1), (1, 1), (0, 0)))
-    win = np.lib.stride_tricks.sliding_window_view(padded, (3, 3), axis=(0, 1))
-    # win: (H, W, C, 3, 3); kernel: (O, C, 3, 3)
-    return np.einsum("hwcuv,ocuv->ohw", win, kernel, optimize=True) + bias[:, None, None]
-
-
-def _stack_inputs(stage1: FeatureGrid, stage2: FeatureGrid) -> np.ndarray:
+def _windows(stage1: FeatureGrid, stage2: FeatureGrid) -> np.ndarray:
+    """(H, W, C, 3, 3) zero-padded 3x3 windows of both stages' channels."""
     if (stage1.grid_h, stage1.grid_w, stage1.patch) != (
         stage2.grid_h,
         stage2.grid_w,
@@ -303,13 +305,16 @@ def _stack_inputs(stage1: FeatureGrid, stage2: FeatureGrid) -> np.ndarray:
     ):
         raise ValueError("stage grids disagree on geometry")
     both = np.concatenate([stage1.features, stage2.features], axis=1)
-    return both.reshape(stage1.grid_h, stage1.grid_w, both.shape[1])
+    x = both.reshape(stage1.grid_h, stage1.grid_w, both.shape[1])
+    padded = np.pad(x, ((1, 1), (1, 1), (0, 0)))
+    return np.lib.stride_tricks.sliding_window_view(padded, (3, 3), axis=(0, 1))
 
 
-def _forward(params: RegressorParams, x: np.ndarray, patch: int):
+def _forward(params: RegressorParams, win: np.ndarray, patch: int):
     """All intermediates: heatmaps, per-map probabilities, coords, predictions."""
-    heat = _conv3x3(x, params.conv, params.conv_bias)
-    probs = softmax((heat / params.temperature).reshape(heat.shape[0], -1)).reshape(heat.shape)
+    # 3x3 conv, stride 1: win (H, W, C, 3, 3), kernel (O, C, 3, 3) -> (O, H, W)
+    bias = params.conv_bias[:, None, None]
+    heat = np.einsum("hwcuv,ocuv->ohw", win, params.conv, optimize=True) + bias
     gh, gw = heat.shape[1:]
     ys, xs = np.mgrid[0:gh, 0:gw]
     # decoded at patch centers, as a fraction of the image size with the
@@ -318,8 +323,7 @@ def _forward(params: RegressorParams, x: np.ndarray, patch: int):
     # the head, absorbs most of the fit.
     xs_n = ((xs + 0.5) * patch - 0.5) / (gw * patch) - 0.5
     ys_n = ((ys + 0.5) * patch - 0.5) / (gh * patch) - 0.5
-    cx = (probs * xs_n).sum(axis=(1, 2))
-    cy = (probs * ys_n).sum(axis=(1, 2))
+    probs, cx, cy = _expect(heat, params.temperature, xs_n, ys_n)
     coords = np.stack([cx, cy], axis=1).reshape(params.n_landmarks, 2 * params.heatmaps)
     preds = np.einsum("li,lio->lo", coords, params.head_w) + params.head_b
     return heat, probs, (xs_n, ys_n), coords, preds
@@ -329,12 +333,12 @@ def regressor_forward(
     params: RegressorParams, stage1: FeatureGrid, stage2: FeatureGrid
 ) -> np.ndarray:
     """Predicted (x, y) pixel coordinates for every landmark, shape (L, 2)."""
-    x = _stack_inputs(stage1, stage2)
-    if x.shape[2] != params.in_channels:
+    win = _windows(stage1, stage2)
+    if win.shape[2] != params.in_channels:
         raise ValueError(
-            f"{x.shape[2]} input channels, regressor expects {params.in_channels}"
+            f"{win.shape[2]} input channels, regressor expects {params.in_channels}"
         )
-    return _forward(params, x, stage1.patch)[4]
+    return _forward(params, win, stage1.patch)[4]
 
 
 def train_regressor(
@@ -346,20 +350,21 @@ def train_regressor(
 ) -> tuple[RegressorParams, TrainTrace]:
     """Fit the detector by gradient descent on mean squared pixel error.
 
-    Backbone and projector stay frozen; only conv and head parameters move.
+    Backbone and projector stay frozen, so each sample's conv windows are
+    built once; only conv and head parameters move.
     """
     cfg.validate()
     if not samples:
         raise ValueError("no training samples")
     start = time.perf_counter()
-    inputs = [_stack_inputs(out.main, project(proj, out.main)) for out, _ in samples]
+    windows = [_windows(out.main, project(proj, out.main)) for out, _ in samples]
     targets = [np.asarray(lm, dtype=np.float64) for _, lm in samples]
     n_lm = targets[0].shape[0]
     grid = samples[0][0].main
     patch = grid.patch
     params = init_regressor(
         n_lm,
-        inputs[0].shape[2],
+        windows[0].shape[2],
         heatmaps=heatmaps,
         seed=cfg.seed,
         temperature=temperature,
@@ -368,8 +373,8 @@ def train_regressor(
 
     def item_losses(arrays):
         step_params = RegressorParams(*arrays, heatmaps=heatmaps, temperature=temperature)
-        for x, t in zip(inputs, targets):
-            yield _loss_and_grads(step_params, x, t, patch)
+        for win, t in zip(windows, targets):
+            yield _loss_and_grads(step_params, win, t, patch)
 
     arrays = [params.conv, params.conv_bias, params.head_w, params.head_b]
     arrays, losses = descend(arrays, item_losses, cfg)
@@ -377,8 +382,8 @@ def train_regressor(
     return params, TrainTrace(losses=losses, wall_seconds=time.perf_counter() - start)
 
 
-def _loss_and_grads(params: RegressorParams, x: np.ndarray, target: np.ndarray, patch: int):
-    heat, probs, (xs_n, ys_n), coords, preds = _forward(params, x, patch)
+def _loss_and_grads(params: RegressorParams, win: np.ndarray, target: np.ndarray, patch: int):
+    heat, probs, (xs_n, ys_n), coords, preds = _forward(params, win, patch)
     resid = preds - target
     loss = float((resid**2).mean())
     d_preds = 2.0 * resid / resid.size
@@ -396,8 +401,6 @@ def _loss_and_grads(params: RegressorParams, x: np.ndarray, target: np.ndarray, 
         )
         / params.temperature
     )
-    padded = np.pad(x, ((1, 1), (1, 1), (0, 0)))
-    win = np.lib.stride_tricks.sliding_window_view(padded, (3, 3), axis=(0, 1))
     d_conv = np.einsum("ohw,hwcuv->ocuv", d_heat, win, optimize=True)
     d_conv_bias = d_heat.sum(axis=(1, 2))
     return loss, [d_conv, d_conv_bias, d_head_w, d_head_b]

@@ -42,13 +42,12 @@ class RepellenceConfig:
 
 @dataclass
 class LossBreakdown:
-    """Loss total, its exact split by pair type, and the correspondence behind it."""
+    """Loss total and its exact split by pair type."""
 
     total: float
     att_att: float
     att_inatt: float
     inatt_inatt: float
-    correspondence: np.ndarray
 
 
 def token_coords(grid_h: int, grid_w: int) -> np.ndarray:
@@ -137,15 +136,15 @@ def evaluate_loss(
     phi = np.asarray(projected, dtype=np.float64)
     if np.asarray(positions).shape[0] != phi.shape[0] or np.asarray(labels).shape[0] != phi.shape[0]:
         raise ValueError("projected, positions and labels disagree on token count")
-    corr = correspondence_matrix(phi, tau=cfg.tau, cosine=cfg.cosine)
-    terms = pair_weight(positions, labels, cfg) * corr
+    terms = pair_weight(positions, labels, cfg) * correspondence_matrix(
+        phi, tau=cfg.tau, cosine=cfg.cosine
+    )
     aa, ai, ii = _pair_masks(labels)
     return LossBreakdown(
         total=float(terms.sum()),
         att_att=float(terms[aa].sum()),
         att_inatt=float(terms[ai].sum()),
         inatt_inatt=float(terms[ii].sum()),
-        correspondence=corr,
     )
 
 
@@ -181,14 +180,3 @@ def loss_and_gradient(
     z = phi / norms
     gz = (g + g.T) @ z / tau
     return total, (gz - (gz * z).sum(axis=1, keepdims=True) * z) / norms
-
-
-def lcr_gradient(
-    projected: np.ndarray,
-    positions: np.ndarray,
-    labels: np.ndarray,
-    cfg: RepellenceConfig,
-) -> np.ndarray:
-    """Analytic d(loss)/d(projected), matching `evaluate_loss` term for term."""
-    weight = pair_weight(positions, labels, cfg)
-    return loss_and_gradient(projected, weight, tau=cfg.tau, cosine=cfg.cosine)[1]

@@ -28,10 +28,10 @@ _INIT_TAG = 31
 
 
 class DivergenceError(RuntimeError):
-    """Training hit a non-finite loss; `step` is where it happened."""
+    """Training hit a non-finite loss or update; `step` is where it happened."""
 
-    def __init__(self, step: int):
-        super().__init__(f"non-finite loss at step {step}")
+    def __init__(self, step: int, what: str = "loss"):
+        super().__init__(f"non-finite {what} at step {step}")
         self.step = step
 
 
@@ -115,7 +115,8 @@ def descend(
 
     `item_losses(params)` yields each item's (loss, grads) at `params`, one
     gradient per array. Returns the final arrays and each step's mean loss;
-    a non-finite mean loss raises `DivergenceError`.
+    a non-finite mean loss, or a non-finite array after an update, raises
+    `DivergenceError`.
     """
     losses: list[float] = []
     vel = None
@@ -134,6 +135,8 @@ def descend(
             vel = update if vel is None else [cfg.momentum * v + g for v, g in zip(vel, update)]
             update = vel
         params = [p - cfg.lr * u for p, u in zip(params, update)]
+        if not all(np.isfinite(p).all() for p in params):
+            raise DivergenceError(step, "parameters")
     return params, losses
 
 

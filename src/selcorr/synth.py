@@ -380,13 +380,12 @@ def make_pair(
     spec: SyntheticFaceSpec,
     kind: str,
     seed: int,
-    warp: TpsParams | None = None,
     sigma_frac: float = 0.05,
 ) -> EvalPair:
     """Reference/test pair; `same` keeps the identity, `different` redraws it.
 
     Both kinds warp the test geometry so ground-truth correspondences are
-    non-trivial; pass `warp` to pin the deformation.
+    non-trivial.
     """
     if kind not in ("same", "different"):
         raise ValueError(f"kind must be 'same' or 'different', got {kind!r}")
@@ -394,8 +393,7 @@ def make_pair(
         raise ValueError("pair seed must be non-negative")
     rng = np.random.default_rng([_PAIR_TAG, seed])
     ref_seed, test_seed = (int(s) for s in rng.integers(0, 2**31, size=2))
-    if warp is None:
-        warp = draw_warp(spec.image_size, np.random.default_rng([_WARP_TAG, seed]), sigma_frac=sigma_frac)
+    warp = draw_warp(spec.image_size, np.random.default_rng([_WARP_TAG, seed]), sigma_frac=sigma_frac)
     test = warped_spec(spec, warp)
     if kind == "different":
         test = replace(test, identity_seed=spec.identity_seed + 1 + seed)

@@ -168,10 +168,10 @@ def bilinear_sample(
     interpolation is linear per axis, and pixels outside the convex hull of
     centers clamp to the nearest edge value.
 
-    Rows are blended first on the small (rows, grid_w, d) arrays, then the
-    columns are gathered. The products and sums run in the order of the
-    4-tap formula v00 (1-wy)(1-wx) + v01 (1-wy) wx + v10 wy (1-wx) + v11 wy wx,
-    so any block is bit-identical to the same block of the full map.
+    Separable: the two source rows are blended once on the small
+    (rows, grid_w, d) array, then two columns of that at pixel resolution.
+    Every element goes through the same operations, so any block is
+    bit-identical to the same block of the full map.
     """
     if target_h < grid.grid_h or target_w < grid.grid_w:
         raise ValueError("target dims must be >= grid dims")
@@ -180,20 +180,12 @@ def bilinear_sample(
     x0, x1, wx = _axis_taps(target_w, grid.grid_w, cols)
     wy = wy[:, None, None]
     wx = wx[None, :, None]
-    wx0 = 1.0 - wx
-    r0 = vals[y0] * (1.0 - wy)
-    r1 = vals[y1] * wy
-    # in place from here: one output and one scratch buffer at full size;
-    # take() keeps them C-contiguous, as r0[:, x0] would not be
-    out = np.take(r0, x0, axis=1)
-    out *= wx0
-    tap = np.take(r0, x1, axis=1)
-    tap *= wx
-    out += tap
-    np.take(r1, x0, axis=1, out=tap)
-    tap *= wx0
-    out += tap
-    np.take(r1, x1, axis=1, out=tap)
+    blended = vals[y0] * (1.0 - wy) + vals[y1] * wy
+    # one output and one scratch buffer at full size; take() keeps them
+    # C-contiguous, as blended[:, x0] would not be
+    out = np.take(blended, x0, axis=1)
+    out *= 1.0 - wx
+    tap = np.take(blended, x1, axis=1)
     tap *= wx
     out += tap
     return out

@@ -266,6 +266,73 @@ def test_divergence_exits_3(tmp_path):
     assert rc == 3
 
 
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """A 6-sample corpus and a checkpoint trained on it."""
+    root = tmp_path_factory.mktemp("tiny")
+    _gen(root / "corpus")
+    assert main(["train-projector", "--manifest", str(root / "corpus" / "manifest.txt"),
+                 "--out", str(root / "run"), *TINY]) == 0
+    return root
+
+
+@pytest.mark.parametrize("cosine", ["true", "false"])
+def test_overflowing_projector_update_exits_3(tiny_run, tmp_path, capsys, cosine):
+    # under cosine logits no finite loss can flag this: the update itself overflows
+    with np.errstate(all="ignore"):
+        rc = main(["train-projector", "--manifest", str(tiny_run / "corpus" / "manifest.txt"),
+                   "--out", str(tmp_path / "run"), *TINY,
+                   "--proj-lr", "1e308", "--cosine", cosine])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "non-finite parameters at step 0" in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_overflowing_regressor_update_exits_3(tiny_run, tmp_path, capsys):
+    with np.errstate(all="ignore"):
+        rc = main(["eval-detect", "--manifest", str(tiny_run / "corpus" / "manifest.txt"),
+                   "--checkpoint", str(tiny_run / "run" / "checkpoint"), "--budget", "2",
+                   "--out", str(tmp_path / "det"), *TINY, "--reg-lr", "1.7e308"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "non-finite parameters at step 0" in err and "Traceback" not in err
+    assert not (tmp_path / "det").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("gen", "--patch", "0"),
+        ("eval-detect", "--softargmax-temp", "0"),
+        ("eval-detect", "--softargmax-temp", "-1"),
+        ("train-projector", "--proj-lr", "nan"),
+        ("eval-detect", "--reg-lr", "nan"),
+        ("train-projector", "--tau", "inf"),
+        ("eval-match", "--seed", "-1"),
+        ("gen", "--d", "0"),
+        ("train-projector", "--d-proj", "1"),
+        ("gen", "--sigma-lm", "-1"),
+        ("gen", "--proto-corr", "1"),
+    ],
+)
+def test_bad_config_values_are_usage_errors(tiny_run, tmp_path, capsys, command, flag, value):
+    manifest = str(tiny_run / "corpus" / "manifest.txt")
+    inputs = {
+        "gen": ["--count", "2"],
+        "train-projector": ["--manifest", manifest],
+        "eval-match": [],
+        "eval-detect": ["--manifest", manifest, "--budget", "2",
+                        "--checkpoint", str(tiny_run / "run" / "checkpoint")],
+    }[command]
+    out = tmp_path / "out"
+    rc = main([command, *inputs, "--out", str(out), *TINY, flag, value])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("selcorr: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_budget_clamp_warning(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     _gen(corpus)

@@ -300,12 +300,12 @@ def test_train_regressor_reduces_loss():
 
 
 def test_train_regressor_gradient_matches_finite_differences():
-    from selcorr.evaluation import _loss_and_grads, _stack_inputs
+    from selcorr.evaluation import _loss_and_grads, _windows
     from selcorr.projector import project
 
     samples, proj = _training_setup(1)
     out, lm = samples[0]
-    x = _stack_inputs(out.main, project(proj, out.main))
+    x = _windows(out.main, project(proj, out.main))
     params = init_regressor(5, 12, heatmaps=2, seed=1, center=(16.0, 16.0))
     _, grads = _loss_and_grads(params, x, lm, patch=8)
     h = 1e-6
@@ -332,6 +332,23 @@ def test_train_regressor_gradient_matches_finite_differences():
     w2[1, 2, 0] -= h
     fd = (loss_with(head_w=w1) - loss_with(head_w=w2)) / (2.0 * h)
     assert grads[2][1, 2, 0] == pytest.approx(fd, rel=1e-5)
+
+
+def test_train_regressor_builds_each_samples_windows_once(monkeypatch):
+    from selcorr import evaluation
+
+    calls = []
+    windows = evaluation._windows
+
+    def counted(stage1, stage2):
+        calls.append(stage1)
+        return windows(stage1, stage2)
+
+    monkeypatch.setattr(evaluation, "_windows", counted)
+    samples, proj = _training_setup(3)
+    _, trace = train_regressor(samples, proj, OptimConfig(lr=1e-3, steps=5), heatmaps=2)
+    assert len(trace.losses) == 5
+    assert calls == [out.main for out, _ in samples]
 
 
 def test_train_regressor_divergence():

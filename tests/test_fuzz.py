@@ -1,16 +1,21 @@
 """Property tests at the data boundary: the key=value parser and the sample
 loader either return a result or raise ValueError (ScetError is one), never
-any other exception, whatever the text or bytes on disk."""
+any other exception, whatever the text or bytes on disk; a loaded config
+either raises ConfigError or builds every object the commands build from it."""
 
 import shutil
 import tempfile
 from pathlib import Path
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from selcorr.config import ConfigError, ExperimentConfig, load_config
+from selcorr.projector import init_projector
 from selcorr.synth import SyntheticFaceSpec, generate_backbone_output, read_sample, write_sample
 from selcorr.tensorio import parse_key_values, write_key_values
 
@@ -141,3 +146,31 @@ def test_read_sample_returns_a_sample_or_raises_value_error(sample_dir, edits):
     assert (landmarks >= 0.0).all()
     assert (landmarks[:, 0] <= output.main.image_w - 1).all()
     assert (landmarks[:, 1] <= output.main.image_h - 1).all()
+
+
+# config values as flag text: in-range and boundary numbers, non-finite
+# floats and text of the wrong type
+FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+VALUE_TEXT = {
+    "int": st.one_of(st.integers(-2, 200).map(str), st.sampled_from(["1.5", "x", ""])),
+    "float": st.one_of(st.floats(-2.0, 2.0), st.floats()).map(repr),
+    "bool": st.sampled_from(["true", "false", "0", "maybe"]),
+    "str": st.sampled_from(["gd", "momentum", "adam", ""]),
+}
+overrides = st.lists(st.sampled_from(sorted(FIELD_TYPES)), max_size=4, unique=True).flatmap(
+    lambda keys: st.fixed_dictionaries({k: VALUE_TEXT[FIELD_TYPES[k]] for k in keys})
+)
+
+
+@settings(FUZZ, max_examples=400)
+@given(overrides)
+def test_loaded_config_builds_everything_or_raises_config_error(values):
+    try:
+        cfg = load_config(overrides=values)
+    except ConfigError:
+        return
+    cfg.face_spec()
+    cfg.repellence().validate()
+    cfg.projector_train().validate()
+    cfg.regressor_train().validate()
+    init_projector(cfg.d, cfg.d_proj, cfg.seed)

@@ -7,7 +7,6 @@ from selcorr.lcr import (
     RepellenceConfig,
     correspondence_matrix,
     evaluate_loss,
-    lcr_gradient,
     locality_matrix,
     loss_and_gradient,
     pair_weight,
@@ -105,7 +104,7 @@ def test_diagonal_never_contributes():
     cfg = RepellenceConfig()
     out = evaluate_loss(phi, pos, labels, cfg)
     w = pair_weight(pos, labels, cfg)
-    terms = w * out.correspondence
+    terms = w * correspondence_matrix(phi, tau=cfg.tau, cosine=cfg.cosine)
     assert out.total == pytest.approx(terms[~np.eye(len(labels), dtype=bool)].sum(), rel=1e-12)
 
 
@@ -114,7 +113,7 @@ def test_gradient_matches_finite_differences(cosine):
     rng = np.random.default_rng(17)
     phi, pos, labels = _random_instance(rng, n=7, dp=3)
     cfg = RepellenceConfig(tau=0.07, cosine=cosine)
-    grad = lcr_gradient(phi, pos, labels, cfg)
+    grad = loss_and_gradient(phi, pair_weight(pos, labels, cfg), tau=cfg.tau, cosine=cfg.cosine)[1]
     h = 1e-5
     fd = np.zeros_like(phi)
     for i in range(phi.shape[0]):

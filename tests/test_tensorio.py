@@ -172,6 +172,27 @@ def test_sample_blocks_are_bit_identical_to_the_full_map():
         assert block.tobytes() == full[np.ix_(list(rows), cols)].tobytes()
 
 
+def test_sample_is_rows_then_columns_two_tap():
+    """Bit for bit against the separable formula written out: the two source
+    rows blended first, then two columns of that blend."""
+    rng = np.random.default_rng(13)
+    gh, gw, patch, d = 3, 4, 5, 3
+    grid = FeatureGrid(gh, gw, patch, rng.standard_normal((gh * gw, d)))
+    v = grid.features.reshape(gh, gw, d)
+    full = bilinear_upsample(grid, gh * patch, gw * patch).values
+    for iy in range(gh * patch):
+        y = min(max((iy + 0.5) / patch - 0.5, 0.0), gh - 1.0)
+        y0 = min(int(np.floor(y)), gh - 2)
+        wy = y - y0
+        row = v[y0] * (1.0 - wy) + v[y0 + 1] * wy
+        for ix in range(gw * patch):
+            x = min(max((ix + 0.5) / patch - 0.5, 0.0), gw - 1.0)
+            x0 = min(int(np.floor(x)), gw - 2)
+            wx = x - x0
+            expect = row[x0] * (1.0 - wx) + row[x0 + 1] * wx
+            assert full[iy, ix].tobytes() == expect.tobytes()
+
+
 def test_upsample_rejects_downscale():
     grid = FeatureGrid(2, 2, 4, np.zeros((4, 1)))
     with pytest.raises(ValueError):
