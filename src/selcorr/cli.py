@@ -48,7 +48,7 @@ from .synth import (
     sample_spec,
     write_sample,
 )
-from .tensorio import ScetError, write_csv, write_key_values, write_manifest
+from .tensorio import write_csv, write_key_values, write_manifest
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -158,21 +158,21 @@ def _match_sweep(cfg: ExperimentConfig, featurize, drop_rates) -> list:
     _require_pairs(cfg)
     base = cfg.face_spec()
     seeds = pair_seeds(cfg.seed, 2 * cfg.pairs)
-    records: list[list] = [[] for _ in drop_rates]
+    errors = np.empty((len(drop_rates), 2 * cfg.pairs, len(base.landmarks_px)))
     for i in range(2 * cfg.pairs):
         kind = "same" if i < cfg.pairs else "different"
         pair = make_pair(base, kind, seeds[i], sigma_frac=cfg.tps_sigma_frac)
         sims = pair_similarity(pair, featurize)
         grid = pair.test.main
         scores = None
-        for rate, rate_records in zip(drop_rates, records):
+        for r, rate in enumerate(drop_rates):
             mask = None
             if rate > 0.0:
                 if scores is None:
                     scores = cls_similarity(pair.test.q_cls, pair.test.keys)
                 mask = drop_mask(scores, rate, grid.grid_h, grid.grid_w, grid.patch)
-            rate_records.extend(match_pair(pair, sims, pair_id=i, test_mask=mask))
-    return [summarize_matches(r) for r in records]
+            errors[r, i] = match_pair(pair, sims, test_mask=mask)
+    return [summarize_matches(e, cfg.pairs) for e in errors]
 
 
 def cmd_gen(cfg: ExperimentConfig, count: int, out: Path) -> int:
@@ -207,7 +207,10 @@ def cmd_train_projector(cfg: ExperimentConfig, manifest: Path, out: Path) -> int
 def cmd_eval_match(cfg: ExperimentConfig, out: Path, checkpoint: Path | None) -> int:
     result = _match_protocol(cfg, _featurizer(checkpoint), drop_rate=cfg.drop_rate)
     out.mkdir(parents=True, exist_ok=True)
-    rows = [(r.pair_id, r.landmark_id, r.kind, r.err_px) for r in result.records]
+    rows = [
+        (i, lid, "same" if i < cfg.pairs else "different", err)
+        for (i, lid), err in np.ndenumerate(result.errors)
+    ]
     write_csv(out / "match.csv", [("pair_id", "landmark_id", "kind", "err_px"), *rows])
     summary = {
         "pairs": cfg.pairs,
@@ -341,7 +344,7 @@ def main(argv: list[str] | None = None) -> int:
     except DivergenceError as exc:
         print(f"selcorr: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (OSError, ScetError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"selcorr: {exc}", file=sys.stderr)
         return EXIT_DATA
 

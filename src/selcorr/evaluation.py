@@ -34,22 +34,14 @@ MASKED = -1e30
 
 
 @dataclass
-class MatchRecord:
-    """One landmark matched in one pair."""
-
-    pair_id: int
-    landmark_id: int
-    kind: str
-    pred_x: float
-    pred_y: float
-    gt_x: float
-    gt_y: float
-    err_px: float
-
-
-@dataclass
 class MatchResult:
-    records: list[MatchRecord]
+    """Per-landmark pixel errors of a match protocol and each half's mean.
+
+    `errors` is (2 * pairs, L): the first `pairs` rows are the
+    same-identity pairs, the rest the different-identity pairs.
+    """
+
+    errors: np.ndarray
     same_mean: float
     diff_mean: float
 
@@ -115,74 +107,37 @@ def _cosine_rows(q: np.ndarray, q_px, flat: np.ndarray, norms: _TestNorms) -> np
     return sims
 
 
-def _best_pixels(sims: np.ndarray, test_mask: np.ndarray | None) -> list[tuple[int, int]]:
-    """(x, y) argmax of each (H, W) map in an (L, H, W) stack.
-
-    Ties resolve in scanline order (first row, then column). `test_mask`
-    marks excluded test pixels (True = dropped).
-    """
-    if test_mask is not None:
-        if test_mask.shape != sims.shape[1:]:
-            raise ValueError("mask shape does not match the test map")
-        sims = np.where(test_mask, -np.inf, sims)
-    width = sims.shape[2]
-    best = sims.reshape(sims.shape[0], -1).argmax(axis=1)
-    return [(int(b) % width, int(b) // width) for b in best]
-
-
-def match_landmark(
-    ref_map: DenseFeatureMap,
-    test_map: DenseFeatureMap,
-    query_px: tuple[float, float],
-    test_mask: np.ndarray | None = None,
-) -> tuple[int, int]:
-    """Pixel in `test_map` most cosine-similar to the query pixel's feature.
-
-    Ties resolve in scanline order (first row, then column). `test_mask`
-    marks excluded test pixels (True = dropped).
-    """
-    return _best_pixels(similarity_map(ref_map, test_map, query_px)[None], test_mask)[0]
-
-
 def pair_similarity(pair: EvalPair, featurize) -> np.ndarray:
     """The pair's (L, H, W) `similarity_stack`, one map per reference landmark."""
     return similarity_stack(featurize(pair.ref), featurize(pair.test), pair.ref_landmarks)
 
 
 def match_pair(
-    pair: EvalPair,
-    sims: np.ndarray,
-    pair_id: int = 0,
-    test_mask: np.ndarray | None = None,
-) -> list[MatchRecord]:
-    """Match every landmark of one pair by the argmax of `sims`, the pair's
-    `pair_similarity`, which can serve several masks."""
-    kind = "same" if pair.same_identity else "different"
-    records = []
-    for lid, (px, py) in enumerate(_best_pixels(sims, test_mask)):
-        gx, gy = pair.test_landmarks[lid]
-        records.append(
-            MatchRecord(
-                pair_id=pair_id,
-                landmark_id=lid,
-                kind=kind,
-                pred_x=float(px),
-                pred_y=float(py),
-                gt_x=float(gx),
-                gt_y=float(gy),
-                err_px=float(np.hypot(px - gx, py - gy)),
-            )
-        )
-    return records
+    pair: EvalPair, sims: np.ndarray, test_mask: np.ndarray | None = None
+) -> np.ndarray:
+    """(L,) pixel distance from each landmark's best test pixel to its ground truth.
+
+    The best pixel is the argmax of the landmark's map in `sims`, the pair's
+    `pair_similarity`, which can serve several masks. Ties resolve in
+    scanline order (first row, then column). `test_mask` marks excluded
+    test pixels (True = dropped).
+    """
+    if test_mask is not None:
+        if test_mask.shape != sims.shape[1:]:
+            raise ValueError("mask shape does not match the test map")
+        sims = np.where(test_mask, -np.inf, sims)
+    best = sims.reshape(sims.shape[0], -1).argmax(axis=1)
+    py, px = np.divmod(best, sims.shape[2])
+    gt = pair.test_landmarks
+    return np.hypot(px - gt[:, 0], py - gt[:, 1])
 
 
-def summarize_matches(records: list[MatchRecord]) -> MatchResult:
-    same = [r.err_px for r in records if r.kind == "same"]
-    diff = [r.err_px for r in records if r.kind == "different"]
+def summarize_matches(errors: np.ndarray, pairs: int) -> MatchResult:
+    """Mean error of the first `pairs` rows (same identity) and of the rest."""
     return MatchResult(
-        records=records,
-        same_mean=float(np.mean(same)) if same else float("nan"),
-        diff_mean=float(np.mean(diff)) if diff else float("nan"),
+        errors=errors,
+        same_mean=float(np.mean(errors[:pairs])),
+        diff_mean=float(np.mean(errors[pairs:])),
     )
 
 
@@ -411,7 +366,6 @@ class DetectionMetrics:
     """Landmark errors as percent of each sample's inter-ocular distance."""
 
     per_sample_pct: np.ndarray
-    per_landmark_pct: np.ndarray
     mean_pct: float
 
 
@@ -434,9 +388,7 @@ def inter_ocular_error(
     if (iod == 0.0).any():
         raise ValueError("coincident eye ground truths")
     err = np.linalg.norm(preds - gts, axis=2) / iod[:, None] * 100.0
-    return DetectionMetrics(
-        per_sample_pct=err, per_landmark_pct=err.mean(axis=0), mean_pct=float(err.mean())
-    )
+    return DetectionMetrics(per_sample_pct=err, mean_pct=float(err.mean()))
 
 
 def drop_mask(scores: np.ndarray, drop_rate: float, grid_h: int, grid_w: int, patch: int) -> np.ndarray:

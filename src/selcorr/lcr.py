@@ -92,7 +92,7 @@ def correspondence_matrix(
     """
     if tau <= 0.0:
         raise ValueError(f"temperature must be positive, got {tau}")
-    z = _unit_rows(projected) if cosine else _finite_rows(projected)
+    z = _unit_rows(projected)[0] if cosine else _finite_rows(projected)
     return softmax((z @ z.T) / tau)
 
 
@@ -105,12 +105,18 @@ def _finite_rows(projected: np.ndarray) -> np.ndarray:
     return phi
 
 
-def _unit_rows(projected: np.ndarray) -> np.ndarray:
+def _unit_rows(projected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows scaled to unit length, and their (N, 1) norms.
+
+    A norm that overflows raises FloatingPointError: an infinite norm would
+    scale its row to zeros, and the loss would go flat instead of failing.
+    """
     phi = _finite_rows(projected)
-    norms = np.linalg.norm(phi, axis=1, keepdims=True)
+    with np.errstate(over="raise"):
+        norms = np.linalg.norm(phi, axis=1, keepdims=True)
     if (norms == 0.0).any():
         raise ValueError("cannot normalize zero-norm feature rows")
-    return phi / norms
+    return phi / norms, norms
 
 
 def _pair_masks(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -168,15 +174,18 @@ def loss_and_gradient(
     radial to each feature row. The gradient is checked against central
     finite differences in the tests.
     """
-    phi = _finite_rows(projected)
+    if cosine:
+        z, norms = _unit_rows(projected)
+    else:
+        z = _finite_rows(projected)
     weight = np.asarray(weight, dtype=np.float64)
-    corr = correspondence_matrix(phi, tau=tau, cosine=cosine)
+    # z is already unit-norm in the cosine mode, so P is z's raw-logit softmax
+    # in both modes
+    corr = correspondence_matrix(z, tau=tau, cosine=False)
     row_loss = (weight * corr).sum(axis=1, keepdims=True)
     total = float(row_loss.sum())
     g = corr * (weight - row_loss)
-    if not cosine:
-        return total, (g + g.T) @ phi / tau
-    norms = np.linalg.norm(phi, axis=1, keepdims=True)
-    z = phi / norms
     gz = (g + g.T) @ z / tau
+    if not cosine:
+        return total, gz
     return total, (gz - (gz * z).sum(axis=1, keepdims=True) * z) / norms

@@ -28,7 +28,8 @@ _INIT_TAG = 31
 
 
 class DivergenceError(RuntimeError):
-    """Training hit a non-finite loss or update; `step` is where it happened."""
+    """Training hit a non-finite loss, feature norm or update; `step` is
+    where it happened."""
 
     def __init__(self, step: int, what: str = "loss"):
         super().__init__(f"non-finite {what} at step {step}")
@@ -115,7 +116,8 @@ def descend(
 
     `item_losses(params)` yields each item's (loss, grads) at `params`, one
     gradient per array. Returns the final arrays and each step's mean loss;
-    a non-finite mean loss, or a non-finite array after an update, raises
+    a non-finite mean loss, a FloatingPointError from `item_losses` (an
+    overflowing feature norm), or a non-finite array after an update raises
     `DivergenceError`.
     """
     losses: list[float] = []
@@ -123,9 +125,12 @@ def descend(
     for step in range(cfg.steps):
         total = 0.0
         grads = None
-        for count, (loss, item_grads) in enumerate(item_losses(params), start=1):
-            total += loss
-            grads = item_grads if grads is None else [a + g for a, g in zip(grads, item_grads)]
+        try:
+            for count, (loss, item_grads) in enumerate(item_losses(params), start=1):
+                total += loss
+                grads = item_grads if grads is None else [a + g for a, g in zip(grads, item_grads)]
+        except FloatingPointError:
+            raise DivergenceError(step, "features") from None
         mean_loss = total / count
         if not np.isfinite(mean_loss):
             raise DivergenceError(step)

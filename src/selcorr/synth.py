@@ -434,16 +434,16 @@ def read_sample(directory: str | Path) -> tuple[BackboneOutput, np.ndarray]:
     """Inverse of `write_sample`; the returned output carries no generating spec.
 
     Malformed metadata, tensors or landmark tables raise ValueError naming
-    the file: the table needs the `write_sample` header, one
-    `index,x,y` row per landmark numbered from 0, and finite coordinates
-    inside the image.
+    the file: every tensor value must be finite, and the table needs the
+    `write_sample` header, one `index,x,y` row per landmark numbered from
+    0, and finite coordinates inside the image.
     """
     directory = Path(directory)
     meta_path = directory / "meta.txt"
     meta = read_meta(meta_path)
     gh, gw, patch = (_meta_int(meta, key, meta_path) for key in ("grid_h", "grid_w", "patch"))
     main, aux, q_cls, keys = (
-        read_tensor(directory / f"{name}.scet") for name in ("main", "aux", "qcls", "keys")
+        _read_finite(directory / f"{name}.scet") for name in ("main", "aux", "qcls", "keys")
     )
     try:
         output = BackboneOutput(
@@ -452,6 +452,13 @@ def read_sample(directory: str | Path) -> tuple[BackboneOutput, np.ndarray]:
     except ValueError as exc:
         raise ValueError(f"sample {directory}: {exc}") from None
     return output, _read_landmarks(directory / "landmarks.csv", output.main)
+
+
+def _read_finite(path: Path) -> np.ndarray:
+    tensor = read_tensor(path)
+    if not np.isfinite(tensor).all():
+        raise ValueError(f"{path}: non-finite values")
+    return tensor
 
 
 def _read_landmarks(path: Path, grid: FeatureGrid) -> np.ndarray:

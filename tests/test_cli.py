@@ -1,6 +1,7 @@
 """End-to-end command tests, all in-process through cli.main()."""
 
 import hashlib
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -163,10 +164,10 @@ def test_drop_rate_sweep_equals_one_protocol_per_rate():
         swept = _match_sweep(cfg, featurize, DROP_SWEEP)
         for rate, got in zip(DROP_SWEEP, swept):
             want = _match_protocol(cfg, featurize, drop_rate=rate)
-            assert got.records == want.records
+            assert got.errors.tobytes() == want.errors.tobytes()
             assert (got.same_mean, got.diff_mean) == (want.same_mean, want.diff_mean)
         # the high rates must actually move some matches
-        assert swept[0].records != swept[-1].records
+        assert swept[0].errors.tobytes() != swept[-1].errors.tobytes()
 
 
 def test_ablate_drop_rate_and_eta(tmp_path):
@@ -286,6 +287,22 @@ def test_overflowing_projector_update_exits_3(tiny_run, tmp_path, capsys, cosine
     assert rc == 3
     err = capsys.readouterr().err
     assert "non-finite parameters at step 0" in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("lr", ["4.1e151", "1e300"])
+def test_overflowing_feature_norm_exits_3(tiny_run, tmp_path, capsys, lr):
+    # on this corpus a rate past about 4.06e151 leaves finite weights after
+    # step 0 whose projected rows have norms that overflow at step 1; left
+    # alone, those rows scale to zeros and the cosine loss goes flat
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["train-projector", "--manifest", str(tiny_run / "corpus" / "manifest.txt"),
+                   "--out", str(tmp_path / "run"), *TINY, "--proj-lr", lr])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "non-finite features at step 1" in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
     assert not (tmp_path / "run").exists()
 
 

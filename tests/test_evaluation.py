@@ -5,7 +5,6 @@ from selcorr.evaluation import (
     MASKED,
     drop_mask,
     inter_ocular_error,
-    match_landmark,
     match_pair,
     pair_similarity,
     projected_featurizer,
@@ -22,7 +21,7 @@ from selcorr.evaluation import (
 from selcorr.evaluation import RegressorParams, init_regressor
 from selcorr.projector import DivergenceError, OptimConfig, init_projector
 from selcorr.partition import cls_similarity
-from selcorr.synth import SyntheticFaceSpec, generate_backbone_output, make_pair
+from selcorr.synth import EvalPair, SyntheticFaceSpec, generate_backbone_output, make_pair
 from selcorr.tensorio import DenseFeatureMap, FeatureGrid
 
 SMALL = dict(
@@ -39,11 +38,27 @@ def _dense(values):
     return DenseFeatureMap(np.asarray(values, dtype=np.float64))
 
 
+def _best_pixel(ref, test, query, mask=None):
+    """Oracle: the (x, y) argmax of the query's similarity map, masked pixels
+    at -inf, ties to the first pixel in scanline order (np.argmax's rule)."""
+    sims = similarity_map(ref, test, query)
+    if mask is not None:
+        sims = np.where(mask, -np.inf, sims)
+    y, x = divmod(int(np.argmax(sims)), sims.shape[1])
+    return x, y
+
+
+def _truth_pair(test_landmarks):
+    """A pair that carries only what match_pair reads: the test ground truth."""
+    lm = np.asarray(test_landmarks, dtype=np.float64)
+    return EvalPair(ref=None, test=None, ref_landmarks=lm, test_landmarks=lm, same_identity=True)
+
+
 def test_self_match_with_distinct_features():
     rng = np.random.default_rng(30)
     m = _dense(rng.standard_normal((5, 7, 3)))
     for query in [(0, 0), (3, 2), (6, 4)]:
-        assert match_landmark(m, m, query) == query
+        assert _best_pixel(m, m, query) == query
 
 
 def test_match_translation_oracle():
@@ -52,7 +67,7 @@ def test_match_translation_oracle():
     dx, dy = 2, 1
     test = np.roll(ref, shift=(dy, dx), axis=(0, 1))
     for query in [(2, 3), (4, 4), (1, 2)]:
-        got = match_landmark(_dense(ref), _dense(test), query)
+        got = _best_pixel(_dense(ref), _dense(test), query)
         assert got == (query[0] + dx, query[1] + dy)
 
 
@@ -61,13 +76,15 @@ def test_match_scale_invariance():
     ref = _dense(rng.standard_normal((6, 6, 3)))
     test = rng.standard_normal((6, 6, 3))
     q = (2, 2)
-    assert match_landmark(ref, _dense(test), q) == match_landmark(ref, _dense(test * 37.0), q)
+    assert _best_pixel(ref, _dense(test), q) == _best_pixel(ref, _dense(test * 37.0), q)
 
 
 def test_match_tie_breaks_scanline():
     ref = _dense(np.ones((1, 1, 2)))
     test = _dense(np.ones((3, 3, 2)))  # every pixel ties
-    assert match_landmark(ref, test, (0, 0)) == (0, 0)
+    assert _best_pixel(ref, test, (0, 0)) == (0, 0)
+    sims = similarity_map(ref, test, (0, 0))[None]
+    assert match_pair(_truth_pair([(0.0, 0.0)]), sims).tolist() == [0.0]
 
 
 def test_match_mask_excludes_pixels():
@@ -77,9 +94,13 @@ def test_match_mask_excludes_pixels():
     test[1, 1] = [0.9, 0.1]
     mask = np.zeros((2, 2), dtype=bool)
     mask[0, 0] = True
-    assert match_landmark(ref, _dense(test), (0, 0), test_mask=mask) == (1, 1)
+    assert _best_pixel(ref, _dense(test), (0, 0), mask) == (1, 1)
+    pair = _truth_pair([(1.0, 1.0)])
+    sims = similarity_map(ref, _dense(test), (0, 0))[None]
+    assert match_pair(pair, sims, test_mask=mask).tolist() == [0.0]
+    assert match_pair(pair, sims).tolist() == [np.hypot(1.0, 1.0)]  # (0, 0) wins unmasked
     with pytest.raises(ValueError):
-        match_landmark(ref, _dense(test), (0, 0), test_mask=np.zeros((3, 3), dtype=bool))
+        match_pair(pair, sims, test_mask=np.zeros((3, 3), dtype=bool))
 
 
 def test_similarity_map_zero_norm_rules():
@@ -96,18 +117,20 @@ def test_similarity_map_zero_norm_rules():
 def test_match_pair_and_summary():
     spec = SyntheticFaceSpec(**SMALL)
     pair = make_pair(spec, "same", 0)
-    records = match_pair(pair, pair_similarity(pair, raw_featurizer()), pair_id=3)
-    assert len(records) == 5
-    assert all(r.kind == "same" and r.pair_id == 3 and r.err_px >= 0.0 for r in records)
-    result = summarize_matches(records)
-    assert result.same_mean == pytest.approx(np.mean([r.err_px for r in records]))
-    assert np.isnan(result.diff_mean)
+    errors = match_pair(pair, pair_similarity(pair, raw_featurizer()))
+    assert errors.shape == (5,) and (errors >= 0.0).all()
+    table = np.stack([errors, errors + 1.0, errors + 3.0])
+    result = summarize_matches(table, 1)
+    assert result.errors.tobytes() == table.tobytes()
+    assert result.same_mean == pytest.approx(errors.mean())
+    assert result.diff_mean == pytest.approx(errors.mean() + 2.0)
 
 
 @pytest.mark.parametrize("featurizer", ["raw", "projected"])
 @pytest.mark.parametrize("drop_rate", [0.0, 0.5])
 def test_pair_similarity_equals_dense_oracle_bit_for_bit(featurizer, drop_rate):
-    """The token-grid stack against similarity_map of both upsampled maps."""
+    """The token-grid stack against similarity_map of both upsampled maps, and
+    match_pair's errors against the oracle argmax of those maps."""
     spec = SyntheticFaceSpec(**{**SMALL, "image_size": 48})
     if featurizer == "raw":
         featurize = raw_featurizer()
@@ -128,10 +151,12 @@ def test_pair_similarity_equals_dense_oracle_bit_for_bit(featurizer, drop_rate):
         stack = similarity_stack(featurize(pair.ref), featurize(pair.test), queries)
         for query, sims in zip(queries, stack):
             assert sims.tobytes() == similarity_map(ref_map, test_map, tuple(query)).tobytes()
-        records = match_pair(pair, pair_similarity(pair, featurize), test_mask=mask)
-        for lid, query in enumerate(pair.ref_landmarks):
-            px, py = match_landmark(ref_map, test_map, tuple(query), test_mask=mask)
-            assert (records[lid].pred_x, records[lid].pred_y) == (px, py)
+        errors = match_pair(pair, pair_similarity(pair, featurize), test_mask=mask)
+        expect = []
+        for query, (gx, gy) in zip(pair.ref_landmarks, pair.test_landmarks):
+            px, py = _best_pixel(ref_map, test_map, tuple(query), mask)
+            expect.append(np.hypot(px - gx, py - gy))
+        assert errors.tobytes() == np.array(expect).tobytes()
 
 
 def test_soft_argmax_single_finite_value_is_exact():
@@ -386,7 +411,6 @@ def test_inter_ocular_hand_oracle():
     expect = np.array([[125.0, 0.0], [0.0, 125.0], [50.0, 100.0]])
     assert np.abs(m.per_sample_pct - expect).max() <= 1e-12
     assert m.mean_pct == pytest.approx(expect.mean())
-    assert np.allclose(m.per_landmark_pct, expect.mean(axis=0))
 
 
 def test_inter_ocular_scale_invariance():

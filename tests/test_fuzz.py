@@ -1,8 +1,12 @@
 """Property tests at the data boundary: the key=value parser and the sample
 loader either return a result or raise ValueError (ScetError is one), never
 any other exception, whatever the text or bytes on disk; a loaded config
-either raises ConfigError or builds every object the commands build from it."""
+either raises ConfigError or builds every object the commands build from it;
+and the commands that read a corpus or a checkpoint end in a documented exit
+code, whatever was done to the files."""
 
+import contextlib
+import io
 import shutil
 import tempfile
 from pathlib import Path
@@ -11,9 +15,10 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from selcorr.cli import main
 from selcorr.config import ConfigError, ExperimentConfig, load_config
 from selcorr.projector import init_projector
 from selcorr.synth import SyntheticFaceSpec, generate_backbone_output, read_sample, write_sample
@@ -174,3 +179,75 @@ def test_loaded_config_builds_everything_or_raises_config_error(values):
     cfg.projector_train().validate()
     cfg.regressor_train().validate()
     init_projector(cfg.d, cfg.d_proj, cfg.seed)
+
+
+# a 3-sample, 32-pixel corpus and a checkpoint trained on it, small enough
+# that each command runs in tens of milliseconds
+CLI_FLAGS = [
+    "--crop", "32", "--resize", "48", "--d", "8", "--d-aux", "4", "--d-proj", "4",
+    "--proj-steps", "2", "--reg-steps", "2", "--heatmaps", "2",
+    "--pairs", "1", "--holdout", "1", "--seed", "0",
+]
+CHECKPOINT_FILES = ("meta.txt", "weight.scet", "bias.scet")
+CORPUS_FILES = (
+    "corpus/manifest.txt",
+    *(f"corpus/sample_{i:04d}/{name}" for i in range(3) for name in SAMPLE_FILES),
+    *(f"run/checkpoint/{name}" for name in CHECKPOINT_FILES),
+)
+
+
+def _quiet_main(argv: list[str]) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@pytest.fixture(scope="module")
+def cli_tree(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli")
+    assert _quiet_main(["gen", "--count", "3", "--out", str(root / "corpus"), *CLI_FLAGS]) == 0
+    manifest = str(root / "corpus" / "manifest.txt")
+    rc = _quiet_main(["train-projector", "--manifest", manifest, "--out", str(root / "run"),
+                      *CLI_FLAGS])
+    assert rc == 0
+    return root
+
+
+def _set_float(path: Path, index: int, value: float) -> None:
+    # an intact float64 .scet payload ends the file, so this sets one value
+    data = bytearray(path.read_bytes())
+    if len(data) >= 8:
+        at = len(data) - 8 * (1 + index % (len(data) // 8))
+        data[at : at + 8] = np.float64(value).tobytes()
+        path.write_bytes(bytes(data))
+
+
+file_mutations = st.one_of(
+    st.tuples(st.just(Path.unlink)),
+    st.tuples(st.just(_set_float), st.integers(0, 2**10), st.sampled_from([np.nan, np.inf, -np.inf])),
+    st.tuples(st.just(_replace_text), text),
+    st.tuples(st.just(_edit_line), st.integers(0, 9), format_text),
+    st.tuples(st.just(_set_byte), st.integers(0, 2**16), st.integers(0, 255)),
+    st.tuples(st.just(_truncate), st.integers(0, 2**16)),
+)
+
+
+@settings(FUZZ, max_examples=30)
+@given(st.lists(st.tuples(st.sampled_from(CORPUS_FILES), file_mutations), min_size=1, max_size=3))
+@example([("corpus/sample_0001/main.scet", (Path.unlink,))])  # OSError, exit 2
+@example([("corpus/sample_0002/aux.scet", (_set_float, 3, np.nan))])
+def test_commands_on_mutated_files_end_in_an_exit_code(cli_tree, edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        shutil.copytree(cli_tree, root, dirs_exist_ok=True)
+        for name, (mutate, *args) in edits:
+            if (root / name).exists():
+                mutate(root / name, *args)
+        manifest = str(root / "corpus" / "manifest.txt")
+        checkpoint = str(root / "run" / "checkpoint")
+        for argv in (
+            ["train-projector", "--manifest", manifest, "--out", str(root / "trained")],
+            ["eval-detect", "--manifest", manifest, "--checkpoint", checkpoint, "--budget", "2",
+             "--out", str(root / "detect")],
+            ["eval-match", "--checkpoint", checkpoint, "--out", str(root / "match")],
+        ):
+            assert _quiet_main([*argv, *CLI_FLAGS]) in (0, 1, 2, 3)

@@ -150,3 +150,12 @@ def test_validation_errors():
         locality_matrix(np.zeros((3, 3)))
     with pytest.raises(ValueError):
         evaluate_loss(np.zeros((3, 2)) + 1.0, np.zeros((2, 2)), np.zeros(3, dtype=bool), RepellenceConfig())
+
+
+def test_overflowing_feature_norm_raises():
+    # an infinite norm would scale the row to zeros and flatten the loss
+    phi = np.array([[1e200, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(FloatingPointError):
+        loss_and_gradient(phi, np.ones((3, 3)))
+    with pytest.raises(FloatingPointError):
+        correspondence_matrix(phi)

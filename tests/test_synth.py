@@ -20,6 +20,7 @@ from selcorr.synth import (
     warped_spec,
     write_sample,
 )
+from selcorr.tensorio import read_tensor, write_tensor
 
 # any change to the generator statistics shows up here first
 BATCH_SHA256 = "4cd959dcf013e1f99c06385a2a09f144d02bd2f78c87d62ad806eb805a173a6b"
@@ -233,6 +234,18 @@ def test_read_sample_accepts_the_image_corners(tmp_path):
     directory = _written_sample(tmp_path / "s")
     (directory / "landmarks.csv").write_text("landmark_index,x_px,y_px\n0,0.0,0.0\n1,95.0,95.0\n")
     assert read_sample(directory)[1].tolist() == [[0.0, 0.0], [95.0, 95.0]]
+
+
+@pytest.mark.parametrize("name", ["main", "aux", "qcls", "keys"])
+@pytest.mark.parametrize("value", [np.nan, -np.inf])
+def test_read_sample_rejects_non_finite_tensor_values(tmp_path, name, value):
+    directory = _written_sample(tmp_path / "s")
+    path = directory / f"{name}.scet"
+    tensor = read_tensor(path)
+    tensor.flat[-1] = value
+    write_tensor(path, tensor)
+    with pytest.raises(ValueError, match=f"{name}.scet: non-finite values"):
+        read_sample(directory)
 
 
 def test_read_sample_names_the_sample_on_a_token_count_mismatch(tmp_path):
