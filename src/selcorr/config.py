@@ -30,7 +30,6 @@ class ExperimentConfig:
     r_ai: float = 5.0
     r_ii: float = 2.0
     cosine: bool = True
-    rho_verbatim: bool = False
     drop_rate: float = 0.0
     # image geometry
     resize: int = 136
@@ -137,7 +136,6 @@ class ExperimentConfig:
             repel=self.repellence(),
             optimizer=self.optimizer,
             momentum=self.momentum,
-            rho_verbatim=self.rho_verbatim,
         )
 
     def regressor_train(self, seed: int | None = None) -> OptimConfig:

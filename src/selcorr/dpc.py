@@ -11,37 +11,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .partition import TokenPartition
 from .tensorio import FeatureGrid, sq_dists, top_k
 
 
 @dataclass
 class ClusterAssignment:
-    """Clustering state over a fixed-order token subset.
+    """Clustering state over a fixed-order token subset; `centers` and
+    `member_center` are row indices into the clustered features."""
 
-    `centers` and `member_center` hold positions into `token_indices`
-    (local indexing); `token_indices` maps back to grid token ids.
-    """
-
-    token_indices: np.ndarray
     rho: np.ndarray
     delta: np.ndarray
     score: np.ndarray
     centers: np.ndarray
     member_center: np.ndarray
 
-    @property
-    def member_center_tokens(self) -> np.ndarray:
-        """Grid token id of the assigned center, per clustered token."""
-        return self.token_indices[self.member_center]
-
 
 def density(features: np.ndarray, verbatim: bool = False) -> np.ndarray:
     """Per-token density from pairwise squared feature distances.
 
     Default is rho_i = sum_{j != i} exp(-||t_i - t_j||^2), so tight packs
-    score high. `verbatim` instead exponentiates the plain distance sum,
-    which grows with isolation; it is kept for comparison only.
+    score high. `verbatim` is the paper's literal formula, exp of the plain
+    distance sum, which grows with isolation; it is kept only for
+    acceptance criterion 2. It overflows once a row's squared-distance sum
+    passes about 709, as the inattentive rows of the default corpus do,
+    and then raises ValueError.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] < 1:
@@ -50,7 +43,11 @@ def density(features: np.ndarray, verbatim: bool = False) -> np.ndarray:
         raise ValueError("non-finite features")
     sq = sq_dists(features, features)
     if verbatim:
-        return np.exp(sq.sum(axis=1))
+        with np.errstate(over="ignore"):
+            rho = np.exp(sq.sum(axis=1))
+        if not np.isfinite(rho).all():
+            raise ValueError("verbatim density overflows: a squared-distance sum exceeds ~709")
+        return rho
     return np.exp(-sq).sum(axis=1) - 1.0  # drop the self term exp(0)
 
 
@@ -90,63 +87,39 @@ def select_centers(rho: np.ndarray, delta: np.ndarray, kc: int) -> np.ndarray:
     return top_k(rho * delta, min(kc, rho.shape[0]))
 
 
-def assign_members(
-    features: np.ndarray,
-    centers: np.ndarray,
-    rho: np.ndarray,
-    delta: np.ndarray,
-    token_indices: np.ndarray | None = None,
-) -> ClusterAssignment:
-    """Assign every token to its nearest center in feature space.
+def assign_members(features: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Row index of each token's nearest center in feature space.
 
-    Ties go to the center with the lower token index; centers always map
-    to themselves. `rho` and `delta` are carried into the result.
+    Ties go to the lower center index; centers always map to themselves.
     """
     features = np.asarray(features, dtype=np.float64)
     centers = np.unique(np.asarray(centers, dtype=np.intp))  # ascending, for the tie rule
     if centers.size == 0:
         raise ValueError("centers must be non-empty")
-    m = features.shape[0]
-    if centers[0] < 0 or centers[-1] >= m:
+    if centers[0] < 0 or centers[-1] >= features.shape[0]:
         raise ValueError("center index out of range")
-    if token_indices is None:
-        token_indices = np.arange(m)
     d2 = sq_dists(features, features[centers])
     member_center = centers[np.argmin(d2, axis=1)]  # argmin ties -> first, centers ascending
     member_center[centers] = centers
-    return ClusterAssignment(
-        token_indices=np.asarray(token_indices),
-        rho=np.asarray(rho, dtype=np.float64),
-        delta=np.asarray(delta, dtype=np.float64),
-        score=np.asarray(rho, dtype=np.float64) * np.asarray(delta, dtype=np.float64),
-        centers=centers,
-        member_center=member_center,
-    )
+    return member_center
 
 
-def cluster_tokens(
-    features: np.ndarray,
-    kc: int,
-    verbatim: bool = False,
-    token_indices: np.ndarray | None = None,
-) -> ClusterAssignment:
+def cluster_tokens(features: np.ndarray, kc: int, verbatim: bool = False) -> ClusterAssignment:
     """Full pipeline: density -> separation -> center selection -> membership."""
     rho = density(features, verbatim=verbatim)
     delta = peak_distance(features, rho)
     centers = select_centers(rho, delta, kc)
-    return assign_members(features, centers, rho, delta, token_indices=token_indices)
+    return ClusterAssignment(rho, delta, rho * delta, centers, assign_members(features, centers))
 
 
 def approximate_inattentive(
-    grid: FeatureGrid, partition: TokenPartition, assignment: ClusterAssignment
+    grid: FeatureGrid, inattentive: np.ndarray, member_center: np.ndarray
 ) -> FeatureGrid:
     """Replace each inattentive token's main-grid feature with its center's.
 
-    Attentive rows and geometry are untouched; `assignment` must cover
-    exactly the partition's inattentive set.
+    `member_center` indexes `inattentive`, as `cluster_tokens` on the
+    inattentive rows returns it. Attentive rows and geometry are untouched.
     """
-    if not np.array_equal(np.sort(assignment.token_indices), partition.inattentive):
-        raise ValueError("assignment does not cover exactly the inattentive token set")
     out = grid.features.copy()
-    out[assignment.token_indices] = grid.features[assignment.member_center_tokens]
+    out[inattentive] = grid.features[inattentive[member_center]]
     return FeatureGrid(grid.grid_h, grid.grid_w, grid.patch, out)

@@ -12,20 +12,14 @@ from .tensorio import softmax, top_k
 
 @dataclass
 class TokenPartition:
-    """Similarity scores plus the two index sets they induce.
+    """The two ascending token index sets that a similarity split induces.
 
     `attentive` holds the clamp(round(eta*N), 1, N-1) highest-scoring token
-    indices, ties going to the lower index; both index arrays are ascending.
+    indices, ties going to the lower index; `inattentive` holds the rest.
     """
 
-    scores: np.ndarray
     attentive: np.ndarray
     inattentive: np.ndarray
-    eta: float
-
-    @property
-    def n_tokens(self) -> int:
-        return self.scores.shape[0]
 
 
 def cls_similarity(q_cls: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -56,4 +50,4 @@ def split_tokens(scores: np.ndarray, eta: float) -> TokenPartition:
     n_att = min(max(int(math.floor(eta * n + 0.5)), 1), n - 1)  # round half up
     attentive = top_k(scores, n_att)
     inattentive = np.setdiff1d(np.arange(n), attentive)
-    return TokenPartition(scores, attentive, inattentive, eta)
+    return TokenPartition(attentive, inattentive)

@@ -92,7 +92,6 @@ class TrainConfig(OptimConfig):
     eta: float = 0.25
     kc: int = 4
     repel: RepellenceConfig = field(default_factory=RepellenceConfig)
-    rho_verbatim: bool = False
 
     def validate(self) -> None:
         super().validate()
@@ -107,6 +106,7 @@ class TrainTrace:
     wall_seconds: float
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def descend(
     params: list[np.ndarray],
     item_losses: Callable[[list[np.ndarray]], Iterable[tuple[float, list[np.ndarray]]]],
@@ -118,7 +118,9 @@ def descend(
     gradient per array. Returns the final arrays and each step's mean loss;
     a non-finite mean loss, a FloatingPointError from `item_losses` (an
     overflowing feature norm), or a non-finite array after an update raises
-    `DivergenceError`.
+    `DivergenceError`. Overflow and invalid-value warnings are silenced
+    here, since those checks report them; an inner `errstate(over="raise")`
+    still takes precedence.
     """
     losses: list[float] = []
     vel = None
@@ -171,13 +173,8 @@ def prepare_image(output: BackboneOutput, cfg: TrainConfig) -> tuple[np.ndarray,
     their cluster centers) and the fixed pairwise loss weight.
     """
     part = split_tokens(cls_similarity(output.q_cls, output.keys), cfg.eta)
-    assignment = cluster_tokens(
-        output.aux.features[part.inattentive],
-        cfg.kc,
-        verbatim=cfg.rho_verbatim,
-        token_indices=part.inattentive,
-    )
-    substituted = approximate_inattentive(output.main, part, assignment)
+    assignment = cluster_tokens(output.aux.features[part.inattentive], cfg.kc)
+    substituted = approximate_inattentive(output.main, part.inattentive, assignment.member_center)
     labels = np.zeros(substituted.n_tokens, dtype=bool)
     labels[part.attentive] = True
     positions = token_coords(substituted.grid_h, substituted.grid_w)
@@ -192,7 +189,7 @@ def projector_checksum(p: Projector) -> str:
 
 
 def train_projector(
-    corpus: list[BackboneOutput], cfg: TrainConfig, out_dim: int = 64
+    corpus: list[BackboneOutput], cfg: TrainConfig, out_dim: int
 ) -> tuple[Projector, TrainTrace]:
     """Minimize the mean per-image repellence loss over a frozen corpus."""
     cfg.validate()

@@ -135,7 +135,6 @@ class EvalPair:
     test: BackboneOutput
     ref_landmarks: np.ndarray
     test_landmarks: np.ndarray
-    same_identity: bool
 
     def __post_init__(self) -> None:
         self.ref_landmarks = np.asarray(self.ref_landmarks, dtype=np.float64)
@@ -402,7 +401,6 @@ def make_pair(
         test=generate_backbone_output(test, test_seed),
         ref_landmarks=np.asarray(spec.landmarks_px),
         test_landmarks=np.asarray(test.landmarks_px),
-        same_identity=kind == "same",
     )
 
 

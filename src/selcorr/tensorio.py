@@ -209,9 +209,16 @@ def _grid_coords(target: int, cells: int) -> np.ndarray:
 
 
 def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(m, n) squared Euclidean distances between the rows of (m, d) `a` and (n, d) `b`."""
-    diff = a[:, None, :] - b[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    """(m, n) squared Euclidean distances between the rows of (m, d) `a` and (n, d) `b`.
+
+    A distance that overflows (finite but huge inputs) raises ValueError.
+    """
+    with np.errstate(over="ignore"):
+        diff = a[:, None, :] - b[None, :, :]
+        out = np.einsum("ijk,ijk->ij", diff, diff)
+    if not np.isfinite(out).all():
+        raise ValueError("squared distances overflow")
+    return out
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ from selcorr import cli
 from selcorr.cli import DROP_SWEEP, _match_protocol, _match_sweep, main
 from selcorr.config import load_config
 from selcorr.evaluation import projected_featurizer, raw_featurizer
+from selcorr.partition import cls_similarity, split_tokens
 from selcorr.projector import init_projector
 from selcorr.synth import read_sample
 from selcorr.tensorio import read_manifest, read_tensor, write_tensor
@@ -193,6 +194,9 @@ def test_usage_errors_exit_1(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main([])  # a command is required
     assert exc.value.code == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--count", "1", "--out", str(tmp_path), "--rho-verbatim"])  # deleted knob
+    assert exc.value.code == 1
     assert main(["gen", "--count", "-1", "--out", str(tmp_path), *TINY]) == 1
     assert main(["gen", "--count", "0", "--out", str(tmp_path), "--eta", "2.0"]) == 1
     assert main(["ablate", "--axis", "kc", "--out", str(tmp_path), *TINY]) == 1
@@ -218,6 +222,27 @@ def test_data_errors_exit_2(tmp_path):
     rc = main(["eval-detect", "--manifest", str(small / "manifest.txt"),
                "--checkpoint", str(tmp_path / "ck"), "--out", str(tmp_path / "out"), *TINY])
     assert rc == 2
+
+
+def test_huge_sample_value_is_a_data_error(tmp_path, capsys):
+    # finite, so the loader accepts it, but its squared distances overflow
+    corpus = tmp_path / "corpus"
+    _gen(corpus, count=3)
+    sample = corpus / "sample_0001"
+    output, _ = read_sample(sample)
+    inattentive = split_tokens(cls_similarity(output.q_cls, output.keys), 0.25).inattentive
+    aux = read_tensor(sample / "aux.scet")
+    aux[inattentive[0], 0] = 1e160
+    write_tensor(sample / "aux.scet", aux)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["train-projector", "--manifest", str(corpus / "manifest.txt"),
+                   "--out", str(tmp_path / "run"), *TINY])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "squared distances overflow" in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_sample_meta_without_grid_h_is_a_data_error(tmp_path, capsys):
@@ -253,18 +278,19 @@ def test_detect_csv_cells_are_plain_floats(tmp_path):
         assert float(row.split(",")[2]) >= 0.0
 
 
-def test_divergence_exits_3(tmp_path):
+def test_divergence_exits_3(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     _gen(corpus)
     run = tmp_path / "run"
     assert main(["train-projector", "--manifest", str(corpus / "manifest.txt"),
                  "--out", str(run), *TINY]) == 0
-    with np.errstate(all="ignore"):
-        rc = main(["eval-detect", "--manifest", str(corpus / "manifest.txt"),
-                   "--checkpoint", str(run / "checkpoint"), "--budget", "2",
-                   "--out", str(tmp_path / "det"), *TINY,
-                   "--reg-lr", "1e9", "--reg-steps", "40"])
+    rc = main(["eval-detect", "--manifest", str(corpus / "manifest.txt"),
+               "--checkpoint", str(run / "checkpoint"), "--budget", "2",
+               "--out", str(tmp_path / "det"), *TINY,
+               "--reg-lr", "1e9", "--reg-steps", "40"])
     assert rc == 3
+    err = capsys.readouterr().err
+    assert "non-finite loss" in err and "RuntimeWarning" not in err
 
 
 @pytest.fixture(scope="module")
@@ -280,13 +306,13 @@ def tiny_run(tmp_path_factory):
 @pytest.mark.parametrize("cosine", ["true", "false"])
 def test_overflowing_projector_update_exits_3(tiny_run, tmp_path, capsys, cosine):
     # under cosine logits no finite loss can flag this: the update itself overflows
-    with np.errstate(all="ignore"):
-        rc = main(["train-projector", "--manifest", str(tiny_run / "corpus" / "manifest.txt"),
-                   "--out", str(tmp_path / "run"), *TINY,
-                   "--proj-lr", "1e308", "--cosine", cosine])
+    rc = main(["train-projector", "--manifest", str(tiny_run / "corpus" / "manifest.txt"),
+               "--out", str(tmp_path / "run"), *TINY,
+               "--proj-lr", "1e308", "--cosine", cosine])
     assert rc == 3
     err = capsys.readouterr().err
-    assert "non-finite parameters at step 0" in err and "Traceback" not in err
+    assert "non-finite parameters at step 0" in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
     assert not (tmp_path / "run").exists()
 
 
@@ -307,13 +333,13 @@ def test_overflowing_feature_norm_exits_3(tiny_run, tmp_path, capsys, lr):
 
 
 def test_overflowing_regressor_update_exits_3(tiny_run, tmp_path, capsys):
-    with np.errstate(all="ignore"):
-        rc = main(["eval-detect", "--manifest", str(tiny_run / "corpus" / "manifest.txt"),
-                   "--checkpoint", str(tiny_run / "run" / "checkpoint"), "--budget", "2",
-                   "--out", str(tmp_path / "det"), *TINY, "--reg-lr", "1.7e308"])
+    rc = main(["eval-detect", "--manifest", str(tiny_run / "corpus" / "manifest.txt"),
+               "--checkpoint", str(tiny_run / "run" / "checkpoint"), "--budget", "2",
+               "--out", str(tmp_path / "det"), *TINY, "--reg-lr", "1.7e308"])
     assert rc == 3
     err = capsys.readouterr().err
-    assert "non-finite parameters at step 0" in err and "Traceback" not in err
+    assert "non-finite parameters at step 0" in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
     assert not (tmp_path / "det").exists()
 
 

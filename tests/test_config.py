@@ -13,7 +13,7 @@ def test_default_values():
     assert cfg.tau == 0.07
     assert (cfg.r_aa, cfg.r_ai, cfg.r_ii) == (5.0, 5.0, 2.0)
     assert cfg.cosine is True
-    assert cfg.rho_verbatim is False
+    assert "rho_verbatim" not in {f.name for f in fields(cfg)}
     assert (cfg.resize, cfg.crop, cfg.patch) == (136, 96, 8)
     assert cfg.heatmaps == 50
     assert cfg.proj_steps == 200 and cfg.proj_lr == 1e-3
@@ -55,6 +55,10 @@ def test_unknown_key_rejected(tmp_path):
     path.write_text("etaa=0.1\n")
     with pytest.raises(ConfigError):
         load_config(path)
+    # the verbatim density knob is gone: it overflowed on every default corpus
+    path.write_text("rho_verbatim=false\n")
+    with pytest.raises(ConfigError, match="unknown config key 'rho_verbatim'"):
+        load_config(path)
 
 
 def test_bool_parsing():
@@ -75,7 +79,7 @@ def test_dump_load_roundtrip(tmp_path):
     text = write_key_values(path, asdict(cfg))
     assert path.read_text() == text
     assert "cosine=false\n" in text
-    assert "rho_verbatim=false\n" in text
+    assert "rho_verbatim" not in text
     assert "eta=0.4\n" in text
     assert load_config(path) == cfg
 

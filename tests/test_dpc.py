@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from selcorr.config import ExperimentConfig
 from selcorr.dpc import (
     approximate_inattentive,
     assign_members,
@@ -12,7 +13,7 @@ from selcorr.dpc import (
     select_centers,
 )
 from selcorr.partition import cls_similarity, split_tokens
-from selcorr.synth import SyntheticFaceSpec, generate_backbone_output
+from selcorr.synth import SyntheticFaceSpec, generate_backbone_output, sample_spec
 
 
 def brute_force(features, kc, verbatim=False):
@@ -70,6 +71,21 @@ def test_verbatim_density_variant():
     assert np.abs(density(feats, verbatim=True) - rho).max() <= 1e-9 * max(rho)
 
 
+def test_verbatim_density_overflow_raises():
+    # every inattentive aux row of the default corpus's sample 0 has a
+    # squared-distance sum far past the ~709 where exp overflows
+    cfg = ExperimentConfig()
+    spec = sample_spec(cfg.face_spec(), cfg.seed, 0, sigma_frac=cfg.tps_sigma_frac)
+    out = generate_backbone_output(spec, seed=0)
+    part = split_tokens(cls_similarity(out.q_cls, out.keys), cfg.eta)
+    feats = out.aux.features[part.inattentive]
+    assert (((feats[:, None, :] - feats[None, :, :]) ** 2).sum(axis=(1, 2)) > 709.8).all()
+    with pytest.raises(ValueError, match="verbatim density overflows"):
+        density(feats, verbatim=True)
+    with pytest.raises(ValueError, match="verbatim density overflows"):
+        cluster_tokens(feats, cfg.kc, verbatim=True)
+
+
 def test_density_two_points():
     feats = np.array([[0.0, 0.0], [3.0, 4.0]])  # distance 5
     assert density(feats) == pytest.approx([math.exp(-25.0)] * 2, rel=1e-12)
@@ -113,27 +129,15 @@ def test_select_centers():
 
 def test_assign_members_tie_prefers_lower_center():
     feats = np.array([[0.0], [2.0], [1.0]])  # index 2 equidistant from both centers
-    rho = density(feats)
-    asg = assign_members(feats, np.array([0, 1]), rho, peak_distance(feats, rho))
-    assert asg.member_center.tolist() == [0, 1, 0]
+    assert assign_members(feats, np.array([0, 1])).tolist() == [0, 1, 0]
 
 
 def test_assign_members_maps_centers_to_themselves():
     rng = np.random.default_rng(9)
     feats = rng.standard_normal((8, 2))
-    rho = density(feats)
-    asg = assign_members(feats, np.array([5, 1]), rho, peak_distance(feats, rho))
-    assert asg.centers.tolist() == [1, 5]
-    assert asg.member_center[1] == 1 and asg.member_center[5] == 5
-
-
-def test_token_indices_passthrough():
-    feats = np.array([[0.0], [10.0], [0.2]])
-    tokens = np.array([40, 41, 42])
-    asg = cluster_tokens(feats, 2, token_indices=tokens)
-    assert set(asg.token_indices[asg.centers]) <= {40, 41, 42}
-    assert asg.member_center_tokens.shape == (3,)
-    assert np.isin(asg.member_center_tokens, tokens).all()
+    member_center = assign_members(feats, np.array([5, 1]))  # any order
+    assert set(member_center.tolist()) == {1, 5}
+    assert member_center[1] == 1 and member_center[5] == 5
 
 
 def test_substitution_on_noise_free_grid():
@@ -143,26 +147,13 @@ def test_substitution_on_noise_free_grid():
     spec = SyntheticFaceSpec(sigma_lm=0.0, sigma_bg=0.0)
     out = generate_backbone_output(spec, seed=0)
     part = split_tokens(cls_similarity(out.q_cls, out.keys), 0.25)
-    asg = cluster_tokens(
-        out.aux.features[part.inattentive], kc=spec.n_regions, token_indices=part.inattentive
-    )
-    sub = approximate_inattentive(out.main, part, asg)
+    asg = cluster_tokens(out.aux.features[part.inattentive], kc=spec.n_regions)
+    sub = approximate_inattentive(out.main, part.inattentive, asg.member_center)
     distinct = np.unique(sub.features[part.inattentive], axis=0)
     assert distinct.shape[0] == spec.n_regions
     assert np.array_equal(sub.features[part.attentive], out.main.features[part.attentive])
     # input grid is never mutated
     assert not np.shares_memory(sub.features, out.main.features)
-
-
-def test_substitution_requires_matching_cover():
-    spec = SyntheticFaceSpec(sigma_lm=0.0, sigma_bg=0.0)
-    out = generate_backbone_output(spec, seed=0)
-    part = split_tokens(cls_similarity(out.q_cls, out.keys), 0.25)
-    wrong = cluster_tokens(
-        out.aux.features[part.inattentive[:-1]], kc=2, token_indices=part.inattentive[:-1]
-    )
-    with pytest.raises(ValueError):
-        approximate_inattentive(out.main, part, wrong)
 
 
 def test_density_input_validation():

@@ -51,7 +51,7 @@ def _best_pixel(ref, test, query, mask=None):
 def _truth_pair(test_landmarks):
     """A pair that carries only what match_pair reads: the test ground truth."""
     lm = np.asarray(test_landmarks, dtype=np.float64)
-    return EvalPair(ref=None, test=None, ref_landmarks=lm, test_landmarks=lm, same_identity=True)
+    return EvalPair(ref=None, test=None, ref_landmarks=lm, test_landmarks=lm)
 
 
 def test_self_match_with_distinct_features():
@@ -378,7 +378,7 @@ def test_train_regressor_builds_each_samples_windows_once(monkeypatch):
 
 def test_train_regressor_divergence():
     samples, proj = _training_setup(1)
-    with np.errstate(all="ignore"), pytest.raises(DivergenceError):
+    with pytest.raises(DivergenceError):
         train_regressor(samples, proj, OptimConfig(lr=1e9, steps=200), heatmaps=2)
 
 

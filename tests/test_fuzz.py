@@ -235,6 +235,7 @@ file_mutations = st.one_of(
 @given(st.lists(st.tuples(st.sampled_from(CORPUS_FILES), file_mutations), min_size=1, max_size=3))
 @example([("corpus/sample_0001/main.scet", (Path.unlink,))])  # OSError, exit 2
 @example([("corpus/sample_0002/aux.scet", (_set_float, 3, np.nan))])
+@example([("corpus/sample_0002/aux.scet", (_set_float, 3, 1e160))])  # finite; distances overflow
 def test_commands_on_mutated_files_end_in_an_exit_code(cli_tree, edits):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)

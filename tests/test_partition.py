@@ -48,7 +48,7 @@ def test_split_counts():
     part = split_tokens(_uniform(144), 0.25)
     assert part.attentive.size == 36
     assert part.inattentive.size == 108
-    assert part.n_tokens == 144
+    assert np.array_equal(np.union1d(part.attentive, part.inattentive), np.arange(144))
     # eta = 0.1: 14.4 rounds down
     assert split_tokens(_uniform(144), 0.1).attentive.size == 14
 

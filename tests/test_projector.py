@@ -139,7 +139,7 @@ def test_training_divergence():
     # the cosine softmax saturates, so a runaway step size only diverges on
     # raw dot-product logits, whose Z Z^T overflows
     cfg = TrainConfig(lr=1e50, steps=20, kc=2, repel=RepellenceConfig(cosine=False))
-    with np.errstate(all="ignore"), pytest.raises(DivergenceError):
+    with pytest.raises(DivergenceError):
         train_projector(_small_corpus(), cfg, out_dim=4)
 
 
@@ -187,7 +187,7 @@ def test_corpus_gradient_matches_finite_differences():
 
 def test_empty_corpus_rejected():
     with pytest.raises(ValueError):
-        train_projector([], TrainConfig())
+        train_projector([], TrainConfig(), out_dim=4)
 
 
 def test_train_config_validation():

@@ -163,7 +163,8 @@ def test_make_pair_same_vs_different():
     base = SyntheticFaceSpec()
     same = make_pair(base, "same", 4)
     diff = make_pair(base, "different", 4)
-    assert same.same_identity and not diff.same_identity
+    assert same.ref.spec.identity_seed == same.test.spec.identity_seed
+    assert diff.ref.spec.identity_seed != diff.test.spec.identity_seed
     assert same.test.spec.identity_seed == base.identity_seed
     assert diff.test.spec.identity_seed != base.identity_seed
     # both kinds share the warp drawn from the pair seed
