@@ -15,9 +15,10 @@ Per seed: `gen` (32 samples); `train-projector` with gd, with
 checkpoint, raw, and raw with `--drop-rate 0.5`; `eval-detect` by default
 and with `--reg-optimizer gd --repeats 2`; `ablate --axis kc`, and
 `--axis drop_rate` raw and with the checkpoint; `export-simmap`. Matching
-runs at `--pairs` pairs per kind, except the first seed's three
-`eval-match` runs, which keep the default 500+500 pairs. A command that
-exits non-zero stops the run with exit 1.
+runs at PAIRS (50) pairs per kind, except the first seed's three
+`eval-match` runs, which run FIRST_SEED_PAIRS (500, the default). Both are
+fixed so that two runs always hash the same matrix. A command that exits
+non-zero stops the run with exit 1.
 """
 
 from __future__ import annotations
@@ -31,9 +32,11 @@ import tempfile
 from pathlib import Path
 
 PLACEHOLDER = "<out>"
+PAIRS = "50"
+FIRST_SEED_PAIRS = "500"
 
 
-def _matrix(root: Path, pairs: str, match_pairs: str) -> list[tuple[str, list[str]]]:
+def _matrix(root: Path, match_pairs: str) -> list[tuple[str, list[str]]]:
     """(name, argv) in run order; later commands read the corpus and the gd checkpoint."""
     corpus = root / "corpus"
     manifest = str(corpus / "manifest.txt")
@@ -59,11 +62,11 @@ def _matrix(root: Path, pairs: str, match_pairs: str) -> list[tuple[str, list[st
         ("detect_gd2", ["eval-detect", "--manifest", manifest, "--checkpoint", ckpt,
                         *out("detect_gd2"), "--reg-optimizer", "gd", "--repeats", "2"]),
         ("ablate_kc", ["ablate", "--axis", "kc", "--manifest", manifest, *out("ablate_kc"),
-                       "--pairs", pairs]),
+                       "--pairs", PAIRS]),
         ("ablate_drop_raw", ["ablate", "--axis", "drop_rate", *out("ablate_drop_raw"),
-                             "--pairs", pairs]),
+                             "--pairs", PAIRS]),
         ("ablate_drop_ckpt", ["ablate", "--axis", "drop_rate", "--checkpoint", ckpt,
-                              *out("ablate_drop_ckpt"), "--pairs", pairs]),
+                              *out("ablate_drop_ckpt"), "--pairs", PAIRS]),
         ("simmap", ["export-simmap", "--checkpoint", ckpt, *out("simmap/sim.pgm")]),
     ]
 
@@ -72,14 +75,14 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run(tree: Path, seeds: list[int], pairs: int, work: Path) -> list[str]:
+def run(tree: Path, seeds: list[int], work: Path) -> list[str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree / "src"), env.get("PYTHONPATH")]))
     lines = []
     for n, seed in enumerate(seeds):
         root = work / f"seed{seed}"
-        match_pairs = "500" if n == 0 else str(pairs)
-        for name, argv in _matrix(root, str(pairs), match_pairs):
+        match_pairs = FIRST_SEED_PAIRS if n == 0 else PAIRS
+        for name, argv in _matrix(root, match_pairs):
             proc = subprocess.run(
                 [sys.executable, "-m", "selcorr", *argv, "--seed", str(seed)],
                 env=env, cwd=work, capture_output=True, text=True,
@@ -98,17 +101,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tree", type=Path, default=Path("."), help="checkout whose src/ to run")
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 7])
-    parser.add_argument("--pairs", type=int, default=50, help="pairs per kind for matching runs")
     parser.add_argument("--work", type=Path, default=None,
                         help="output root, kept afterwards (default: a temporary directory)")
     args = parser.parse_args(argv)
     tree = args.tree.resolve()
     if args.work is not None:
         args.work.mkdir(parents=True, exist_ok=True)
-        lines = run(tree, args.seeds, args.pairs, args.work.resolve())
+        lines = run(tree, args.seeds, args.work.resolve())
     else:
         with tempfile.TemporaryDirectory() as tmp:
-            lines = run(tree, args.seeds, args.pairs, Path(tmp))
+            lines = run(tree, args.seeds, Path(tmp))
     print("\n".join(lines))
     return 0
 
