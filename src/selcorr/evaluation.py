@@ -12,6 +12,7 @@ hand and verified against a dense oracle in the tests.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -93,18 +94,31 @@ class _TestNorms:
     """Per-pixel norms of a flattened test map, computed once per map."""
 
     def __init__(self, flat: np.ndarray):
-        norms = np.linalg.norm(flat, axis=1)
+        with _overflow_is_a_data_error():
+            norms = np.linalg.norm(flat, axis=1)
         self.zero = norms == 0.0
         self.safe = np.where(self.zero, 1.0, norms)
 
 
 def _cosine_rows(q: np.ndarray, q_px, flat: np.ndarray, norms: _TestNorms) -> np.ndarray:
-    qn = np.linalg.norm(q)
-    if qn == 0.0:
-        raise ValueError(f"zero-norm feature at query pixel {q_px}")
-    sims = (flat @ q) / (qn * norms.safe)
+    with _overflow_is_a_data_error():
+        qn = np.linalg.norm(q)
+        if qn == 0.0:
+            raise ValueError(f"zero-norm feature at query pixel {q_px}")
+        sims = (flat @ q) / (qn * norms.safe)
     sims[norms.zero] = -1.0
     return sims
+
+
+@contextmanager
+def _overflow_is_a_data_error():
+    """Raise ValueError where a feature norm or dot product overflows: an
+    infinite norm would turn the cosine into zeros or NaN silently."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError:
+        raise ValueError("feature norms overflow in the matching cosine") from None
 
 
 def pair_similarity(pair: EvalPair, featurize) -> np.ndarray:

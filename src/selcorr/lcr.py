@@ -8,6 +8,13 @@ The first two factors form the fixed per-image `pair_weight`; both
 `evaluate_loss` (the loss split by pair type) and `loss_and_gradient` (the
 loss with its analytic gradient, checked against finite differences in the
 tests) multiply it by the correspondence matrix.
+
+An image whose rows repeat (substitution copies each cluster center into
+its members) can run the same loss on its m distinct rows: with column
+multiplicities c_u and the membership one-hot R, the dense sum equals
+sum_vu W'_vu softmax_u(S_vu + log c_u), W' = (R^T W R) / c column by
+column. `correspondence_matrix` and `loss_and_gradient` take the log
+multiplicities as `log_counts`; without them they run the dense N x N form.
 """
 
 from __future__ import annotations
@@ -83,17 +90,25 @@ def repellence_matrix(labels: np.ndarray, cfg: RepellenceConfig) -> np.ndarray:
 
 
 def correspondence_matrix(
-    projected: np.ndarray, tau: float = 0.07, cosine: bool = True
+    projected: np.ndarray,
+    tau: float = 0.07,
+    cosine: bool = True,
+    log_counts: np.ndarray | None = None,
 ) -> np.ndarray:
     """Row-stochastic P[i, j] = softmax_j(<phi_i, phi_j> / tau), self pair included.
 
     With `cosine` the features are L2-normalized first so logits lie in
-    [-1/tau, 1/tau].
+    [-1/tau, 1/tau]. `log_counts[j]`, the log multiplicity of distinct row
+    j, is added to column j's logits, so P[v, u] is the probability mass of
+    all copies of row u.
     """
     if tau <= 0.0:
         raise ValueError(f"temperature must be positive, got {tau}")
     z = _unit_rows(projected)[0] if cosine else _finite_rows(projected)
-    return softmax((z @ z.T) / tau)
+    logits = (z @ z.T) / tau
+    if log_counts is not None:
+        logits += log_counts
+    return softmax(logits)
 
 
 def _finite_rows(projected: np.ndarray) -> np.ndarray:
@@ -164,6 +179,7 @@ def loss_and_gradient(
     weight: np.ndarray,
     tau: float = 0.07,
     cosine: bool = True,
+    log_counts: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Loss total and analytic d(loss)/d(projected) for a fixed pair weight.
 
@@ -173,6 +189,10 @@ def loss_and_gradient(
     (G + G^T) Z / tau, and the cosine path projects out the component
     radial to each feature row. The gradient is checked against central
     finite differences in the tests.
+
+    On distinct rows, `weight` is the folded W' and `log_counts` the log
+    multiplicities (see the module docstring). The bias is constant, so G
+    keeps its form, and each row's gradient is the sum over its copies.
     """
     if cosine:
         z, norms = _unit_rows(projected)
@@ -181,7 +201,7 @@ def loss_and_gradient(
     weight = np.asarray(weight, dtype=np.float64)
     # z is already unit-norm in the cosine mode, so P is z's raw-logit softmax
     # in both modes
-    corr = correspondence_matrix(z, tau=tau, cosine=False)
+    corr = correspondence_matrix(z, tau=tau, cosine=False, log_counts=log_counts)
     row_loss = (weight * corr).sum(axis=1, keepdims=True)
     total = float(row_loss.sum())
     g = corr * (weight - row_loss)

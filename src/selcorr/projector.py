@@ -3,9 +3,9 @@ both trainers (this one and the detection regressor's) share.
 
 The backbone is frozen, so each image's partition, clustering and
 substitution are computed once and reused every step; only the projector
-weight and bias move. The corpus gradient is the mean of per-image
-gradients obtained by chaining the repellence-loss gradient through the
-affine map.
+weight and bias move. Each step runs the loss on an image's distinct
+rows only. The corpus gradient is the mean of per-image gradients
+obtained by chaining the repellence-loss gradient through the affine map.
 """
 
 from __future__ import annotations
@@ -166,11 +166,17 @@ def project(p: Projector, grid: FeatureGrid) -> FeatureGrid:
     return FeatureGrid(grid.grid_h, grid.grid_w, grid.patch, grid.features @ p.weight + p.bias)
 
 
-def prepare_image(output: BackboneOutput, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+def prepare_image(
+    output: BackboneOutput, cfg: TrainConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Everything about one image that does not depend on projector weights.
 
-    Returns the substituted token matrix (inattentive rows replaced by
-    their cluster centers) and the fixed pairwise loss weight.
+    Substitution makes every inattentive token a copy of its cluster
+    center's row, so the image has only m = |attentive| + (number of
+    centers) distinct rows. Returns those rows of the substituted token
+    matrix (m, d), the pair weight folded onto them (m, m) and their log
+    multiplicities (m,): `loss_and_gradient` on these is the loss on all
+    N tokens (see `lcr`).
     """
     part = split_tokens(cls_similarity(output.q_cls, output.keys), cfg.eta)
     assignment = cluster_tokens(output.aux.features[part.inattentive], cfg.kc)
@@ -178,7 +184,12 @@ def prepare_image(output: BackboneOutput, cfg: TrainConfig) -> tuple[np.ndarray,
     labels = np.zeros(substituted.n_tokens, dtype=bool)
     labels[part.attentive] = True
     positions = token_coords(substituted.grid_h, substituted.grid_w)
-    return substituted.features, pair_weight(positions, labels, cfg.repel)
+    source = np.arange(substituted.n_tokens)
+    source[part.inattentive] = part.inattentive[assignment.member_center]
+    rows, member, counts = np.unique(source, return_inverse=True, return_counts=True)
+    onehot = np.eye(rows.size)[member]  # (N, m) membership
+    folded = onehot.T @ pair_weight(positions, labels, cfg.repel) @ onehot / counts
+    return substituted.features[rows], folded, np.log(counts)
 
 
 def projector_checksum(p: Projector) -> str:
@@ -202,9 +213,10 @@ def train_projector(
     def item_losses(params):
         # chain rule through the affine map: phi = feats @ w + b
         w, b = params
-        for feats, weight in prepared:
+        for feats, weight, log_counts in prepared:
             loss, g_phi = loss_and_gradient(
-                feats @ w + b, weight, tau=cfg.repel.tau, cosine=cfg.repel.cosine
+                feats @ w + b, weight, tau=cfg.repel.tau, cosine=cfg.repel.cosine,
+                log_counts=log_counts,
             )
             yield loss, [feats.T @ g_phi, g_phi.sum(axis=0)]
 

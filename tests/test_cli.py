@@ -1,6 +1,7 @@
 """End-to-end command tests, all in-process through cli.main()."""
 
 import hashlib
+import shutil
 import warnings
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from selcorr.cli import DROP_SWEEP, _match_protocol, _match_sweep, main
 from selcorr.config import load_config
 from selcorr.evaluation import projected_featurizer, raw_featurizer
 from selcorr.partition import cls_similarity, split_tokens
-from selcorr.projector import init_projector
+from selcorr.projector import Projector, init_projector, projector_checksum
 from selcorr.synth import read_sample
 from selcorr.tensorio import read_manifest, read_tensor, write_tensor
 
@@ -157,6 +158,30 @@ def test_tampered_checkpoint_is_a_data_error(tmp_path, capsys):
     assert str(run / "checkpoint") in err and "sha256" in err
     assert "Traceback" not in err
     assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("command", ["eval-match", "export-simmap"])
+def test_huge_checkpoint_weight_is_a_data_error(tiny_run, tmp_path, capsys, command):
+    # finite and with a matching sha256, so the loader accepts it, but the
+    # matching cosine's feature norms overflow
+    ckpt = tmp_path / "checkpoint"
+    shutil.copytree(tiny_run / "run" / "checkpoint", ckpt)
+    weight, bias = read_tensor(ckpt / "weight.scet"), read_tensor(ckpt / "bias.scet")
+    old_digest = projector_checksum(Projector(weight, bias))
+    weight[0, 0] = 1e160
+    write_tensor(ckpt / "weight.scet", weight)
+    meta = ckpt / "meta.txt"
+    meta.write_text(meta.read_text().replace(old_digest, projector_checksum(Projector(weight, bias))))
+    out = tmp_path / ("m" if command == "eval-match" else "sim.pgm")
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([command, "--checkpoint", str(ckpt), "--out", str(out), *TINY])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "feature norms overflow" in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not out.exists()
 
 
 def test_drop_rate_sweep_equals_one_protocol_per_rate():

@@ -1,7 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from selcorr import projector
+from selcorr.config import ExperimentConfig
+from selcorr.dpc import cluster_tokens
 from selcorr.lcr import RepellenceConfig, loss_and_gradient
+from selcorr.partition import cls_similarity, split_tokens
 from selcorr.projector import (
     DivergenceError,
     Projector,
@@ -65,13 +71,15 @@ def test_project_is_the_affine_map():
 def test_prepare_image_shapes_and_purity():
     out = _small_corpus(1)[0]
     before = out.main.features.copy()
-    feats, weight = prepare_image(out, TrainConfig(eta=0.25, kc=2))
+    feats, weight, log_counts = prepare_image(out, TrainConfig(eta=0.25, kc=2))
     n = out.main.n_tokens
-    assert feats.shape == (n, 8)
-    assert weight.shape == (n, n)
+    m = 4 + 2  # 4 attentive of 16 tokens at eta 0.25, plus 2 centers
+    assert feats.shape == (m, 8)
+    assert weight.shape == (m, m)
+    assert log_counts.shape == (m,)
+    assert np.exp(log_counts).sum() == pytest.approx(n, abs=1e-12)
     assert np.array_equal(out.main.features, before)  # inputs never mutated
     assert np.all(weight >= 0.0)
-    assert np.all(np.diag(weight) == 0.0)
 
 
 def test_zero_steps_returns_init():
@@ -116,8 +124,8 @@ def test_training_equals_a_hand_written_loop(optimizer):
     losses = []
     for _ in range(3):
         grad_w, grad_b, total = np.zeros_like(w), np.zeros_like(b), 0.0
-        for f, pw in prepared:
-            loss, g_phi = loss_and_gradient(f @ w + b, pw, tau=cfg.repel.tau)
+        for f, pw, lc in prepared:
+            loss, g_phi = loss_and_gradient(f @ w + b, pw, tau=cfg.repel.tau, log_counts=lc)
             grad_w += f.T @ g_phi
             grad_b += g_phi.sum(axis=0)
             total += loss
@@ -137,8 +145,9 @@ def test_training_equals_a_hand_written_loop(optimizer):
 
 def test_training_divergence():
     # the cosine softmax saturates, so a runaway step size only diverges on
-    # raw dot-product logits, whose Z Z^T overflows
-    cfg = TrainConfig(lr=1e50, steps=20, kc=2, repel=RepellenceConfig(cosine=False))
+    # raw dot-product logits, and only once the first step overflows Z Z^T:
+    # at 1e50 those logits saturate too and the loss stalls
+    cfg = TrainConfig(lr=1e200, steps=20, kc=2, repel=RepellenceConfig(cosine=False))
     with pytest.raises(DivergenceError):
         train_projector(_small_corpus(), cfg, out_dim=4)
 
@@ -156,16 +165,16 @@ def test_corpus_gradient_matches_finite_differences():
         return float(
             np.mean(
                 [
-                    loss_and_gradient(f @ wm + bv, pw, tau=cfg.repel.tau)[0]
-                    for f, pw in prepared
+                    loss_and_gradient(f @ wm + bv, pw, tau=cfg.repel.tau, log_counts=lc)[0]
+                    for f, pw, lc in prepared
                 ]
             )
         )
 
     grad_w = np.zeros_like(w)
     grad_b = np.zeros_like(b)
-    for f, pw in prepared:
-        _, g_phi = loss_and_gradient(f @ w + b, pw, tau=cfg.repel.tau)
+    for f, pw, lc in prepared:
+        _, g_phi = loss_and_gradient(f @ w + b, pw, tau=cfg.repel.tau, log_counts=lc)
         grad_w += f.T @ g_phi
         grad_b += g_phi.sum(axis=0)
     grad_w /= len(prepared)
@@ -183,6 +192,77 @@ def test_corpus_gradient_matches_finite_differences():
     b2[1] -= h
     fd = (corpus_loss(w, b1) - corpus_loss(w, b2)) / (2.0 * h)
     assert grad_b[1] == pytest.approx(fd, rel=1e-4, abs=1e-7)
+
+
+def _dense_oracle(out, cfg, w, b):
+    """Loss and W/b gradient of one image on all N substituted tokens, in
+    plain numpy: the token split and the clustering come from the library,
+    the substitution, the pair weight, the loss and its gradient do not."""
+    labels = np.zeros(out.main.n_tokens, dtype=bool)
+    labels[split_tokens(cls_similarity(out.q_cls, out.keys), cfg.eta).attentive] = True
+    inatt = np.flatnonzero(~labels)
+    member_center = cluster_tokens(out.aux.features[inatt], cfg.kc).member_center
+    feats = out.main.features.copy()
+    feats[inatt] = out.main.features[inatt[member_center]]
+
+    rows, cols = np.divmod(np.arange(out.main.n_tokens), out.main.grid_w)
+    dist = np.hypot(rows[:, None] - rows[None, :], cols[:, None] - cols[None, :])
+    r = cfg.repel
+    repel = np.where(labels[:, None] & labels[None, :], r.r_att_att,
+                     np.where(~labels[:, None] & ~labels[None, :], r.r_inatt_inatt, r.r_att_inatt))
+    weight = np.log(dist + 1.0) * repel
+
+    phi = feats @ w + b
+    norms = np.sqrt((phi**2).sum(axis=1, keepdims=True))
+    z = phi / norms if r.cosine else phi
+    logits = z @ z.T / r.tau
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    p = e / e.sum(axis=1, keepdims=True)
+    row = (weight * p).sum(axis=1, keepdims=True)
+    g = p * (weight - row)
+    gz = (g + g.T) @ z / r.tau
+    g_phi = (gz - (gz * z).sum(axis=1, keepdims=True) * z) / norms if r.cosine else gz
+    return row.sum(), feats.T @ g_phi, g_phi.sum(axis=0)
+
+
+@pytest.mark.parametrize("cosine", [True, False])
+@pytest.mark.parametrize("kc", [1, 2, 12])  # 12: every inattentive token is a center
+def test_distinct_row_loss_equals_the_dense_loss(cosine, kc):
+    corpus = _small_corpus(3)
+    cfg = TrainConfig(kc=kc, repel=RepellenceConfig(cosine=cosine))
+    # small enough weights that the dot-product softmax is not saturated:
+    # there both gradients are rounding noise and agree in no digit
+    rng = np.random.default_rng(5)
+    w, b = 0.3 * rng.standard_normal((8, 4)), 0.3 * rng.standard_normal(4)
+    for out in corpus:
+        feats, weight, log_counts = prepare_image(out, cfg)
+        assert feats.shape[0] == 4 + kc
+        if kc == 12:
+            assert np.all(log_counts == 0.0)
+        loss, g_phi = loss_and_gradient(
+            feats @ w + b, weight, tau=cfg.repel.tau, cosine=cosine, log_counts=log_counts
+        )
+        want_loss, want_w, want_b = _dense_oracle(out, cfg, w, b)
+        assert loss == pytest.approx(want_loss, rel=1e-12)
+        np.testing.assert_allclose(feats.T @ g_phi, want_w, rtol=1e-12, atol=1e-12 * np.abs(want_w).max())
+        np.testing.assert_allclose(g_phi.sum(axis=0), want_b, rtol=1e-12, atol=1e-12 * np.abs(want_b).max())
+
+
+def test_training_runs_the_loss_on_distinct_rows_only(monkeypatch):
+    """At the default geometry (12x12 tokens, eta 0.25, kc 4) every loss
+    call sees 36 attentive rows plus 4 centers, never the 144 tokens."""
+    seen = []
+
+    def recording(projected, weight, **kwargs):
+        seen.append((projected.shape, weight.shape, kwargs["log_counts"].shape))
+        return loss_and_gradient(projected, weight, **kwargs)
+
+    monkeypatch.setattr(projector, "loss_and_gradient", recording)
+    cfg = ExperimentConfig()
+    corpus = [generate_backbone_output(cfg.face_spec(), seed=i) for i in range(2)]
+    assert corpus[0].main.n_tokens == 144
+    train_projector(corpus, replace(cfg.projector_train(), steps=2), out_dim=cfg.d_proj)
+    assert seen == [((40, cfg.d_proj), (40, 40), (40,))] * 4
 
 
 def test_empty_corpus_rejected():
