@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensorio import FeatureGrid, sq_dists, top_k
+from .tensorio import FeatureGrid, NonFiniteError, sq_dists, top_k
 
 
 @dataclass
@@ -34,7 +34,7 @@ def density(features: np.ndarray, verbatim: bool = False) -> np.ndarray:
     distance sum, which grows with isolation; it is kept only for
     acceptance criterion 2. It overflows once a row's squared-distance sum
     passes about 709, as the inattentive rows of the default corpus do,
-    and then raises ValueError.
+    and then raises NonFiniteError.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] < 1:
@@ -46,7 +46,7 @@ def density(features: np.ndarray, verbatim: bool = False) -> np.ndarray:
         with np.errstate(over="ignore"):
             rho = np.exp(sq.sum(axis=1))
         if not np.isfinite(rho).all():
-            raise ValueError("verbatim density overflows: a squared-distance sum exceeds ~709")
+            raise NonFiniteError("verbatim density overflows: a squared-distance sum exceeds ~709")
         return rho
     return np.exp(-sq).sum(axis=1) - 1.0  # drop the self term exp(0)
 

@@ -12,7 +12,6 @@ hand and verified against a dense oracle in the tests.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,6 +24,7 @@ from .tensorio import (
     FeatureGrid,
     bilinear_sample,
     bilinear_upsample,
+    norm,
     softmax,
     top_k,
 )
@@ -94,31 +94,20 @@ class _TestNorms:
     """Per-pixel norms of a flattened test map, computed once per map."""
 
     def __init__(self, flat: np.ndarray):
-        with _overflow_is_a_data_error():
-            norms = np.linalg.norm(flat, axis=1)
+        norms = norm(flat, axis=1)
         self.zero = norms == 0.0
         self.safe = np.where(self.zero, 1.0, norms)
 
 
 def _cosine_rows(q: np.ndarray, q_px, flat: np.ndarray, norms: _TestNorms) -> np.ndarray:
-    with _overflow_is_a_data_error():
-        qn = np.linalg.norm(q)
-        if qn == 0.0:
-            raise ValueError(f"zero-norm feature at query pixel {q_px}")
-        sims = (flat @ q) / (qn * norms.safe)
+    # a finite norm keeps its sum of squares below DBL_MAX, so by Cauchy-Schwarz
+    # both products below stay finite
+    qn = norm(q)
+    if qn == 0.0:
+        raise ValueError(f"zero-norm feature at query pixel {q_px}")
+    sims = (flat @ q) / (qn * norms.safe)
     sims[norms.zero] = -1.0
     return sims
-
-
-@contextmanager
-def _overflow_is_a_data_error():
-    """Raise ValueError where a feature norm or dot product overflows: an
-    infinite norm would turn the cosine into zeros or NaN silently."""
-    try:
-        with np.errstate(over="raise"):
-            yield
-    except FloatingPointError:
-        raise ValueError("feature norms overflow in the matching cosine") from None
 
 
 def pair_similarity(pair: EvalPair, featurize) -> np.ndarray:
@@ -274,6 +263,7 @@ def _windows(stage1: FeatureGrid, stage2: FeatureGrid) -> np.ndarray:
     ):
         raise ValueError("stage grids disagree on geometry")
     both = np.concatenate([stage1.features, stage2.features], axis=1)
+    norm(both, axis=1)  # a feature too large to normalize is a data error here too
     x = both.reshape(stage1.grid_h, stage1.grid_w, both.shape[1])
     padded = np.pad(x, ((1, 1), (1, 1), (0, 0)))
     return np.lib.stride_tricks.sliding_window_view(padded, (3, 3), axis=(0, 1))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensorio import softmax, sq_dists
+from .tensorio import NonFiniteError, norm, softmax, sq_dists
 
 
 @dataclass
@@ -116,19 +116,15 @@ def _finite_rows(projected: np.ndarray) -> np.ndarray:
     if phi.ndim != 2:
         raise ValueError(f"expected (N, d) features, got shape {phi.shape}")
     if not np.isfinite(phi).all():
-        raise ValueError("non-finite feature values")
+        raise NonFiniteError("non-finite feature values")
     return phi
 
 
 def _unit_rows(projected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows scaled to unit length, and their (N, 1) norms.
-
-    A norm that overflows raises FloatingPointError: an infinite norm would
-    scale its row to zeros, and the loss would go flat instead of failing.
-    """
+    """Rows scaled to unit length, and their (N, 1) norms; an overflowing
+    norm raises NonFiniteError (see `tensorio.norm`)."""
     phi = _finite_rows(projected)
-    with np.errstate(over="raise"):
-        norms = np.linalg.norm(phi, axis=1, keepdims=True)
+    norms = norm(phi, axis=1, keepdims=True)
     if (norms == 0.0).any():
         raise ValueError("cannot normalize zero-norm feature rows")
     return phi / norms, norms

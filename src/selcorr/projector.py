@@ -22,7 +22,7 @@ from .dpc import approximate_inattentive, cluster_tokens
 from .lcr import RepellenceConfig, loss_and_gradient, pair_weight, token_coords
 from .partition import cls_similarity, split_tokens
 from .synth import BackboneOutput
-from .tensorio import FeatureGrid, read_meta, read_tensor, write_key_values, write_tensor
+from .tensorio import FeatureGrid, NonFiniteError, norm, read_meta, read_tensor, write_key_values, write_tensor
 
 _INIT_TAG = 31
 
@@ -116,11 +116,9 @@ def descend(
 
     `item_losses(params)` yields each item's (loss, grads) at `params`, one
     gradient per array. Returns the final arrays and each step's mean loss;
-    a non-finite mean loss, a FloatingPointError from `item_losses` (an
-    overflowing feature norm), or a non-finite array after an update raises
-    `DivergenceError`. Overflow and invalid-value warnings are silenced
-    here, since those checks report them; an inner `errstate(over="raise")`
-    still takes precedence.
+    a non-finite mean loss, a `NonFiniteError` from `item_losses` or a
+    non-finite array after an update raises `DivergenceError`. Overflow and
+    invalid-value warnings are silenced here, since those checks report them.
     """
     losses: list[float] = []
     vel = None
@@ -131,7 +129,7 @@ def descend(
             for count, (loss, item_grads) in enumerate(item_losses(params), start=1):
                 total += loss
                 grads = item_grads if grads is None else [a + g for a, g in zip(grads, item_grads)]
-        except FloatingPointError:
+        except NonFiniteError:
             raise DivergenceError(step, "features") from None
         mean_loss = total / count
         if not np.isfinite(mean_loss):
@@ -189,7 +187,9 @@ def prepare_image(
     rows, member, counts = np.unique(source, return_inverse=True, return_counts=True)
     onehot = np.eye(rows.size)[member]  # (N, m) membership
     folded = onehot.T @ pair_weight(positions, labels, cfg.repel) @ onehot / counts
-    return substituted.features[rows], folded, np.log(counts)
+    distinct = substituted.features[rows]
+    norm(distinct, axis=1)  # a kept row too large to normalize is a data error, not divergence
+    return distinct, folded, np.log(counts)
 
 
 def projector_checksum(p: Projector) -> str:

@@ -3,9 +3,9 @@ numeric primitives every other module shares.
 
 Formats: `.scet` binary tensors (float64 in memory; float32 is allowed on
 disk and round-trips bit-exactly), key=value text, CSV and manifests.
-Primitives: pairwise squared distances, the last-axis softmax, the stable
-top-k, and bilinear upsampling of token grids. Imports nothing from the
-rest of the package.
+Primitives: squared distances and norms (both raise `NonFiniteError` on
+overflow), the last-axis softmax, the stable top-k, and bilinear
+upsampling of token grids. Imports nothing from the rest of the package.
 """
 
 from __future__ import annotations
@@ -32,6 +32,10 @@ _HEADER = struct.Struct("<4sIHH")
 
 class ScetError(ValueError):
     """Malformed or inconsistent tensor file."""
+
+
+class NonFiniteError(ValueError):
+    """A non-finite feature, norm or squared distance; `projector.descend` calls it divergence."""
 
 
 def write_tensor(path: str | Path, arr: np.ndarray) -> None:
@@ -211,13 +215,23 @@ def _grid_coords(target: int, cells: int) -> np.ndarray:
 def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(m, n) squared Euclidean distances between the rows of (m, d) `a` and (n, d) `b`.
 
-    A distance that overflows (finite but huge inputs) raises ValueError.
+    A distance that overflows (finite but huge inputs) raises NonFiniteError.
     """
     with np.errstate(over="ignore"):
         diff = a[:, None, :] - b[None, :, :]
         out = np.einsum("ijk,ijk->ij", diff, diff)
     if not np.isfinite(out).all():
-        raise ValueError("squared distances overflow")
+        raise NonFiniteError("squared distances overflow")
+    return out
+
+
+def norm(x: np.ndarray, axis: int | None = None, keepdims: bool = False) -> np.ndarray:
+    """`np.linalg.norm` with the same arguments, bit for bit; an overflowing norm
+    raises NonFiniteError, as inf would scale a row or a cosine to zero silently."""
+    with np.errstate(over="ignore"):
+        out = np.linalg.norm(x, axis=axis, keepdims=keepdims)
+    if not np.isfinite(out).all():
+        raise NonFiniteError("feature norms overflow")
     return out
 
 

@@ -160,10 +160,10 @@ def test_tampered_checkpoint_is_a_data_error(tmp_path, capsys):
     assert not (tmp_path / "m").exists()
 
 
-@pytest.mark.parametrize("command", ["eval-match", "export-simmap"])
+@pytest.mark.parametrize("command", ["eval-match", "export-simmap", "eval-detect"])
 def test_huge_checkpoint_weight_is_a_data_error(tiny_run, tmp_path, capsys, command):
     # finite and with a matching sha256, so the loader accepts it, but the
-    # matching cosine's feature norms overflow
+    # projected features' norms overflow
     ckpt = tmp_path / "checkpoint"
     shutil.copytree(tiny_run / "run" / "checkpoint", ckpt)
     weight, bias = read_tensor(ckpt / "weight.scet"), read_tensor(ckpt / "bias.scet")
@@ -172,11 +172,14 @@ def test_huge_checkpoint_weight_is_a_data_error(tiny_run, tmp_path, capsys, comm
     write_tensor(ckpt / "weight.scet", weight)
     meta = ckpt / "meta.txt"
     meta.write_text(meta.read_text().replace(old_digest, projector_checksum(Projector(weight, bias))))
-    out = tmp_path / ("m" if command == "eval-match" else "sim.pgm")
+    out = tmp_path / ("sim.pgm" if command == "export-simmap" else "out")
+    extra = []
+    if command == "eval-detect":
+        extra = ["--manifest", str(tiny_run / "corpus" / "manifest.txt"), "--budget", "2"]
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rc = main([command, "--checkpoint", str(ckpt), "--out", str(out), *TINY])
+        rc = main([command, "--checkpoint", str(ckpt), "--out", str(out), *extra, *TINY])
     assert rc == 2
     err = capsys.readouterr().err
     assert "feature norms overflow" in err
@@ -270,6 +273,32 @@ def test_huge_sample_value_is_a_data_error(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command", ["train-projector", "eval-detect"])
+def test_huge_main_value_is_a_data_error(tiny_run, tmp_path, capsys, command):
+    # finite, so the loader accepts it, but the norm of its row overflows; an
+    # attentive row survives substitution, so training sees it too
+    corpus = tmp_path / "corpus"
+    shutil.copytree(tiny_run / "corpus", corpus)
+    sample = corpus / "sample_0001"
+    output, _ = read_sample(sample)
+    attentive = split_tokens(cls_similarity(output.q_cls, output.keys), 0.25).attentive
+    main_feats = read_tensor(sample / "main.scet")
+    main_feats[attentive[0], 0] = 1e300
+    write_tensor(sample / "main.scet", main_feats)
+    argv = [command, "--manifest", str(corpus / "manifest.txt"), "--out", str(tmp_path / "out")]
+    if command == "eval-detect":
+        argv += ["--checkpoint", str(tiny_run / "run" / "checkpoint"), "--budget", "2"]
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([*argv, *TINY])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "feature norms overflow" in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sample_meta_without_grid_h_is_a_data_error(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     _gen(corpus, count=3)
@@ -341,11 +370,13 @@ def test_overflowing_projector_update_exits_3(tiny_run, tmp_path, capsys, cosine
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("lr", ["4.1e151", "1e300"])
+@pytest.mark.parametrize("lr", ["4.1e151", "1e300", "1e306"])
 def test_overflowing_feature_norm_exits_3(tiny_run, tmp_path, capsys, lr):
     # on this corpus a rate past about 4.06e151 leaves finite weights after
     # step 0 whose projected rows have norms that overflow at step 1; left
-    # alone, those rows scale to zeros and the cosine loss goes flat
+    # alone, those rows scale to zeros and the cosine loss goes flat. At
+    # 1e306 the projected values themselves overflow to inf, which is the
+    # same divergence
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = main(["train-projector", "--manifest", str(tiny_run / "corpus" / "manifest.txt"),

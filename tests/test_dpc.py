@@ -14,6 +14,7 @@ from selcorr.dpc import (
 )
 from selcorr.partition import cls_similarity, split_tokens
 from selcorr.synth import SyntheticFaceSpec, generate_backbone_output, sample_spec
+from selcorr.tensorio import NonFiniteError
 
 
 def brute_force(features, kc, verbatim=False):
@@ -80,9 +81,9 @@ def test_verbatim_density_overflow_raises():
     part = split_tokens(cls_similarity(out.q_cls, out.keys), cfg.eta)
     feats = out.aux.features[part.inattentive]
     assert (((feats[:, None, :] - feats[None, :, :]) ** 2).sum(axis=(1, 2)) > 709.8).all()
-    with pytest.raises(ValueError, match="verbatim density overflows"):
+    with pytest.raises(NonFiniteError, match="verbatim density overflows"):
         density(feats, verbatim=True)
-    with pytest.raises(ValueError, match="verbatim density overflows"):
+    with pytest.raises(NonFiniteError, match="verbatim density overflows"):
         cluster_tokens(feats, cfg.kc, verbatim=True)
 
 

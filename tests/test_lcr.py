@@ -13,6 +13,7 @@ from selcorr.lcr import (
     repellence_matrix,
     token_coords,
 )
+from selcorr.tensorio import NonFiniteError
 
 
 def _random_instance(rng, n=None, dp=None):
@@ -155,7 +156,7 @@ def test_validation_errors():
 def test_overflowing_feature_norm_raises():
     # an infinite norm would scale the row to zeros and flatten the loss
     phi = np.array([[1e200, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    with pytest.raises(FloatingPointError):
+    with pytest.raises(NonFiniteError, match="feature norms overflow"):
         loss_and_gradient(phi, np.ones((3, 3)))
-    with pytest.raises(FloatingPointError):
+    with pytest.raises(NonFiniteError, match="feature norms overflow"):
         correspondence_matrix(phi)

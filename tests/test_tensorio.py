@@ -1,13 +1,16 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
 from selcorr.tensorio import (
     FeatureGrid,
+    NonFiniteError,
     ScetError,
     bilinear_sample,
     bilinear_upsample,
+    norm,
     read_manifest,
     read_meta,
     read_tensor,
@@ -214,6 +217,30 @@ def test_sq_dists_hand_values():
     a = np.array([[0.0, 0.0], [3.0, 4.0]])
     b = np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 0.0]])
     assert sq_dists(a, b).tolist() == [[0.0, 2.0, 9.0], [25.0, 13.0, 16.0]]
+
+
+def test_sq_dists_overflow_raises():
+    with pytest.raises(NonFiniteError, match="squared distances overflow"):
+        sq_dists(np.array([[1e160, 0.0]]), np.zeros((1, 2)))
+
+
+def test_norm_is_numpy_norm_bit_for_bit():
+    rng = np.random.default_rng(3)
+    rows = rng.standard_normal((50, 7)) * rng.uniform(1e-3, 1e3, size=(50, 1))
+    for x, kwargs in ((rows[0], {}), (rows, {"axis": 1, "keepdims": True})):
+        assert norm(x, **kwargs).tobytes() == np.linalg.norm(x, **kwargs).tobytes()
+    assert norm(rows, axis=1, keepdims=True).shape == (50, 1)
+
+
+@pytest.mark.parametrize(
+    "x, kwargs", [([1.0, 1e160], {}), ([[0.0, 1.0], [1.0, 1e160]], {"axis": 1})]
+)
+def test_norm_overflow_raises_without_a_warning(x, kwargs):
+    # every value is finite, but the sum of squares overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match="feature norms overflow"):
+            norm(np.array(x), **kwargs)
 
 
 def test_softmax_last_axis_and_in_place():
