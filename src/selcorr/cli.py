@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import deque
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -194,7 +195,7 @@ def cmd_gen(cfg: ExperimentConfig, count: int, out: Path) -> int:
 
 
 def cmd_train_projector(cfg: ExperimentConfig, manifest: Path, out: Path) -> int:
-    corpus = [output for output, _ in read_corpus(manifest)]
+    corpus = (output for output, _ in read_corpus(manifest))
     proj, trace = train_projector(corpus, cfg.projector_train(), out_dim=cfg.d_proj)
     out.mkdir(parents=True, exist_ok=True)
     digest = save_checkpoint(out / "checkpoint", proj, seed=cfg.seed, steps=cfg.proj_steps)
@@ -226,16 +227,19 @@ def cmd_eval_detect(
 ) -> int:
     if budget < 1:
         raise ConfigError("budget must be >= 1")
-    samples = read_corpus(manifest)
-    if len(samples) <= cfg.holdout:
-        raise ValueError(
-            f"corpus of {len(samples)} cannot reserve {cfg.holdout} held-out samples"
-        )
-    train_n = min(budget, len(samples) - cfg.holdout)
+    # every sample is read and checked, but only the first `budget` and the
+    # last `holdout` are kept; an empty manifest raises before `count` is read
+    train_samples, held_out = [], deque(maxlen=cfg.holdout)
+    for count, sample in enumerate(read_corpus(manifest), start=1):
+        if count <= budget:
+            train_samples.append(sample)
+        held_out.append(sample)
+    if count <= cfg.holdout:
+        raise ValueError(f"corpus of {count} cannot reserve {cfg.holdout} held-out samples")
+    train_n = min(budget, count - cfg.holdout)
     if train_n < budget:
         print(f"warning: budget {budget} clamped to {train_n}", file=sys.stderr)
-    train_samples = samples[:train_n]
-    held_out = samples[len(samples) - cfg.holdout :]
+    del train_samples[train_n:]
     proj = load_checkpoint(checkpoint)
     gts = np.stack([lm for _, lm in held_out])
     means = []

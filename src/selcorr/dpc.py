@@ -36,12 +36,20 @@ def density(features: np.ndarray, verbatim: bool = False) -> np.ndarray:
     passes about 709, as the inattentive rows of the default corpus do,
     and then raises NonFiniteError.
     """
+    features = _checked(features)
+    return _density(sq_dists(features, features), verbatim)
+
+
+def _checked(features: np.ndarray) -> np.ndarray:
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] < 1:
         raise ValueError(f"expected (M, d) features with M >= 1, got {features.shape}")
     if not np.isfinite(features).all():
         raise ValueError("non-finite features")
-    sq = sq_dists(features, features)
+    return features
+
+
+def _density(sq: np.ndarray, verbatim: bool) -> np.ndarray:
     if verbatim:
         with np.errstate(over="ignore"):
             rho = np.exp(sq.sum(axis=1))
@@ -65,8 +73,12 @@ def peak_distance(features: np.ndarray, rho: np.ndarray) -> np.ndarray:
         raise ValueError("no tokens")
     if rho.shape != (m,):
         raise ValueError(f"rho shape {rho.shape} does not match {m} tokens")
-    dist = np.sqrt(sq_dists(features, features))
-    idx = np.arange(m)
+    return _peak_distance(sq_dists(features, features), rho)
+
+
+def _peak_distance(sq: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    dist = np.sqrt(sq)
+    idx = np.arange(rho.shape[0])
     denser = (rho[None, :] > rho[:, None]) | (
         (rho[None, :] == rho[:, None]) & (idx[None, :] < idx[:, None])
     )
@@ -105,9 +117,14 @@ def assign_members(features: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 
 def cluster_tokens(features: np.ndarray, kc: int, verbatim: bool = False) -> ClusterAssignment:
-    """Full pipeline: density -> separation -> center selection -> membership."""
-    rho = density(features, verbatim=verbatim)
-    delta = peak_distance(features, rho)
+    """Full pipeline: density -> separation -> center selection -> membership.
+
+    The M x M squared distances are built once, for density and separation.
+    """
+    features = _checked(features)
+    sq = sq_dists(features, features)
+    rho = _density(sq, verbatim)
+    delta = _peak_distance(sq, rho)
     centers = select_centers(rho, delta, kc)
     return ClusterAssignment(rho, delta, rho * delta, centers, assign_members(features, centers))
 

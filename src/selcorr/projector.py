@@ -200,15 +200,19 @@ def projector_checksum(p: Projector) -> str:
 
 
 def train_projector(
-    corpus: list[BackboneOutput], cfg: TrainConfig, out_dim: int
+    corpus: Iterable[BackboneOutput], cfg: TrainConfig, out_dim: int
 ) -> tuple[Projector, TrainTrace]:
-    """Minimize the mean per-image repellence loss over a frozen corpus."""
+    """Minimize the mean per-image repellence loss over a frozen corpus.
+
+    Only each image's prepared rows are kept, so `corpus` may be a stream
+    that is read once.
+    """
     cfg.validate()
-    if not corpus:
-        raise ValueError("corpus is empty")
     start = time.perf_counter()
     prepared = [prepare_image(out, cfg) for out in corpus]
-    init = init_projector(corpus[0].main.channels, out_dim, cfg.seed)
+    if not prepared:
+        raise ValueError("corpus is empty")
+    init = init_projector(prepared[0][0].shape[1], out_dim, cfg.seed)
 
     def item_losses(params):
         # chain rule through the affine map: phi = feats @ w + b

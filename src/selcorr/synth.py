@@ -12,6 +12,7 @@ controlled margin. Everything is a pure function of (spec, seed).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -484,27 +485,29 @@ def _read_landmarks(path: Path, grid: FeatureGrid) -> np.ndarray:
     return np.asarray(pts)
 
 
-def read_corpus(manifest: str | Path) -> list[tuple[BackboneOutput, np.ndarray]]:
-    """Every sample the manifest lists, each checked to agree with the first
-    on landmark count, grid geometry and channel counts.
+def read_corpus(manifest: str | Path) -> Iterator[tuple[BackboneOutput, np.ndarray]]:
+    """Every sample the manifest lists, read one at a time when iteration
+    reaches it, each checked to agree with the first on landmark count, grid
+    geometry and channel counts.
 
     An empty manifest or a disagreeing sample raises ValueError naming it.
+    Only the first sample's shape is kept, so memory is bounded by what the
+    caller keeps.
     """
-    corpus = []
+    want = None
     for directory in read_manifest(manifest):
         sample = read_sample(directory)
-        if corpus:
-            want, got = _sample_shape(*corpus[0]), _sample_shape(*sample)
-            for key, value in got.items():
-                if value != want[key]:
-                    raise ValueError(
-                        f"sample {directory}: {key}={value}, "
-                        f"but the first sample has {key}={want[key]}"
-                    )
-        corpus.append(sample)
-    if not corpus:
+        got = _sample_shape(*sample)
+        want = want or got
+        for key, value in got.items():
+            if value != want[key]:
+                raise ValueError(
+                    f"sample {directory}: {key}={value}, "
+                    f"but the first sample has {key}={want[key]}"
+                )
+        yield sample
+    if want is None:
         raise ValueError(f"manifest {manifest} lists no samples")
-    return corpus
 
 
 def _sample_shape(output: BackboneOutput, landmarks: np.ndarray) -> dict[str, int]:

@@ -1,5 +1,6 @@
 """End-to-end command tests, all in-process through cli.main()."""
 
+import gc
 import hashlib
 import shutil
 import warnings
@@ -11,10 +12,10 @@ import pytest
 from selcorr import cli
 from selcorr.cli import DROP_SWEEP, _match_protocol, _match_sweep, main
 from selcorr.config import load_config
-from selcorr.evaluation import projected_featurizer, raw_featurizer
+from selcorr.evaluation import projected_featurizer, raw_featurizer, train_regressor
 from selcorr.partition import cls_similarity, split_tokens
 from selcorr.projector import Projector, init_projector, projector_checksum
-from selcorr.synth import read_sample
+from selcorr.synth import BackboneOutput, read_sample
 from selcorr.tensorio import read_manifest, read_tensor, write_tensor
 
 # small geometry so every command finishes in well under a second
@@ -445,6 +446,30 @@ def test_budget_clamp_warning(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "clamped to 4" in err
     assert "budget=4" in (tmp_path / "det" / "summary.txt").read_text()
+
+
+def _alive_outputs() -> int:
+    gc.collect()
+    return sum(isinstance(o, BackboneOutput) for o in gc.get_objects())
+
+
+def test_eval_detect_keeps_only_the_samples_it_uses(tmp_path, monkeypatch):
+    corpus, run = tmp_path / "corpus", tmp_path / "run"
+    _gen(corpus, count=9)
+    manifest = str(corpus / "manifest.txt")
+    assert main(["train-projector", "--manifest", manifest, "--out", str(run), *TINY]) == 0
+    before = _alive_outputs()
+    alive = []
+
+    def counting(samples, *args, **kwargs):
+        alive.append(_alive_outputs() - before)
+        return train_regressor(samples, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "train_regressor", counting)
+    # 9 samples, budget 3, holdout 2: samples 0-2 train, 7-8 are held out
+    assert main(["eval-detect", "--manifest", manifest, "--checkpoint", str(run / "checkpoint"),
+                 "--budget", "3", "--out", str(tmp_path / "det"), *TINY, "--repeats", "2"]) == 0
+    assert alive == [3 + 2, 3 + 2]
 
 
 def test_bad_landmarks_are_a_data_error(tmp_path, capsys):

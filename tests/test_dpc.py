@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from selcorr import dpc
 from selcorr.config import ExperimentConfig
 from selcorr.dpc import (
     approximate_inattentive,
@@ -14,7 +15,7 @@ from selcorr.dpc import (
 )
 from selcorr.partition import cls_similarity, split_tokens
 from selcorr.synth import SyntheticFaceSpec, generate_backbone_output, sample_spec
-from selcorr.tensorio import NonFiniteError
+from selcorr.tensorio import NonFiniteError, sq_dists
 
 
 def brute_force(features, kc, verbatim=False):
@@ -85,6 +86,29 @@ def test_verbatim_density_overflow_raises():
         density(feats, verbatim=True)
     with pytest.raises(NonFiniteError, match="verbatim density overflows"):
         cluster_tokens(feats, cfg.kc, verbatim=True)
+
+
+def test_cluster_tokens_builds_the_distances_once(monkeypatch):
+    # the default corpus's inattentive aux rows: 108 of them, against kc 4
+    cfg = ExperimentConfig()
+    spec = sample_spec(cfg.face_spec(), cfg.seed, 0, sigma_frac=cfg.tps_sigma_frac)
+    out = generate_backbone_output(spec, seed=0)
+    part = split_tokens(cls_similarity(out.q_cls, out.keys), cfg.eta)
+    feats = out.aux.features[part.inattentive]
+    m = feats.shape[0]
+    assert m > cfg.kc
+    rho = density(feats)
+    delta = peak_distance(feats, rho)
+    shapes = []
+
+    def counting(a, b):
+        shapes.append((a.shape[0], b.shape[0]))
+        return sq_dists(a, b)
+
+    monkeypatch.setattr(dpc, "sq_dists", counting)
+    asg = cluster_tokens(feats, cfg.kc)
+    assert shapes.count((m, m)) == 1
+    assert asg.rho.tobytes() == rho.tobytes() and asg.delta.tobytes() == delta.tobytes()
 
 
 def test_density_two_points():

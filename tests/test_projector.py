@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from selcorr.projector import (
     DivergenceError,
     Projector,
     TrainConfig,
+    descend,
     init_projector,
     load_checkpoint,
     prepare_image,
@@ -263,6 +265,25 @@ def test_training_runs_the_loss_on_distinct_rows_only(monkeypatch):
     assert corpus[0].main.n_tokens == 144
     train_projector(corpus, replace(cfg.projector_train(), steps=2), out_dim=cfg.d_proj)
     assert seen == [((40, cfg.d_proj), (40, 40), (40,))] * 4
+
+
+def test_training_keeps_no_backbone_output_once_prepared(monkeypatch):
+    refs = []
+
+    def recording(output, cfg):
+        refs.append(weakref.ref(output))
+        return prepare_image(output, cfg)
+
+    def checking(params, item_losses, cfg):
+        assert len(refs) == 3 and all(ref() is None for ref in refs)
+        return descend(params, item_losses, cfg)
+
+    monkeypatch.setattr(projector, "prepare_image", recording)
+    monkeypatch.setattr(projector, "descend", checking)
+    spec = SyntheticFaceSpec()
+    stream = (generate_backbone_output(spec, seed=i) for i in range(3))
+    proj, trace = train_projector(stream, TrainConfig(steps=2, kc=2), out_dim=4)
+    assert len(trace.losses) == 2 and proj.in_dim == spec.d
 
 
 def test_empty_corpus_rejected():

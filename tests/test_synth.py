@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from selcorr import synth
 from selcorr.synth import (
     DEFAULT_LANDMARKS,
     SyntheticFaceSpec,
@@ -262,12 +263,12 @@ def test_read_corpus_checks_consistency(tmp_path):
     _written_sample(tmp_path / "b", spec)
     manifest = tmp_path / "manifest.txt"
     manifest.write_text("a\nb\n")
-    assert len(read_corpus(manifest)) == 2
+    assert len(list(read_corpus(manifest))) == 2
     # four landmarks, against the first sample's five
     four = SyntheticFaceSpec(landmarks_px=spec.landmarks_px[:4], landmark_groups=(0, 0, 1, 2))
     _written_sample(tmp_path / "b", four)
     with pytest.raises(ValueError, match=f"sample {tmp_path / 'b'}: landmarks=4"):
-        read_corpus(manifest)
+        list(read_corpus(manifest))
     # the same five landmarks on 64-pixel images: an 8x8 grid against 12x12
     small = SyntheticFaceSpec(
         landmarks_px=tuple((x * 2 / 3, y * 2 / 3) for x, y in spec.landmarks_px),
@@ -276,10 +277,33 @@ def test_read_corpus_checks_consistency(tmp_path):
     )
     _written_sample(tmp_path / "b", small)
     with pytest.raises(ValueError, match=f"sample {tmp_path / 'b'}: grid_h=8, .* grid_h=12"):
-        read_corpus(manifest)
+        list(read_corpus(manifest))
     manifest.write_text("\n")
     with pytest.raises(ValueError, match=f"manifest {manifest} lists no samples"):
-        read_corpus(manifest)
+        list(read_corpus(manifest))
+
+
+def test_read_corpus_reads_one_sample_at_a_time(tmp_path, monkeypatch):
+    for name in "abc":
+        _written_sample(tmp_path / name)
+    (tmp_path / "c" / "meta.txt").write_text("grid_h=12\n")  # no grid_w
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("a\nb\nc\n")
+    read = []
+
+    def counted(directory):
+        read.append(directory)
+        return read_sample(directory)
+
+    monkeypatch.setattr(synth, "read_sample", counted)
+    samples = read_corpus(manifest)
+    assert read == []
+    next(samples)
+    assert read == [tmp_path / "a"]
+    next(samples)
+    assert len(read) == 2
+    with pytest.raises(ValueError, match=str(tmp_path / "c")):
+        next(samples)
 
 
 def test_backbone_output_shape_check():

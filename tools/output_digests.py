@@ -12,8 +12,9 @@ two trees run into different directories print comparable lines.
 
 Per seed: `gen` (32 samples); `train-projector` with gd, with
 `--optimizer momentum` and with `--cosine false`; `eval-match` with the gd
-checkpoint, raw, and raw with `--drop-rate 0.5`; `eval-detect` by default
-and with `--reg-optimizer gd --repeats 2`; `ablate --axis kc`, and
+checkpoint, raw, and raw with `--drop-rate 0.5`; `eval-detect` by default,
+with `--reg-optimizer gd --repeats 2`, and with `--budget 30` (clamped to
+24, so the training and held-out samples meet); `ablate --axis kc`, and
 `--axis drop_rate` raw and with the checkpoint; `export-simmap`. Matching
 runs at PAIRS (50) pairs per kind, except the first seed's three
 `eval-match` runs, which run FIRST_SEED_PAIRS (500, the default). Both are
@@ -61,6 +62,8 @@ def _matrix(root: Path, match_pairs: str) -> list[tuple[str, list[str]]]:
                     *out("detect")]),
         ("detect_gd2", ["eval-detect", "--manifest", manifest, "--checkpoint", ckpt,
                         *out("detect_gd2"), "--reg-optimizer", "gd", "--repeats", "2"]),
+        ("detect_budget30", ["eval-detect", "--manifest", manifest, "--checkpoint", ckpt,
+                             *out("detect_budget30"), "--budget", "30"]),
         ("ablate_kc", ["ablate", "--axis", "kc", "--manifest", manifest, *out("ablate_kc"),
                        "--pairs", PAIRS]),
         ("ablate_drop_raw", ["ablate", "--axis", "drop_rate", *out("ablate_drop_raw"),
