@@ -1,8 +1,8 @@
 """Downstream protocols: landmark matching and heatmap-regression detection.
 
 Matching takes cosine-similarity argmaxes at image resolution: only the
-test map is upsampled to pixels, and each reference query feature is
-sampled at its one pixel.
+test map is upsampled to pixels, and the reference query features are
+sampled in one call, each at its one pixel.
 Detection runs a 3x3 conv over concatenated first/second-stage channels,
 decodes each heatmap with a soft-argmax, and maps the decoded coordinates
 through a small per-landmark linear head; its backward pass is derived by
@@ -68,25 +68,29 @@ def similarity_stack(ref: FeatureGrid, test: FeatureGrid, queries_px: np.ndarray
     every pixel of the upsampled test map.
 
     Equal, bit for bit, to `similarity_map` of both upsampled maps for each
-    query, but only the test grid is upsampled in full; each query feature
-    is sampled at its rounded, clipped pixel. Zero-norm rules as there.
+    query, but only the test grid is upsampled in full; the query features
+    are the diagonal of one (L, L) block sampled at the rounded, clipped
+    query rows and columns. Zero-norm rules as there.
     """
     if ref.channels != test.channels:
         raise ValueError("feature maps disagree on channel count")
     test_map = upsample_features(test)
     flat = test_map.values.reshape(-1, test_map.channels)
     norms = _TestNorms(flat)
-    sims = np.empty((len(queries_px), test_map.height, test_map.width))
-    for i, query_px in enumerate(queries_px):
-        qx, qy = _query_pixel(query_px, ref.image_h, ref.image_w)
-        q = bilinear_sample(ref, ref.image_h, ref.image_w, [qy], [qx])[0, 0]
-        sims[i] = _cosine_rows(q, (qx, qy), flat, norms).reshape(sims.shape[1:])
+    pixels = [_query_pixel(query_px, ref.image_h, ref.image_w) for query_px in queries_px]
+    qxs = [qx for qx, _ in pixels]
+    qys = [qy for _, qy in pixels]
+    diag = np.arange(len(pixels))
+    queries = bilinear_sample(ref, ref.image_h, ref.image_w, qys, qxs)[diag, diag]
+    sims = np.empty((len(pixels), test_map.height, test_map.width))
+    for i, (q, q_px) in enumerate(zip(queries, pixels)):
+        sims[i] = _cosine_rows(q, q_px, flat, norms).reshape(sims.shape[1:])
     return sims
 
 
 def _query_pixel(query_px, height: int, width: int) -> tuple[int, int]:
-    qx = int(np.clip(round(query_px[0]), 0, width - 1))
-    qy = int(np.clip(round(query_px[1]), 0, height - 1))
+    qx = min(max(int(round(query_px[0])), 0), width - 1)
+    qy = min(max(int(round(query_px[1])), 0), height - 1)
     return qx, qy
 
 

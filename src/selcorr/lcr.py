@@ -165,9 +165,20 @@ def evaluate_loss(
     )
 
 
-def pair_weight(positions: np.ndarray, labels: np.ndarray, cfg: RepellenceConfig) -> np.ndarray:
-    """Constant per-image factor of the loss: locality times repellence."""
-    return locality_matrix(positions) * repellence_matrix(labels, cfg)
+def pair_weight(
+    positions: np.ndarray,
+    labels: np.ndarray,
+    cfg: RepellenceConfig,
+    locality: np.ndarray | None = None,
+) -> np.ndarray:
+    """Constant per-image factor of the loss: locality times repellence.
+
+    `locality`, when given, is `locality_matrix(positions)` built once by a
+    caller that weighs many images on one grid.
+    """
+    if locality is None:
+        locality = locality_matrix(positions)
+    return locality * repellence_matrix(labels, cfg)
 
 
 def loss_and_gradient(

@@ -10,6 +10,7 @@ obtained by chaining the repellence-loss gradient through the affine map.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import time
 from collections.abc import Callable, Iterable
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .dpc import approximate_inattentive, cluster_tokens
-from .lcr import RepellenceConfig, loss_and_gradient, pair_weight, token_coords
+from .lcr import RepellenceConfig, locality_matrix, loss_and_gradient, pair_weight, token_coords
 from .partition import cls_similarity, split_tokens
 from .synth import BackboneOutput
 from .tensorio import FeatureGrid, NonFiniteError, norm, read_meta, read_tensor, write_key_values, write_tensor
@@ -165,7 +166,7 @@ def project(p: Projector, grid: FeatureGrid) -> FeatureGrid:
 
 
 def prepare_image(
-    output: BackboneOutput, cfg: TrainConfig
+    output: BackboneOutput, cfg: TrainConfig, locality: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Everything about one image that does not depend on projector weights.
 
@@ -174,7 +175,8 @@ def prepare_image(
     centers) distinct rows. Returns those rows of the substituted token
     matrix (m, d), the pair weight folded onto them (m, m) and their log
     multiplicities (m,): `loss_and_gradient` on these is the loss on all
-    N tokens (see `lcr`).
+    N tokens (see `lcr`). `locality` is the grid's `lcr.locality_matrix`,
+    passed by callers that prepare many images on one grid.
     """
     part = split_tokens(cls_similarity(output.q_cls, output.keys), cfg.eta)
     assignment = cluster_tokens(output.aux.features[part.inattentive], cfg.kc)
@@ -186,7 +188,7 @@ def prepare_image(
     source[part.inattentive] = part.inattentive[assignment.member_center]
     rows, member, counts = np.unique(source, return_inverse=True, return_counts=True)
     onehot = np.eye(rows.size)[member]  # (N, m) membership
-    folded = onehot.T @ pair_weight(positions, labels, cfg.repel) @ onehot / counts
+    folded = onehot.T @ pair_weight(positions, labels, cfg.repel, locality) @ onehot / counts
     distinct = substituted.features[rows]
     norm(distinct, axis=1)  # a kept row too large to normalize is a data error, not divergence
     return distinct, folded, np.log(counts)
@@ -209,7 +211,11 @@ def train_projector(
     """
     cfg.validate()
     start = time.perf_counter()
-    prepared = [prepare_image(out, cfg) for out in corpus]
+    # every image on one grid has the same locality matrix
+    locality = functools.cache(lambda h, w: locality_matrix(token_coords(h, w)))
+    prepared = [
+        prepare_image(out, cfg, locality(out.main.grid_h, out.main.grid_w)) for out in corpus
+    ]
     if not prepared:
         raise ValueError("corpus is empty")
     init = init_projector(prepared[0][0].shape[1], out_dim, cfg.seed)

@@ -11,6 +11,7 @@ controlled margin. Everything is a pure function of (spec, seed).
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
@@ -183,18 +184,38 @@ def landmark_cells(spec: SyntheticFaceSpec) -> np.ndarray:
 
 
 def _prototypes(spec: SyntheticFaceSpec) -> dict[str, np.ndarray]:
-    """Class-level draws shared by every identity built on the same prototype seed."""
-    rng = np.random.default_rng([_PROTO_TAG, spec.prototype_seed])
-    base = rng.standard_normal(spec.d)
+    """Class-level draws shared by every identity built on the same prototype
+    seed; read-only arrays, drawn once per distinct key."""
+    return _prototype_draw(
+        spec.prototype_seed,
+        spec.d,
+        spec.d_aux,
+        spec.landmark_groups,
+        spec.n_regions,
+        spec.proto_corr,
+    )
+
+
+@functools.lru_cache(maxsize=16)
+def _prototype_draw(
+    prototype_seed: int,
+    d: int,
+    d_aux: int,
+    landmark_groups: tuple[int, ...],
+    n_regions: int,
+    proto_corr: float,
+) -> dict[str, np.ndarray]:
+    rng = np.random.default_rng([_PROTO_TAG, prototype_seed])
+    n_landmarks = len(landmark_groups)
+    base = rng.standard_normal(d)
     # appearance is drawn per group, so symmetric landmarks share a prototype
-    group_unique = rng.standard_normal((spec.n_groups, spec.d))
-    region_unique = rng.standard_normal((spec.n_regions, spec.d))
-    q_cls = rng.standard_normal(spec.d)
-    lm_aux = rng.standard_normal((spec.n_landmarks, spec.d_aux))
-    region_aux = rng.standard_normal((spec.n_regions, spec.d_aux))
+    group_unique = rng.standard_normal((max(landmark_groups) + 1, d))
+    region_unique = rng.standard_normal((n_regions, d))
+    q_cls = rng.standard_normal(d)
+    lm_aux = rng.standard_normal((n_landmarks, d_aux))
+    region_aux = rng.standard_normal((n_regions, d_aux))
     # orthonormal columns spanning the positional-signature subspace
-    n_code = spec.n_landmarks + spec.n_regions
-    pos_embed, _ = np.linalg.qr(rng.standard_normal((spec.d, n_code)))
+    pos_embed, _ = np.linalg.qr(rng.standard_normal((d, n_landmarks + n_regions)))
     # appearance lives in the complement of the signature subspace, so
     # position and appearance never interfere
     def _ortho_unit(rows: np.ndarray) -> np.ndarray:
@@ -204,18 +225,21 @@ def _prototypes(spec: SyntheticFaceSpec) -> dict[str, np.ndarray]:
     base = _ortho_unit(base[None])[0]
     group_unique = _ortho_unit(group_unique)
     region_unique = _ortho_unit(region_unique)
-    c = spec.proto_corr
+    c = proto_corr
     mix = math.sqrt(1.0 - c * c)
-    scale = math.sqrt(spec.d)
-    groups = list(spec.landmark_groups)
-    return {
-        "lm_mean": (scale * (c * base + mix * group_unique))[groups],
+    scale = math.sqrt(d)
+    proto = {
+        "lm_mean": (scale * (c * base + mix * group_unique))[list(landmark_groups)],
         "region_mean": scale * (c * base + mix * region_unique),
         "lm_aux": lm_aux,
         "region_aux": region_aux,
         "q_cls": q_cls,
         "pos_embed": pos_embed,
     }
+    # every caller shares these arrays
+    for arr in proto.values():
+        arr.flags.writeable = False
+    return proto
 
 
 def _identity_offsets(spec: SyntheticFaceSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -295,7 +319,7 @@ def generate_backbone_output(spec: SyntheticFaceSpec, seed: int) -> BackboneOutp
     return BackboneOutput(
         main=FeatureGrid(g, g, spec.patch, main),
         aux=FeatureGrid(g, g, spec.patch, aux),
-        q_cls=q,
+        q_cls=q.copy(),
         keys=keys,
         spec=spec,
     )
@@ -357,8 +381,9 @@ def draw_warp(
 
 def warped_spec(spec: SyntheticFaceSpec, params: TpsParams) -> SyntheticFaceSpec:
     """Same identity and statistics, geometry pushed through the warp."""
-    lm = tps_warp(np.asarray(spec.landmarks_px), params)
-    anchors = tps_warp(np.asarray(spec.region_anchors_px), params)
+    # one solve for both point sets; each output row depends only on its input row
+    points = tps_warp(np.asarray(spec.landmarks_px + spec.region_anchors_px), params)
+    lm, anchors = points[: spec.n_landmarks], points[spec.n_landmarks :]
     return replace(
         spec,
         landmarks_px=tuple(map(tuple, lm)),

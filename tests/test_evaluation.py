@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from selcorr import evaluation, tensorio
 from selcorr.evaluation import (
     MASKED,
     drop_mask,
@@ -157,6 +158,20 @@ def test_pair_similarity_equals_dense_oracle_bit_for_bit(featurizer, drop_rate):
             px, py = _best_pixel(ref_map, test_map, tuple(query), mask)
             expect.append(np.hypot(px - gx, py - gy))
         assert errors.tobytes() == np.array(expect).tobytes()
+
+
+@pytest.mark.parametrize("n_queries", [1, 5, 9])
+def test_similarity_stack_samples_in_two_calls(monkeypatch, n_queries):
+    """One upsampling of the test grid and one query block per pair, whatever L."""
+    calls = []
+    sample = tensorio.bilinear_sample
+    counting = lambda *a: calls.append(1) or sample(*a)  # noqa: E731
+    monkeypatch.setattr(tensorio, "bilinear_sample", counting)
+    monkeypatch.setattr(evaluation, "bilinear_sample", counting)
+    pair = make_pair(SyntheticFaceSpec(**SMALL), "same", 0)
+    queries = np.random.default_rng(n_queries).uniform(-2.0, 34.0, size=(n_queries, 2))
+    stack = similarity_stack(pair.ref.main, pair.test.main, queries)
+    assert stack.shape == (n_queries, 32, 32) and len(calls) == 2
 
 
 def test_soft_argmax_single_finite_value_is_exact():

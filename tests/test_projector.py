@@ -4,10 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from selcorr import projector
+from selcorr import lcr, projector
 from selcorr.config import ExperimentConfig
 from selcorr.dpc import cluster_tokens
-from selcorr.lcr import RepellenceConfig, loss_and_gradient
+from selcorr.lcr import RepellenceConfig, locality_matrix, loss_and_gradient, token_coords
 from selcorr.partition import cls_similarity, split_tokens
 from selcorr.projector import (
     DivergenceError,
@@ -270,9 +270,9 @@ def test_training_runs_the_loss_on_distinct_rows_only(monkeypatch):
 def test_training_keeps_no_backbone_output_once_prepared(monkeypatch):
     refs = []
 
-    def recording(output, cfg):
+    def recording(output, cfg, *locality):
         refs.append(weakref.ref(output))
-        return prepare_image(output, cfg)
+        return prepare_image(output, cfg, *locality)
 
     def checking(params, item_losses, cfg):
         assert len(refs) == 3 and all(ref() is None for ref in refs)
@@ -284,6 +284,25 @@ def test_training_keeps_no_backbone_output_once_prepared(monkeypatch):
     stream = (generate_backbone_output(spec, seed=i) for i in range(3))
     proj, trace = train_projector(stream, TrainConfig(steps=2, kc=2), out_dim=4)
     assert len(trace.losses) == 2 and proj.in_dim == spec.d
+
+
+def test_training_builds_the_locality_matrix_once(monkeypatch):
+    calls = []
+
+    def counting(positions):
+        calls.append(1)
+        return locality_matrix(positions)
+
+    monkeypatch.setattr(lcr, "locality_matrix", counting)
+    monkeypatch.setattr(projector, "locality_matrix", counting, raising=False)
+    cfg = TrainConfig(steps=2, kc=2)
+    train_projector(_small_corpus(4), cfg, out_dim=4)
+    assert len(calls) == 1
+    # the shared matrix gives each image the pair weight it builds on its own
+    shared = locality_matrix(token_coords(4, 4))
+    for out in _small_corpus(4):
+        alone, with_shared = prepare_image(out, cfg), prepare_image(out, cfg, shared)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(alone, with_shared))
 
 
 def test_empty_corpus_rejected():

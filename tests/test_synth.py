@@ -150,6 +150,51 @@ def test_warped_spec_moves_geometry_only():
     assert spec.sigma_lm == base.sigma_lm
 
 
+def test_warped_spec_solves_once_and_equals_two_warps(monkeypatch):
+    base = SyntheticFaceSpec()
+    rng = np.random.default_rng(7)
+    solve = np.linalg.solve
+    calls = []
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: calls.append(1) or solve(*a))
+    for sigma_frac in (0.02, 0.05, 0.2):
+        for _ in range(20):
+            warp = draw_warp(96, rng, sigma_frac=sigma_frac)
+            calls.clear()
+            spec = warped_spec(base, warp)
+            assert len(calls) == 1
+            lm = tps_warp(np.asarray(base.landmarks_px), warp)
+            anchors = tps_warp(np.asarray(base.region_anchors_px), warp)
+            assert np.asarray(spec.landmarks_px).tobytes() == lm.tobytes()
+            assert np.asarray(spec.region_anchors_px).tobytes() == anchors.tobytes()
+
+
+def test_make_pair_draws_the_prototypes_once(monkeypatch):
+    # a prototype seed no other test uses, so no earlier draw is remembered
+    base = SyntheticFaceSpec(prototype_seed=90_917)
+    qr = np.linalg.qr
+    calls = []
+    monkeypatch.setattr(np.linalg, "qr", lambda *a: calls.append(1) or qr(*a))
+    for seed in range(6):
+        make_pair(base, ("same", "different")[seed % 2], seed)
+    assert len(calls) == 1
+
+
+def test_shared_prototypes_are_read_only_and_never_aliased():
+    spec = SyntheticFaceSpec()
+    proto = synth._prototypes(spec)
+    for arr in proto.values():
+        with pytest.raises(ValueError):
+            arr[...] = 0.0
+    first = generate_backbone_output(spec, seed=3)
+    expect = [a.copy() for a in (first.main.features, first.aux.features, first.q_cls, first.keys)]
+    for arr in (first.main.features, first.aux.features, first.q_cls, first.keys):
+        assert not any(np.shares_memory(arr, shared) for shared in proto.values())
+        arr[...] = 0.0
+    again = generate_backbone_output(spec, seed=3)
+    got = (again.main.features, again.aux.features, again.q_cls, again.keys)
+    assert all(g.tobytes() == e.tobytes() for g, e in zip(got, expect))
+
+
 def test_sample_spec_varies_identity_and_geometry():
     base = SyntheticFaceSpec()
     s0 = sample_spec(base, 0, 0)
