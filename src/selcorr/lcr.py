@@ -153,7 +153,7 @@ def evaluate_loss(
     phi = np.asarray(projected, dtype=np.float64)
     if np.asarray(positions).shape[0] != phi.shape[0] or np.asarray(labels).shape[0] != phi.shape[0]:
         raise ValueError("projected, positions and labels disagree on token count")
-    terms = pair_weight(positions, labels, cfg) * correspondence_matrix(
+    terms = pair_weight(locality_matrix(positions), labels, cfg) * correspondence_matrix(
         phi, tau=cfg.tau, cosine=cfg.cosine
     )
     aa, ai, ii = _pair_masks(labels)
@@ -165,19 +165,8 @@ def evaluate_loss(
     )
 
 
-def pair_weight(
-    positions: np.ndarray,
-    labels: np.ndarray,
-    cfg: RepellenceConfig,
-    locality: np.ndarray | None = None,
-) -> np.ndarray:
-    """Constant per-image factor of the loss: locality times repellence.
-
-    `locality`, when given, is `locality_matrix(positions)` built once by a
-    caller that weighs many images on one grid.
-    """
-    if locality is None:
-        locality = locality_matrix(positions)
+def pair_weight(locality: np.ndarray, labels: np.ndarray, cfg: RepellenceConfig) -> np.ndarray:
+    """Constant per-image factor of the loss: `locality_matrix` times repellence."""
     return locality * repellence_matrix(labels, cfg)
 
 

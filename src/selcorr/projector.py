@@ -165,8 +165,16 @@ def project(p: Projector, grid: FeatureGrid) -> FeatureGrid:
     return FeatureGrid(grid.grid_h, grid.grid_w, grid.patch, grid.features @ p.weight + p.bias)
 
 
+@functools.lru_cache(maxsize=4)
+def _grid_locality(grid_h: int, grid_w: int) -> np.ndarray:
+    """`lcr.locality_matrix` of a token grid, shared read-only by every image on it."""
+    locality = locality_matrix(token_coords(grid_h, grid_w))
+    locality.flags.writeable = False
+    return locality
+
+
 def prepare_image(
-    output: BackboneOutput, cfg: TrainConfig, locality: np.ndarray | None = None
+    output: BackboneOutput, cfg: TrainConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Everything about one image that does not depend on projector weights.
 
@@ -175,20 +183,19 @@ def prepare_image(
     centers) distinct rows. Returns those rows of the substituted token
     matrix (m, d), the pair weight folded onto them (m, m) and their log
     multiplicities (m,): `loss_and_gradient` on these is the loss on all
-    N tokens (see `lcr`). `locality` is the grid's `lcr.locality_matrix`,
-    passed by callers that prepare many images on one grid.
+    N tokens (see `lcr`).
     """
     part = split_tokens(cls_similarity(output.q_cls, output.keys), cfg.eta)
     assignment = cluster_tokens(output.aux.features[part.inattentive], cfg.kc)
     substituted = approximate_inattentive(output.main, part.inattentive, assignment.member_center)
     labels = np.zeros(substituted.n_tokens, dtype=bool)
     labels[part.attentive] = True
-    positions = token_coords(substituted.grid_h, substituted.grid_w)
     source = np.arange(substituted.n_tokens)
     source[part.inattentive] = part.inattentive[assignment.member_center]
     rows, member, counts = np.unique(source, return_inverse=True, return_counts=True)
     onehot = np.eye(rows.size)[member]  # (N, m) membership
-    folded = onehot.T @ pair_weight(positions, labels, cfg.repel, locality) @ onehot / counts
+    locality = _grid_locality(substituted.grid_h, substituted.grid_w)
+    folded = onehot.T @ pair_weight(locality, labels, cfg.repel) @ onehot / counts
     distinct = substituted.features[rows]
     norm(distinct, axis=1)  # a kept row too large to normalize is a data error, not divergence
     return distinct, folded, np.log(counts)
@@ -211,11 +218,7 @@ def train_projector(
     """
     cfg.validate()
     start = time.perf_counter()
-    # every image on one grid has the same locality matrix
-    locality = functools.cache(lambda h, w: locality_matrix(token_coords(h, w)))
-    prepared = [
-        prepare_image(out, cfg, locality(out.main.grid_h, out.main.grid_w)) for out in corpus
-    ]
+    prepared = [prepare_image(out, cfg) for out in corpus]
     if not prepared:
         raise ValueError("corpus is empty")
     init = init_projector(prepared[0][0].shape[1], out_dim, cfg.seed)

@@ -191,6 +191,8 @@ def _prototypes(spec: SyntheticFaceSpec) -> dict[str, np.ndarray]:
         spec.d,
         spec.d_aux,
         spec.landmark_groups,
+        spec.n_landmarks,
+        spec.n_groups,
         spec.n_regions,
         spec.proto_corr,
     )
@@ -202,14 +204,15 @@ def _prototype_draw(
     d: int,
     d_aux: int,
     landmark_groups: tuple[int, ...],
+    n_landmarks: int,
+    n_groups: int,
     n_regions: int,
     proto_corr: float,
 ) -> dict[str, np.ndarray]:
     rng = np.random.default_rng([_PROTO_TAG, prototype_seed])
-    n_landmarks = len(landmark_groups)
     base = rng.standard_normal(d)
     # appearance is drawn per group, so symmetric landmarks share a prototype
-    group_unique = rng.standard_normal((max(landmark_groups) + 1, d))
+    group_unique = rng.standard_normal((n_groups, d))
     region_unique = rng.standard_normal((n_regions, d))
     q_cls = rng.standard_normal(d)
     lm_aux = rng.standard_normal((n_landmarks, d_aux))

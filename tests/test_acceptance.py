@@ -91,7 +91,7 @@ def test_criterion_01_gradients_match_finite_differences():
         phi = rng.standard_normal((n, dp))
         labels = np.zeros(n, dtype=bool)
         labels[rng.permutation(n)[: int(rng.integers(1, n))]] = True
-        weight = pair_weight(token_coords(1, n), labels, RepellenceConfig())
+        weight = pair_weight(locality_matrix(token_coords(1, n)), labels, RepellenceConfig())
         tau = float(rng.choice([0.07, 0.5]))
         cosine = bool(rng.integers(0, 2))
         _, grad = loss_and_gradient(phi, weight, tau=tau, cosine=cosine)
@@ -117,7 +117,7 @@ def test_criterion_01_gradients_match_finite_differences():
         b = rng.standard_normal(dp) * 0.1
         labels = np.zeros(n, dtype=bool)
         labels[: max(1, n // 3)] = True
-        weight = pair_weight(token_coords(1, n), labels, RepellenceConfig())
+        weight = pair_weight(locality_matrix(token_coords(1, n)), labels, RepellenceConfig())
 
         def loss_of(wm, bm):
             return loss_and_gradient(z @ wm + bm, weight)[0]

@@ -104,7 +104,7 @@ def test_diagonal_never_contributes():
     phi, pos, labels = _random_instance(rng)
     cfg = RepellenceConfig()
     out = evaluate_loss(phi, pos, labels, cfg)
-    w = pair_weight(pos, labels, cfg)
+    w = pair_weight(locality_matrix(pos), labels, cfg)
     terms = w * correspondence_matrix(phi, tau=cfg.tau, cosine=cfg.cosine)
     assert out.total == pytest.approx(terms[~np.eye(len(labels), dtype=bool)].sum(), rel=1e-12)
 
@@ -114,7 +114,8 @@ def test_gradient_matches_finite_differences(cosine):
     rng = np.random.default_rng(17)
     phi, pos, labels = _random_instance(rng, n=7, dp=3)
     cfg = RepellenceConfig(tau=0.07, cosine=cosine)
-    grad = loss_and_gradient(phi, pair_weight(pos, labels, cfg), tau=cfg.tau, cosine=cfg.cosine)[1]
+    weight = pair_weight(locality_matrix(pos), labels, cfg)
+    grad = loss_and_gradient(phi, weight, tau=cfg.tau, cosine=cfg.cosine)[1]
     h = 1e-5
     fd = np.zeros_like(phi)
     for i in range(phi.shape[0]):
@@ -133,7 +134,7 @@ def test_loss_and_gradient_consistent_with_evaluate():
     rng = np.random.default_rng(18)
     phi, pos, labels = _random_instance(rng)
     cfg = RepellenceConfig()
-    w = pair_weight(pos, labels, cfg)
+    w = pair_weight(locality_matrix(pos), labels, cfg)
     total, _ = loss_and_gradient(phi, w, tau=cfg.tau, cosine=cfg.cosine)
     assert total == pytest.approx(evaluate_loss(phi, pos, labels, cfg).total, rel=1e-12)
 

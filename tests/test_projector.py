@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from selcorr import lcr, projector
+from selcorr import projector
 from selcorr.config import ExperimentConfig
 from selcorr.dpc import cluster_tokens
 from selcorr.lcr import RepellenceConfig, locality_matrix, loss_and_gradient, token_coords
@@ -270,9 +270,9 @@ def test_training_runs_the_loss_on_distinct_rows_only(monkeypatch):
 def test_training_keeps_no_backbone_output_once_prepared(monkeypatch):
     refs = []
 
-    def recording(output, cfg, *locality):
+    def recording(output, cfg):
         refs.append(weakref.ref(output))
-        return prepare_image(output, cfg, *locality)
+        return prepare_image(output, cfg)
 
     def checking(params, item_losses, cfg):
         assert len(refs) == 3 and all(ref() is None for ref in refs)
@@ -293,16 +293,14 @@ def test_training_builds_the_locality_matrix_once(monkeypatch):
         calls.append(1)
         return locality_matrix(positions)
 
-    monkeypatch.setattr(lcr, "locality_matrix", counting)
-    monkeypatch.setattr(projector, "locality_matrix", counting, raising=False)
-    cfg = TrainConfig(steps=2, kc=2)
-    train_projector(_small_corpus(4), cfg, out_dim=4)
+    monkeypatch.setattr(projector, "locality_matrix", counting)
+    projector._grid_locality.cache_clear()
+    train_projector(_small_corpus(4), TrainConfig(steps=2, kc=2), out_dim=4)
     assert len(calls) == 1
-    # the shared matrix gives each image the pair weight it builds on its own
-    shared = locality_matrix(token_coords(4, 4))
-    for out in _small_corpus(4):
-        alone, with_shared = prepare_image(out, cfg), prepare_image(out, cfg, shared)
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(alone, with_shared))
+    shared = projector._grid_locality(4, 4)
+    assert shared.tobytes() == locality_matrix(token_coords(4, 4)).tobytes()
+    with pytest.raises(ValueError):
+        shared[0, 0] = 1.0
 
 
 def test_empty_corpus_rejected():
