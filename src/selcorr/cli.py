@@ -76,10 +76,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, default=None, help="key=value config file")
     for f in fields(ExperimentConfig):
         flag = "--" + f.name.replace("_", "-")
-        if f.type == "bool":
-            parser.add_argument(flag, dest=f"k_{f.name}", nargs="?", const="true", default=None, metavar="BOOL")
-        else:
-            parser.add_argument(flag, dest=f"k_{f.name}", default=None, metavar=f.type.upper())
+        parser.add_argument(flag, dest=f"k_{f.name}", default=None, metavar=f.type.upper())
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:

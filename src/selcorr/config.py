@@ -29,7 +29,6 @@ class ExperimentConfig:
     r_aa: float = 5.0
     r_ai: float = 5.0
     r_ii: float = 2.0
-    cosine: bool = True
     drop_rate: float = 0.0
     # image geometry
     resize: int = 136
@@ -123,7 +122,6 @@ class ExperimentConfig:
             r_att_inatt=self.r_ai,
             r_inatt_inatt=self.r_ii,
             tau=self.tau,
-            cosine=self.cosine,
         )
 
     def projector_train(self) -> TrainConfig:
@@ -148,21 +146,6 @@ class ExperimentConfig:
         )
 
 
-def _parse_value(name: str, text: str, target_type: type):
-    text = text.strip()
-    try:
-        if target_type is bool:
-            lowered = text.lower()
-            if lowered in ("true", "1", "yes"):
-                return True
-            if lowered in ("false", "0", "no"):
-                return False
-            raise ValueError(f"not a boolean: {text!r}")
-        return target_type(text)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {name}: {exc}") from exc
-
-
 def parse_config_lines(text: str, origin: str = "config") -> dict[str, str]:
     """`tensorio.parse_key_values`, its errors raised as ConfigError."""
     try:
@@ -184,8 +167,11 @@ def load_config(
     for key, raw in values.items():
         if key not in by_name:
             raise ConfigError(f"unknown config key {key!r}")
-        ftype = {"int": int, "float": float, "bool": bool, "str": str}[by_name[key].type]
-        kwargs[key] = _parse_value(key, raw, ftype)
+        ftype = {"int": int, "float": float, "str": str}[by_name[key].type]
+        try:
+            kwargs[key] = ftype(raw.strip())
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key}: {exc}") from exc
     cfg = ExperimentConfig(**kwargs)
     cfg.validate()
     return cfg

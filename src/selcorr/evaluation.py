@@ -11,7 +11,6 @@ hand and verified against a dense oracle in the tests.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -319,7 +318,6 @@ def train_regressor(
     cfg.validate()
     if not samples:
         raise ValueError("no training samples")
-    start = time.perf_counter()
     windows = [_windows(out.main, project(proj, out.main)) for out, _ in samples]
     targets = [np.asarray(lm, dtype=np.float64) for _, lm in samples]
     n_lm = targets[0].shape[0]
@@ -342,7 +340,7 @@ def train_regressor(
     arrays = [params.conv, params.conv_bias, params.head_w, params.head_b]
     arrays, losses = descend(arrays, item_losses, cfg)
     params = RegressorParams(*arrays, heatmaps=heatmaps, temperature=temperature)
-    return params, TrainTrace(losses=losses, wall_seconds=time.perf_counter() - start)
+    return params, TrainTrace(losses)
 
 
 def _loss_and_grads(params: RegressorParams, win: np.ndarray, target: np.ndarray, patch: int):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import time
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -101,10 +100,9 @@ class TrainConfig(OptimConfig):
 
 @dataclass
 class TrainTrace:
-    """Mean per-item loss at each step and the training wall time."""
+    """Mean per-item loss at each step."""
 
     losses: list[float]
-    wall_seconds: float
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -217,7 +215,6 @@ def train_projector(
     that is read once.
     """
     cfg.validate()
-    start = time.perf_counter()
     prepared = [prepare_image(out, cfg) for out in corpus]
     if not prepared:
         raise ValueError("corpus is empty")
@@ -234,7 +231,7 @@ def train_projector(
             yield loss, [feats.T @ g_phi, g_phi.sum(axis=0)]
 
     (w, b), losses = descend([init.weight, init.bias], item_losses, cfg)
-    return Projector(w, b), TrainTrace(losses=losses, wall_seconds=time.perf_counter() - start)
+    return Projector(w, b), TrainTrace(losses)
 
 
 def save_checkpoint(directory: str | Path, p: Projector, seed: int, steps: int) -> str:

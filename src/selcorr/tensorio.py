@@ -288,7 +288,7 @@ def read_meta(path: str | Path) -> dict[str, str]:
 
 def write_key_values(path: str | Path, items: Mapping[str, object]) -> str:
     """One `key=value` line per item, in order, values formatted as `write_csv`
-    cells (bools as true/false); returns the text written."""
+    cells; returns the text written."""
     text = "".join(f"{key}={_cell(value)}\n" for key, value in items.items())
     Path(path).write_text(text)
     return text
@@ -306,6 +306,4 @@ def write_csv(path: str | Path, rows: Iterable[Sequence[object]]) -> None:
 def _cell(value: object) -> str:
     if isinstance(value, np.generic):
         value = value.item()
-    if isinstance(value, bool):
-        return "true" if value else "false"
     return str(value)

@@ -57,14 +57,6 @@ def test_gen_writes_corpus(tmp_path):
     assert cfg.crop == 32 and cfg.d == 8 and cfg.pairs == 2
 
 
-def test_bool_flag_forms(tmp_path):
-    _run = lambda extra, out: main(["gen", "--count", "0", "--out", str(out), *TINY, *extra])
-    assert _run(["--cosine", "false"], tmp_path / "a") == 0
-    assert "cosine=false" in (tmp_path / "a" / "config.txt").read_text()
-    assert _run(["--cosine"], tmp_path / "b") == 0
-    assert "cosine=true" in (tmp_path / "b" / "config.txt").read_text()
-
-
 def test_pipeline_and_rerun_determinism(tmp_path):
     corpus = tmp_path / "corpus"
     _gen(corpus)
@@ -226,6 +218,10 @@ def test_usage_errors_exit_1(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--count", "1", "--out", str(tmp_path), "--rho-verbatim"])  # deleted knob
     assert exc.value.code == 1
+    for deleted in (["--cosine"], ["--cosine", "false"]):  # deleted switch, both old forms
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--count", "0", "--out", str(tmp_path), *deleted])
+        assert exc.value.code == 1
     assert main(["gen", "--count", "-1", "--out", str(tmp_path), *TINY]) == 1
     assert main(["gen", "--count", "0", "--out", str(tmp_path), "--eta", "2.0"]) == 1
     assert main(["ablate", "--axis", "kc", "--out", str(tmp_path), *TINY]) == 1
@@ -358,12 +354,11 @@ def tiny_run(tmp_path_factory):
     return root
 
 
-@pytest.mark.parametrize("cosine", ["true", "false"])
-def test_overflowing_projector_update_exits_3(tiny_run, tmp_path, capsys, cosine):
+def test_overflowing_projector_update_exits_3(tiny_run, tmp_path, capsys):
     # under cosine logits no finite loss can flag this: the update itself overflows
     rc = main(["train-projector", "--manifest", str(tiny_run / "corpus" / "manifest.txt"),
                "--out", str(tmp_path / "run"), *TINY,
-               "--proj-lr", "1e308", "--cosine", cosine])
+               "--proj-lr", "1e308"])
     assert rc == 3
     err = capsys.readouterr().err
     assert "non-finite parameters at step 0" in err

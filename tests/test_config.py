@@ -12,8 +12,8 @@ def test_default_values():
     assert cfg.kc == 4
     assert cfg.tau == 0.07
     assert (cfg.r_aa, cfg.r_ai, cfg.r_ii) == (5.0, 5.0, 2.0)
-    assert cfg.cosine is True
-    assert "rho_verbatim" not in {f.name for f in fields(cfg)}
+    # dot-product logits stay a library option (RepellenceConfig), not a key
+    assert {"rho_verbatim", "cosine"}.isdisjoint(f.name for f in fields(cfg))
     assert (cfg.resize, cfg.crop, cfg.patch) == (136, 96, 8)
     assert cfg.heatmaps == 50
     assert cfg.proj_steps == 200 and cfg.proj_lr == 1e-3
@@ -59,27 +59,19 @@ def test_unknown_key_rejected(tmp_path):
     path.write_text("rho_verbatim=false\n")
     with pytest.raises(ConfigError, match="unknown config key 'rho_verbatim'"):
         load_config(path)
-
-
-def test_bool_parsing():
-    for text, expect in [("true", True), ("1", True), ("yes", True),
-                         ("false", False), ("0", False), ("no", False),
-                         ("TRUE", True), ("No", False)]:
-        assert load_config(overrides={"cosine": text}).cosine is expect
-    with pytest.raises(ConfigError):
-        load_config(overrides={"cosine": "maybe"})
-    with pytest.raises(ConfigError):
-        load_config(overrides={"eta": "fast"})
+    # so is the dot-product switch: a config.txt from an older gen carries it
+    path.write_text("cosine=true\n")
+    with pytest.raises(ConfigError, match="unknown config key 'cosine'"):
+        load_config(path)
 
 
 def test_dump_load_roundtrip(tmp_path):
     # the config.txt that gen writes
-    cfg = ExperimentConfig(eta=0.4, kc=2, cosine=False, optimizer="momentum", seed=9)
+    cfg = ExperimentConfig(eta=0.4, kc=2, optimizer="momentum", seed=9)
     path = tmp_path / "dump.cfg"
     text = write_key_values(path, asdict(cfg))
     assert path.read_text() == text
-    assert "cosine=false\n" in text
-    assert "rho_verbatim" not in text
+    assert "rho_verbatim" not in text and "cosine" not in text
     assert "eta=0.4\n" in text
     assert load_config(path) == cfg
 
@@ -104,6 +96,7 @@ def test_dump_load_roundtrip(tmp_path):
         {"optimizer": "adam"},
         {"reg_optimizer": "adagrad"},
         {"momentum": "1.5"},
+        {"eta": "fast"},  # not a number
     ],
 )
 def test_validation_rejects(overrides):

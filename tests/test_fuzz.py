@@ -52,8 +52,7 @@ def test_key_value_parser_returns_a_dict_or_raises_value_error(source):
 @given(
     st.dictionaries(
         st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8),
-        st.one_of(st.integers(), st.floats(allow_nan=False), st.booleans(),
-                  st.text("abcxyz019.-", max_size=8)),
+        st.one_of(st.integers(), st.floats(allow_nan=False), st.text("abcxyz019.-", max_size=8)),
         max_size=5,
     )
 )
@@ -64,9 +63,7 @@ def test_written_key_values_parse_back(items):
         parsed = parse_key_values(path.read_text(), str(path))
     assert list(parsed) == list(items)
     for key, value in items.items():
-        if isinstance(value, bool):
-            assert parsed[key] == str(value).lower()
-        elif isinstance(value, float):
+        if isinstance(value, float):
             assert float(parsed[key]) == value
         else:
             assert parsed[key] == str(value).strip()
@@ -159,7 +156,6 @@ FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 VALUE_TEXT = {
     "int": st.one_of(st.integers(-2, 200).map(str), st.sampled_from(["1.5", "x", ""])),
     "float": st.one_of(st.floats(-2.0, 2.0), st.floats()).map(repr),
-    "bool": st.sampled_from(["true", "false", "0", "maybe"]),
     "str": st.sampled_from(["gd", "momentum", "adam", ""]),
 }
 overrides = st.lists(st.sampled_from(sorted(FIELD_TYPES)), max_size=4, unique=True).flatmap(

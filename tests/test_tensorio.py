@@ -260,9 +260,9 @@ def test_top_k_ascending_with_ties_to_the_lower_index():
 
 def test_key_values_roundtrip_and_strict_parse(tmp_path):
     path = tmp_path / "meta.txt"
-    text = write_key_values(path, {"a": 1, "b": np.float64(0.1), "c": True, "d": "x y"})
-    assert text == path.read_text() == "a=1\nb=0.1\nc=true\nd=x y\n"
-    assert read_meta(path) == {"a": "1", "b": "0.1", "c": "true", "d": "x y"}
+    text = write_key_values(path, {"a": 1, "b": np.float64(0.1), "c": "x y"})
+    assert text == path.read_text() == "a=1\nb=0.1\nc=x y\n"
+    assert read_meta(path) == {"a": "1", "b": "0.1", "c": "x y"}
     path.write_text("a=1\n\n# note\nno equals sign\n")
     with pytest.raises(ValueError, match=f"{path}: line 4: expected key=value"):
         read_meta(path)

@@ -10,12 +10,12 @@ two trees run into different directories print comparable lines.
     python3 tools/output_digests.py --tree ../parent --seeds 0 1 7 > old.txt
     diff old.txt new.txt
 
-Per seed: `gen` (32 samples); `train-projector` with gd, with
-`--optimizer momentum` and with `--cosine false`; `eval-match` with the gd
-checkpoint, raw, and raw with `--drop-rate 0.5`; `eval-detect` by default,
-with `--reg-optimizer gd --repeats 2`, and with `--budget 30` (clamped to
-24, so the training and held-out samples meet); `ablate --axis kc`, and
-`--axis drop_rate` raw and with the checkpoint; `export-simmap`. Matching
+Per seed: `gen` (32 samples); `train-projector` with gd and with
+`--optimizer momentum`; `eval-match` with the gd checkpoint, raw, and raw
+with `--drop-rate 0.5`; `eval-detect` by default, with `--reg-optimizer gd
+--repeats 2`, and with `--budget 30` (clamped to 24, so the training and
+held-out samples meet); `ablate --axis kc`, and `--axis drop_rate` raw and
+with the checkpoint; `export-simmap`. Matching
 runs at PAIRS (50) pairs per kind, except the first seed's three
 `eval-match` runs, which run FIRST_SEED_PAIRS (500, the default). Both are
 fixed so that two runs always hash the same matrix. A command that exits
@@ -51,8 +51,6 @@ def _matrix(root: Path, match_pairs: str) -> list[tuple[str, list[str]]]:
         ("train_gd", ["train-projector", "--manifest", manifest, *out("train_gd")]),
         ("train_momentum", ["train-projector", "--manifest", manifest,
                             *out("train_momentum"), "--optimizer", "momentum"]),
-        ("train_dot", ["train-projector", "--manifest", manifest,
-                       *out("train_dot"), "--cosine", "false"]),
         ("match_ckpt", ["eval-match", "--checkpoint", ckpt, *out("match_ckpt"),
                         "--pairs", match_pairs]),
         ("match_raw", ["eval-match", *out("match_raw"), "--pairs", match_pairs]),
