@@ -146,21 +146,18 @@ class ExperimentConfig:
         )
 
 
-def parse_config_lines(text: str, origin: str = "config") -> dict[str, str]:
-    """`tensorio.parse_key_values`, its errors raised as ConfigError."""
-    try:
-        return parse_key_values(text, origin)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def load_config(
     path: str | Path | None = None, overrides: dict[str, str] | None = None
 ) -> ExperimentConfig:
     """Defaults, then the config file, then explicit overrides; validated."""
     values: dict[str, str] = {}
     if path is not None:
-        values.update(parse_config_lines(Path(path).read_text(), str(path)))
+        # read outside the try: a file that does not decode is a data error, not usage
+        text = Path(path).read_text()
+        try:
+            values.update(parse_key_values(text, str(path)))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     values.update(overrides or {})
     by_name = {f.name: f for f in fields(ExperimentConfig)}
     kwargs = {}

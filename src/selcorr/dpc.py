@@ -26,8 +26,8 @@ class ClusterAssignment:
     member_center: np.ndarray
 
 
-def density(features: np.ndarray, verbatim: bool = False) -> np.ndarray:
-    """Per-token density from pairwise squared feature distances.
+def _density(sq: np.ndarray, verbatim: bool) -> np.ndarray:
+    """Per-token density from the (M, M) pairwise squared feature distances.
 
     Default is rho_i = sum_{j != i} exp(-||t_i - t_j||^2), so tight packs
     score high. `verbatim` is the paper's literal formula, exp of the plain
@@ -36,20 +36,6 @@ def density(features: np.ndarray, verbatim: bool = False) -> np.ndarray:
     passes about 709, as the inattentive rows of the default corpus do,
     and then raises NonFiniteError.
     """
-    features = _checked(features)
-    return _density(sq_dists(features, features), verbatim)
-
-
-def _checked(features: np.ndarray) -> np.ndarray:
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[0] < 1:
-        raise ValueError(f"expected (M, d) features with M >= 1, got {features.shape}")
-    if not np.isfinite(features).all():
-        raise ValueError("non-finite features")
-    return features
-
-
-def _density(sq: np.ndarray, verbatim: bool) -> np.ndarray:
     if verbatim:
         with np.errstate(over="ignore"):
             rho = np.exp(sq.sum(axis=1))
@@ -59,24 +45,13 @@ def _density(sq: np.ndarray, verbatim: bool) -> np.ndarray:
     return np.exp(-sq).sum(axis=1) - 1.0  # drop the self term exp(0)
 
 
-def peak_distance(features: np.ndarray, rho: np.ndarray) -> np.ndarray:
+def _peak_distance(sq: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Distance to the nearest strictly-denser token.
 
     The densest token instead gets its distance to the farthest token.
     Density ties are broken by treating the lower index as denser; a lone
     token gets 0.
     """
-    features = np.asarray(features, dtype=np.float64)
-    rho = np.asarray(rho, dtype=np.float64)
-    m = features.shape[0]
-    if m == 0:
-        raise ValueError("no tokens")
-    if rho.shape != (m,):
-        raise ValueError(f"rho shape {rho.shape} does not match {m} tokens")
-    return _peak_distance(sq_dists(features, features), rho)
-
-
-def _peak_distance(sq: np.ndarray, rho: np.ndarray) -> np.ndarray:
     dist = np.sqrt(sq)
     idx = np.arange(rho.shape[0])
     denser = (rho[None, :] > rho[:, None]) | (
@@ -119,9 +94,14 @@ def assign_members(features: np.ndarray, centers: np.ndarray) -> np.ndarray:
 def cluster_tokens(features: np.ndarray, kc: int, verbatim: bool = False) -> ClusterAssignment:
     """Full pipeline: density -> separation -> center selection -> membership.
 
-    The M x M squared distances are built once, for density and separation.
+    `features` is (M, d) with M >= 1 and every value finite. The M x M
+    squared distances are built once, for density and separation.
     """
-    features = _checked(features)
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2 or features.shape[0] < 1:
+        raise ValueError(f"expected (M, d) features with M >= 1, got {features.shape}")
+    if not np.isfinite(features).all():
+        raise ValueError("non-finite features")
     sq = sq_dists(features, features)
     rho = _density(sq, verbatim)
     delta = _peak_distance(sq, rho)

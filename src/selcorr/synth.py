@@ -43,6 +43,11 @@ _NOISE_TAG = 17
 _WARP_TAG = 19
 _PAIR_TAG = 23
 
+# every warp's thin-plate spline: a TPS_GRID x TPS_GRID control grid spanning
+# the image, with TPS_RIDGE on the kernel block's diagonal
+TPS_GRID = 3
+TPS_RIDGE = 1e-8
+
 
 @dataclass(frozen=True)
 class SyntheticFaceSpec:
@@ -143,35 +148,6 @@ class EvalPair:
         self.test_landmarks = np.asarray(self.test_landmarks, dtype=np.float64)
         if self.ref_landmarks.shape != self.test_landmarks.shape:
             raise ValueError("landmark counts differ across the pair")
-
-
-@dataclass
-class TpsParams:
-    """Thin-plate-spline warp: control grid over the image plus displacements."""
-
-    grid_shape: tuple[int, int]
-    displacements: np.ndarray
-    reg: float
-    image_size: int
-
-    def __post_init__(self) -> None:
-        gh, gw = self.grid_shape
-        self.displacements = np.asarray(self.displacements, dtype=np.float64)
-        if self.displacements.shape != (gh * gw, 2):
-            raise ValueError(
-                f"expected ({gh * gw}, 2) displacements, got {self.displacements.shape}"
-            )
-        if not np.isfinite(self.displacements).all():
-            raise ValueError("non-finite control displacements")
-        if self.reg < 0.0:
-            raise ValueError("regularization weight must be non-negative")
-
-    def control_points(self) -> np.ndarray:
-        gh, gw = self.grid_shape
-        xs = np.linspace(0.0, self.image_size - 1.0, gw)
-        ys = np.linspace(0.0, self.image_size - 1.0, gh)
-        gy, gx = np.meshgrid(ys, xs, indexing="ij")
-        return np.stack([gx.ravel(), gy.ravel()], axis=1)
 
 
 def landmark_cells(spec: SyntheticFaceSpec) -> np.ndarray:
@@ -328,36 +304,46 @@ def generate_backbone_output(spec: SyntheticFaceSpec, seed: int) -> BackboneOutp
     )
 
 
-def tps_warp(points: np.ndarray, params: TpsParams) -> np.ndarray:
+def control_points(image_size: int) -> np.ndarray:
+    """The (TPS_GRID**2, 2) control points (x, y), row-major over the grid."""
+    ticks = np.linspace(0.0, image_size - 1.0, TPS_GRID)
+    gy, gx = np.meshgrid(ticks, ticks, indexing="ij")
+    return np.stack([gx.ravel(), gy.ravel()], axis=1)
+
+
+def tps_warp(points: np.ndarray, displacements: np.ndarray, image_size: int) -> np.ndarray:
     """Warp (m, 2) pixel points through the thin-plate spline, clamped to bounds.
 
-    The spline interpolates the control displacements with the r^2 log r
-    kernel plus an affine part; `params.reg` is added to the kernel block
-    diagonal. A control layout that makes the system singular (collinear
-    grid) raises.
+    The spline interpolates the (TPS_GRID**2, 2) control displacements with
+    the r^2 log r kernel plus an affine part. Out-of-bounds points, a wrong
+    displacement shape, non-finite displacements and a grid that collapses
+    (a 1-pixel image) raise ValueError.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 2:
         raise ValueError(f"expected (m, 2) points, got {points.shape}")
-    hi = params.image_size - 1.0
+    hi = image_size - 1.0
     if points.min() < 0.0 or points.max() > hi:
         raise ValueError("points outside image bounds")
-    ctrl = params.control_points()
-    n = ctrl.shape[0]
+    n = TPS_GRID * TPS_GRID
+    displacements = np.asarray(displacements, dtype=np.float64)
+    if displacements.shape != (n, 2):
+        raise ValueError(f"expected ({n}, 2) control displacements, got {displacements.shape}")
+    if not np.isfinite(displacements).all():
+        raise ValueError("non-finite control displacements")
+    ctrl = control_points(image_size)
     kernel = _tps_kernel(np.sqrt(sq_dists(ctrl, ctrl)))
     poly = np.hstack([np.ones((n, 1)), ctrl])
     a = np.zeros((n + 3, n + 3))
-    a[:n, :n] = kernel + params.reg * np.eye(n)
+    a[:n, :n] = kernel + TPS_RIDGE * np.eye(n)
     a[:n, n:] = poly
     a[n:, :n] = poly.T
     rhs = np.zeros((n + 3, 2))
-    rhs[:n] = params.displacements
+    rhs[:n] = displacements
     try:
         sol = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError as exc:
-        raise ValueError(f"degenerate control grid {params.grid_shape}") from exc
-    if np.abs(a @ sol - rhs).max() > 1e-6 * max(1.0, np.abs(rhs).max()):
-        raise ValueError(f"degenerate control grid {params.grid_shape}")
+        raise ValueError(f"degenerate control grid on a {image_size}-pixel image") from exc
     u = _tps_kernel(np.sqrt(sq_dists(points, ctrl)))
     disp = u @ sol[:n] + np.hstack([np.ones((points.shape[0], 1)), points]) @ sol[n:]
     return np.clip(points + disp, 0.0, hi)
@@ -369,23 +355,18 @@ def _tps_kernel(r: np.ndarray) -> np.ndarray:
     return r * r * out
 
 
-def draw_warp(
-    image_size: int,
-    rng: np.random.Generator,
-    grid_shape: tuple[int, int] = (3, 3),
-    sigma_frac: float = 0.05,
-    reg: float = 1e-8,
-) -> TpsParams:
-    """Random warp: Gaussian control displacements, sigma_frac of the image side."""
-    gh, gw = grid_shape
-    disp = sigma_frac * image_size * rng.standard_normal((gh * gw, 2))
-    return TpsParams(grid_shape=grid_shape, displacements=disp, reg=reg, image_size=image_size)
+def draw_warp(image_size: int, rng: np.random.Generator, sigma_frac: float) -> np.ndarray:
+    """Random (TPS_GRID**2, 2) control displacements, Gaussian with
+    sigma_frac of the image side."""
+    return sigma_frac * image_size * rng.standard_normal((TPS_GRID * TPS_GRID, 2))
 
 
-def warped_spec(spec: SyntheticFaceSpec, params: TpsParams) -> SyntheticFaceSpec:
+def warped_spec(spec: SyntheticFaceSpec, displacements: np.ndarray) -> SyntheticFaceSpec:
     """Same identity and statistics, geometry pushed through the warp."""
     # one solve for both point sets; each output row depends only on its input row
-    points = tps_warp(np.asarray(spec.landmarks_px + spec.region_anchors_px), params)
+    points = tps_warp(
+        np.asarray(spec.landmarks_px + spec.region_anchors_px), displacements, spec.image_size
+    )
     lm, anchors = points[: spec.n_landmarks], points[spec.n_landmarks :]
     return replace(
         spec,

@@ -231,7 +231,7 @@ def test_usage_errors_exit_1(tmp_path):
     assert rc == 1
 
 
-def test_data_errors_exit_2(tmp_path):
+def test_data_errors_exit_2(tmp_path, capsys):
     rc = main(["train-projector", "--manifest", str(tmp_path / "no" / "manifest.txt"),
                "--out", str(tmp_path / "out"), *TINY])
     assert rc == 2
@@ -247,6 +247,15 @@ def test_data_errors_exit_2(tmp_path):
     rc = main(["eval-detect", "--manifest", str(small / "manifest.txt"),
                "--checkpoint", str(tmp_path / "ck"), "--out", str(tmp_path / "out"), *TINY])
     assert rc == 2
+    # a finite sigma whose displacements overflow: the warp rejects them
+    capsys.readouterr()
+    for command, extra in (("gen", ["--count", "1"]), ("eval-match", ["--pairs", "1"])):
+        rc = main([command, *TINY, *extra, "--out", str(tmp_path / "warp"),
+                   "--tps-sigma-frac", "1e308"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "non-finite control displacements" in err
+        assert "Traceback" not in err
 
 
 def test_huge_sample_value_is_a_data_error(tmp_path, capsys):

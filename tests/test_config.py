@@ -2,7 +2,7 @@ from dataclasses import asdict, fields
 
 import pytest
 
-from selcorr.config import ConfigError, ExperimentConfig, load_config, parse_config_lines
+from selcorr.config import ConfigError, ExperimentConfig, load_config
 from selcorr.tensorio import write_key_values
 
 
@@ -22,21 +22,24 @@ def test_default_values():
     cfg.validate()
 
 
-def test_parse_lines_skips_comments_and_blanks():
-    parsed = parse_config_lines(
+def test_parse_lines_skips_comments_and_blanks(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text(
         "# full line comment\n"
         "\n"
         "eta = 0.1   # trailing comment\n"
         "kc=2\n"
         "   \n"
     )
-    assert parsed == {"eta": "0.1", "kc": "2"}
+    assert load_config(path) == ExperimentConfig(eta=0.1, kc=2)
 
 
 @pytest.mark.parametrize("bad", ["just words", "=0.5", "   = 3"])
-def test_parse_lines_rejects_malformed(bad):
+def test_parse_lines_rejects_malformed(tmp_path, bad):
+    path = tmp_path / "run.cfg"
+    path.write_text("kc=2\n" + bad)
     with pytest.raises(ConfigError, match="run.cfg: line 2: expected key=value"):
-        parse_config_lines("kc=2\n" + bad, "run.cfg")
+        load_config(path)
 
 
 def test_precedence_defaults_file_overrides(tmp_path):

@@ -9,8 +9,6 @@ from selcorr.dpc import (
     approximate_inattentive,
     assign_members,
     cluster_tokens,
-    density,
-    peak_distance,
     select_centers,
 )
 from selcorr.partition import cls_similarity, split_tokens
@@ -70,7 +68,8 @@ def test_verbatim_density_variant():
     rng = np.random.default_rng(8)
     feats = rng.standard_normal((6, 3))
     rho, *_ = brute_force(feats.tolist(), 2, verbatim=True)
-    assert np.abs(density(feats, verbatim=True) - rho).max() <= 1e-9 * max(rho)
+    asg = cluster_tokens(feats, 2, verbatim=True)
+    assert np.abs(asg.rho - rho).max() <= 1e-9 * max(rho)
 
 
 def test_verbatim_density_overflow_raises():
@@ -82,8 +81,6 @@ def test_verbatim_density_overflow_raises():
     part = split_tokens(cls_similarity(out.q_cls, out.keys), cfg.eta)
     feats = out.aux.features[part.inattentive]
     assert (((feats[:, None, :] - feats[None, :, :]) ** 2).sum(axis=(1, 2)) > 709.8).all()
-    with pytest.raises(NonFiniteError, match="verbatim density overflows"):
-        density(feats, verbatim=True)
     with pytest.raises(NonFiniteError, match="verbatim density overflows"):
         cluster_tokens(feats, cfg.kc, verbatim=True)
 
@@ -97,8 +94,6 @@ def test_cluster_tokens_builds_the_distances_once(monkeypatch):
     feats = out.aux.features[part.inattentive]
     m = feats.shape[0]
     assert m > cfg.kc
-    rho = density(feats)
-    delta = peak_distance(feats, rho)
     shapes = []
 
     def counting(a, b):
@@ -108,39 +103,42 @@ def test_cluster_tokens_builds_the_distances_once(monkeypatch):
     monkeypatch.setattr(dpc, "sq_dists", counting)
     asg = cluster_tokens(feats, cfg.kc)
     assert shapes.count((m, m)) == 1
-    assert asg.rho.tobytes() == rho.tobytes() and asg.delta.tobytes() == delta.tobytes()
+    rho, delta, *_ = brute_force(feats.tolist(), cfg.kc)
+    assert np.abs(asg.rho - rho).max() <= 1e-12
+    assert np.abs(asg.delta - delta).max() <= 1e-12
 
 
 def test_density_two_points():
     feats = np.array([[0.0, 0.0], [3.0, 4.0]])  # distance 5
-    assert density(feats) == pytest.approx([math.exp(-25.0)] * 2, rel=1e-12)
-    assert density(feats, verbatim=True) == pytest.approx([math.exp(25.0)] * 2, rel=1e-12)
+    assert cluster_tokens(feats, 1).rho == pytest.approx([math.exp(-25.0)] * 2, rel=1e-12)
+    verbatim = cluster_tokens(feats, 1, verbatim=True).rho
+    assert verbatim == pytest.approx([math.exp(25.0)] * 2, rel=1e-12)
 
 
 def test_density_rewards_tight_packs():
     # two clumped points plus a far outlier: clump members are denser
     feats = np.array([[0.0], [0.1], [50.0]])
-    rho = density(feats)
+    rho = cluster_tokens(feats, 1).rho
     assert rho[0] > rho[2] and rho[1] > rho[2]
 
 
 def test_peak_distance_rules():
     feats = np.array([[0.0], [1.0], [5.0]])
-    rho = np.array([3.0, 2.0, 1.0])
-    delta = peak_distance(feats, rho)
-    # densest: distance to farthest; others: nearest strictly denser
-    assert delta == pytest.approx([5.0, 1.0, 4.0])
+    asg = cluster_tokens(feats, 1)
+    assert asg.rho[1] > asg.rho[0] > asg.rho[2]
+    # densest (index 1): distance to farthest; others: nearest strictly denser
+    assert asg.delta == pytest.approx([1.0, 4.0, 4.0])
 
 
 def test_peak_distance_tie_by_index():
-    feats = np.array([[0.0], [2.0]])
-    delta = peak_distance(feats, np.array([1.0, 1.0]))
-    # equal densities: index 0 acts denser, so it is the top
-    assert delta == pytest.approx([2.0, 2.0])
+    asg = cluster_tokens(np.array([[0.0], [2.0]]), 1)
+    # mirror images have exactly equal densities: index 0 acts denser, so it is the top
+    assert asg.rho[0] == asg.rho[1]
+    assert asg.delta == pytest.approx([2.0, 2.0])
 
 
 def test_peak_distance_singleton():
-    assert peak_distance(np.array([[1.0, 2.0]]), np.array([7.0])) == pytest.approx([0.0])
+    assert cluster_tokens(np.array([[1.0, 2.0]]), 1).delta == pytest.approx([0.0])
 
 
 def test_select_centers():
@@ -182,9 +180,9 @@ def test_substitution_on_noise_free_grid():
 
 
 def test_density_input_validation():
-    with pytest.raises(ValueError):
-        density(np.zeros((0, 2)))
-    with pytest.raises(ValueError):
-        density(np.array([[np.nan]]))
-    with pytest.raises(ValueError):
-        peak_distance(np.zeros((2, 1)), np.zeros(3))
+    with pytest.raises(ValueError, match="M >= 1"):
+        cluster_tokens(np.zeros((0, 2)), 1)
+    with pytest.raises(ValueError, match="non-finite"):
+        cluster_tokens(np.array([[np.nan]]), 1)
+    with pytest.raises(ValueError, match="expected \\(M, d\\) features"):
+        cluster_tokens(np.zeros(3), 1)

@@ -8,7 +8,7 @@ from selcorr import synth
 from selcorr.synth import (
     DEFAULT_LANDMARKS,
     SyntheticFaceSpec,
-    TpsParams,
+    control_points,
     draw_warp,
     generate_backbone_output,
     landmark_cells,
@@ -91,30 +91,29 @@ def test_spec_validation():
 
 
 def test_tps_zero_displacements_is_identity():
-    params = TpsParams(grid_shape=(3, 3), displacements=np.zeros((9, 2)), reg=0.0, image_size=96)
     pts = np.array([[10.0, 20.0], [50.0, 50.0], [95.0, 0.0]])
-    assert np.abs(tps_warp(pts, params) - pts).max() <= 1e-9
+    assert np.abs(tps_warp(pts, np.zeros((9, 2)), 96) - pts).max() <= 1e-9
 
 
 def test_tps_interpolates_control_displacements():
     # interior control points reproduce their displacement exactly (small
     # displacements keep every output away from the boundary clamp)
     rng = np.random.default_rng(3)
-    params = draw_warp(96, rng, sigma_frac=0.01, reg=0.0)
-    ctrl = params.control_points()
+    disp = draw_warp(96, rng, sigma_frac=0.01)
+    ctrl = control_points(96)
     interior = (ctrl[:, 0] > 5) & (ctrl[:, 0] < 90) & (ctrl[:, 1] > 5) & (ctrl[:, 1] < 90)
-    out = tps_warp(ctrl[interior], params)
-    assert np.abs(out - ctrl[interior] - params.displacements[interior]).max() <= 1e-9
+    out = tps_warp(ctrl[interior], disp, 96)
+    assert np.abs(out - ctrl[interior] - disp[interior]).max() <= 1e-9
 
 
 def test_tps_matches_scipy_rbf():
     scipy_interp = pytest.importorskip("scipy.interpolate")
     rng = np.random.default_rng(5)
-    params = draw_warp(96, rng, grid_shape=(3, 3), sigma_frac=0.08, reg=0.0)
+    disp = draw_warp(96, rng, sigma_frac=0.08)
     pts = rng.uniform(5.0, 90.0, size=(40, 2))
-    ours = tps_warp(pts, params) - pts
+    ours = tps_warp(pts, disp, 96) - pts
     ref = scipy_interp.RBFInterpolator(
-        params.control_points(), params.displacements, kernel="thin_plate_spline", degree=1
+        control_points(96), disp, kernel="thin_plate_spline", degree=1
     )(pts)
     # only compare where the clamp stayed inactive
     inside = ((pts + ref) > 0.0).all(axis=1) & ((pts + ref) < 95.0).all(axis=1)
@@ -125,26 +124,33 @@ def test_tps_matches_scipy_rbf():
 def test_tps_clamps_to_bounds():
     disp = np.zeros((9, 2))
     disp[:, 0] = 500.0
-    params = TpsParams(grid_shape=(3, 3), displacements=disp, reg=0.0, image_size=96)
-    out = tps_warp(np.array([[48.0, 48.0]]), params)
+    out = tps_warp(np.array([[48.0, 48.0]]), disp, 96)
     assert out[0, 0] == 95.0
 
 
 def test_tps_rejects_bad_inputs():
-    params = TpsParams(grid_shape=(3, 3), displacements=np.zeros((9, 2)), reg=0.0, image_size=96)
-    with pytest.raises(ValueError):
-        tps_warp(np.array([[100.0, 0.0]]), params)
-    with pytest.raises(ValueError):
-        TpsParams(grid_shape=(3, 3), displacements=np.zeros((8, 2)), reg=0.0, image_size=96)
-    with pytest.raises(ValueError):
-        tps_warp(np.array([[0.0, 0.0]]), TpsParams(
-            grid_shape=(1, 3), displacements=np.zeros((3, 2)), reg=0.0, image_size=96))
+    origin = np.array([[0.0, 0.0]])
+    with pytest.raises(ValueError, match="outside image bounds"):
+        tps_warp(np.array([[100.0, 0.0]]), np.zeros((9, 2)), 96)
+    nonfinite = np.zeros((9, 2))
+    nonfinite[4, 1] = np.inf
+    cases = [
+        ((origin, np.zeros((8, 2)), 96), r"expected \(9, 2\) control displacements"),
+        ((origin, nonfinite, 96), "non-finite control displacements"),
+        # a 1-pixel image collapses the grid onto one point: a singular system
+        ((origin, np.zeros((9, 2)), 1), "degenerate control grid"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ValueError, match=message) as info:
+            tps_warp(*args)
+        # LinAlgError subclasses ValueError, so check the type itself
+        assert type(info.value) is ValueError
 
 
 def test_warped_spec_moves_geometry_only():
     base = SyntheticFaceSpec()
     rng = np.random.default_rng(6)
-    spec = warped_spec(base, draw_warp(96, rng))
+    spec = warped_spec(base, draw_warp(96, rng, sigma_frac=0.05))
     assert spec.landmarks_px != base.landmarks_px
     assert spec.identity_seed == base.identity_seed
     assert spec.sigma_lm == base.sigma_lm
@@ -162,8 +168,8 @@ def test_warped_spec_solves_once_and_equals_two_warps(monkeypatch):
             calls.clear()
             spec = warped_spec(base, warp)
             assert len(calls) == 1
-            lm = tps_warp(np.asarray(base.landmarks_px), warp)
-            anchors = tps_warp(np.asarray(base.region_anchors_px), warp)
+            lm = tps_warp(np.asarray(base.landmarks_px), warp, 96)
+            anchors = tps_warp(np.asarray(base.region_anchors_px), warp, 96)
             assert np.asarray(spec.landmarks_px).tobytes() == lm.tobytes()
             assert np.asarray(spec.region_anchors_px).tobytes() == anchors.tobytes()
 

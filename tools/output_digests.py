@@ -1,7 +1,7 @@
 """sha256 of every output file and every stdout of a fixed command matrix.
 
 Runs each selcorr command of the acceptance matrix with the given tree's
-`src` on PYTHONPATH, once per seed, and prints one `sha256  path` line per
+`src` as the whole PYTHONPATH, once per seed, and prints one `sha256  path` line per
 output file and per command's stdout. The output root is replaced by
 `<out>` in the printed paths and in each stdout before it is hashed, so
 two trees run into different directories print comparable lines.
@@ -77,8 +77,8 @@ def _sha256(data: bytes) -> str:
 
 
 def run(tree: Path, seeds: list[int], work: Path) -> list[str]:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree / "src"), env.get("PYTHONPATH")]))
+    # the tree's src alone, so a caller's PYTHONPATH can never supply the package
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     lines = []
     for n, seed in enumerate(seeds):
         root = work / f"seed{seed}"
@@ -106,6 +106,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="output root, kept afterwards (default: a temporary directory)")
     args = parser.parse_args(argv)
     tree = args.tree.resolve()
+    if not (tree / "src" / "selcorr" / "__init__.py").is_file():
+        parser.error(f"{tree} has no src/selcorr/__init__.py")
     if args.work is not None:
         args.work.mkdir(parents=True, exist_ok=True)
         lines = run(tree, args.seeds, args.work.resolve())
