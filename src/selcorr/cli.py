@@ -21,19 +21,19 @@ from .config import ConfigError, ExperimentConfig, load_config
 from .evaluation import (
     drop_mask,
     inter_ocular_error,
+    kind_means,
     match_pair,
     pair_similarity,
-    projected_featurizer,
-    raw_featurizer,
     regressor_forward,
     similarity_stack,
-    summarize_matches,
+    token_grid,
     train_regressor,
     write_pgm,
 )
 from .partition import cls_similarity
 from .projector import (
     DivergenceError,
+    Projector,
     load_checkpoint,
     project,
     save_checkpoint,
@@ -134,15 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _featurizer(checkpoint: Path | None):
-    if checkpoint is None:
-        return raw_featurizer()
-    return projected_featurizer(load_checkpoint(checkpoint))
-
-
-def _match_protocol(cfg: ExperimentConfig, featurize, drop_rate: float = 0.0):
-    """cfg.pairs same-identity then cfg.pairs different-identity matches."""
-    return _match_sweep(cfg, featurize, (drop_rate,))[0]
+def _projector(checkpoint: Path | None) -> Projector | None:
+    return None if checkpoint is None else load_checkpoint(checkpoint)
 
 
 def _require_pairs(cfg: ExperimentConfig) -> None:
@@ -150,9 +143,13 @@ def _require_pairs(cfg: ExperimentConfig) -> None:
         raise ConfigError("matching needs pairs >= 1")
 
 
-def _match_sweep(cfg: ExperimentConfig, featurize, drop_rates) -> list:
-    """The match protocol once per drop rate, each pair generated and
-    featurized once; one summary per rate, in order."""
+def _match_sweep(cfg: ExperimentConfig, proj: Projector | None, drop_rates) -> np.ndarray:
+    """(rates, 2 * pairs, L) per-landmark pixel errors of the match protocol
+    at each drop rate, each pair generated and featurized once.
+
+    Along axis 1 the first cfg.pairs rows are the same-identity pairs, the
+    rest the different-identity pairs.
+    """
     _require_pairs(cfg)
     base = cfg.face_spec()
     seeds = pair_seeds(cfg.seed, 2 * cfg.pairs)
@@ -160,7 +157,7 @@ def _match_sweep(cfg: ExperimentConfig, featurize, drop_rates) -> list:
     for i in range(2 * cfg.pairs):
         kind = "same" if i < cfg.pairs else "different"
         pair = make_pair(base, kind, seeds[i], sigma_frac=cfg.tps_sigma_frac)
-        sims = pair_similarity(pair, featurize)
+        sims = pair_similarity(pair, proj)
         grid = pair.test.main
         scores = None
         for r, rate in enumerate(drop_rates):
@@ -170,7 +167,7 @@ def _match_sweep(cfg: ExperimentConfig, featurize, drop_rates) -> list:
                     scores = cls_similarity(pair.test.q_cls, pair.test.keys)
                 mask = drop_mask(scores, rate, grid.grid_h, grid.grid_w, grid.patch)
             errors[r, i] = match_pair(pair, sims, test_mask=mask)
-    return [summarize_matches(e, cfg.pairs) for e in errors]
+    return errors
 
 
 def cmd_gen(cfg: ExperimentConfig, count: int, out: Path) -> int:
@@ -203,18 +200,15 @@ def cmd_train_projector(cfg: ExperimentConfig, manifest: Path, out: Path) -> int
 
 
 def cmd_eval_match(cfg: ExperimentConfig, out: Path, checkpoint: Path | None) -> int:
-    result = _match_protocol(cfg, _featurizer(checkpoint), drop_rate=cfg.drop_rate)
+    errors = _match_sweep(cfg, _projector(checkpoint), (cfg.drop_rate,))[0]
     out.mkdir(parents=True, exist_ok=True)
     rows = [
         (i, lid, "same" if i < cfg.pairs else "different", err)
-        for (i, lid), err in np.ndenumerate(result.errors)
+        for (i, lid), err in np.ndenumerate(errors)
     ]
     write_csv(out / "match.csv", [("pair_id", "landmark_id", "kind", "err_px"), *rows])
-    summary = {
-        "pairs": cfg.pairs,
-        "same_mean_px": result.same_mean,
-        "diff_mean_px": result.diff_mean,
-    }
+    same, diff = kind_means(errors, cfg.pairs)
+    summary = {"pairs": cfg.pairs, "same_mean_px": same, "diff_mean_px": diff}
     print(write_key_values(out / "summary.txt", summary).strip().replace("\n", " "))
     return EXIT_OK
 
@@ -239,8 +233,7 @@ def cmd_eval_detect(
     del train_samples[train_n:]
     proj = load_checkpoint(checkpoint)
     gts = np.stack([lm for _, lm in held_out])
-    means = []
-    first = None
+    runs = []
     for rep in range(cfg.repeats):
         params, _ = train_regressor(
             train_samples,
@@ -252,13 +245,11 @@ def cmd_eval_detect(
         preds = np.stack(
             [regressor_forward(params, o.main, project(proj, o.main)) for o, _ in held_out]
         )
-        metrics = inter_ocular_error(preds, gts, LEFT_EYE, RIGHT_EYE)
-        means.append(metrics.mean_pct)
-        if first is None:
-            first = metrics
+        runs.append(inter_ocular_error(preds, gts, LEFT_EYE, RIGHT_EYE))
     out.mkdir(parents=True, exist_ok=True)
-    rows = [(s, l, err) for (s, l), err in np.ndenumerate(first.per_sample_pct)]
+    rows = [(s, l, err) for (s, l), err in np.ndenumerate(runs[0])]
     write_csv(out / "detect.csv", [("sample_id", "landmark_id", "err_iod_pct"), *rows])
+    means = [float(errors.mean()) for errors in runs]
     mean = float(np.mean(means))
     std = float(np.std(means))
     summary = {"budget": train_n, "repeats": cfg.repeats, "mean_iod_pct": mean, "std_iod_pct": std}
@@ -278,9 +269,9 @@ def cmd_ablate(
         raise ConfigError(f"axis {axis} trains a projector per variant and takes no --checkpoint")
     rows: list[tuple[object, float, float]] = []
     if axis == "drop_rate":
-        results = _match_sweep(cfg, _featurizer(checkpoint), DROP_SWEEP)
-        for rate, result in zip(DROP_SWEEP, results):
-            rows.append((rate, result.same_mean, result.diff_mean))
+        errors = _match_sweep(cfg, _projector(checkpoint), DROP_SWEEP)
+        for rate, rate_errors in zip(DROP_SWEEP, errors):
+            rows.append((rate, *kind_means(rate_errors, cfg.pairs)))
     else:
         if manifest is None:
             raise ConfigError(f"axis {axis} requires --manifest")
@@ -298,8 +289,8 @@ def cmd_ablate(
             ]
         for label, variant in variants:
             proj, _ = train_projector(corpus, variant.projector_train(), out_dim=variant.d_proj)
-            result = _match_protocol(variant, projected_featurizer(proj))
-            rows.append((label, result.same_mean, result.diff_mean))
+            errors = _match_sweep(variant, proj, (0.0,))[0]
+            rows.append((label, *kind_means(errors, variant.pairs)))
     out.mkdir(parents=True, exist_ok=True)
     header = ("axis", "value", "same_mean_px", "diff_mean_px")
     write_csv(out / f"ablate_{axis}.csv", [header, *((axis, *row) for row in rows)])
@@ -313,9 +304,9 @@ def cmd_export_simmap(
     pair = make_pair(cfg.face_spec(), kind, cfg.seed, sigma_frac=cfg.tps_sigma_frac)
     if not 0 <= landmark < pair.ref_landmarks.shape[0]:
         raise ConfigError(f"landmark index {landmark} out of range")
-    featurize = _featurizer(checkpoint)
+    proj = _projector(checkpoint)
     query = pair.ref_landmarks[landmark : landmark + 1]
-    sims = similarity_stack(featurize(pair.ref), featurize(pair.test), query)[0]
+    sims = similarity_stack(token_grid(pair.ref, proj), token_grid(pair.test, proj), query)[0]
     out.parent.mkdir(parents=True, exist_ok=True)
     write_pgm(out, sims)
     print(f"wrote {out}")

@@ -31,7 +31,6 @@ class ExperimentConfig:
     r_ii: float = 2.0
     drop_rate: float = 0.0
     # image geometry
-    resize: int = 136
     crop: int = 96
     patch: int = 8
     # generator statistics
@@ -72,8 +71,6 @@ class ExperimentConfig:
             raise ConfigError(f"eta must be in (0, 1), got {self.eta}")
         if self.kc < 1 or self.heatmaps < 1:
             raise ConfigError("kc and heatmaps must be >= 1")
-        if self.crop > self.resize:
-            raise ConfigError(f"crop {self.crop} exceeds resize {self.resize}")
         if self.patch < 1 or self.crop < self.patch or self.crop % self.patch != 0:
             raise ConfigError("patch must be >= 1 and crop a positive multiple of it")
         if self.seed < 0 or self.d_proj < 2:

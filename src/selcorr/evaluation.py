@@ -33,19 +33,6 @@ from .tensorio import (
 MASKED = -1e30
 
 
-@dataclass
-class MatchResult:
-    """Per-landmark pixel errors of a match protocol and each half's mean.
-
-    `errors` is (2 * pairs, L): the first `pairs` rows are the
-    same-identity pairs, the rest the different-identity pairs.
-    """
-
-    errors: np.ndarray
-    same_mean: float
-    diff_mean: float
-
-
 def similarity_map(
     ref_map: DenseFeatureMap, test_map: DenseFeatureMap, query_px: tuple[float, float]
 ) -> np.ndarray:
@@ -113,9 +100,16 @@ def _cosine_rows(q: np.ndarray, q_px, flat: np.ndarray, norms: _TestNorms) -> np
     return sims
 
 
-def pair_similarity(pair: EvalPair, featurize) -> np.ndarray:
-    """The pair's (L, H, W) `similarity_stack`, one map per reference landmark."""
-    return similarity_stack(featurize(pair.ref), featurize(pair.test), pair.ref_landmarks)
+def token_grid(output: BackboneOutput, proj: Projector | None) -> FeatureGrid:
+    """The first-stage token grid when `proj` is None, else its projection."""
+    return output.main if proj is None else project(proj, output.main)
+
+
+def pair_similarity(pair: EvalPair, proj: Projector | None) -> np.ndarray:
+    """The pair's (L, H, W) `similarity_stack` of both `token_grid`s, one map
+    per reference landmark."""
+    ref, test = token_grid(pair.ref, proj), token_grid(pair.test, proj)
+    return similarity_stack(ref, test, pair.ref_landmarks)
 
 
 def match_pair(
@@ -138,28 +132,15 @@ def match_pair(
     return np.hypot(px - gt[:, 0], py - gt[:, 1])
 
 
-def summarize_matches(errors: np.ndarray, pairs: int) -> MatchResult:
-    """Mean error of the first `pairs` rows (same identity) and of the rest."""
-    return MatchResult(
-        errors=errors,
-        same_mean=float(np.mean(errors[:pairs])),
-        diff_mean=float(np.mean(errors[pairs:])),
-    )
+def kind_means(errors: np.ndarray, pairs: int) -> tuple[float, float]:
+    """Mean error of the first `pairs` rows (same identity) and of the rest
+    (different identity)."""
+    return float(np.mean(errors[:pairs])), float(np.mean(errors[pairs:]))
 
 
 def upsample_features(grid: FeatureGrid) -> DenseFeatureMap:
     """Dense per-pixel map at the grid's native image resolution."""
     return bilinear_upsample(grid, grid.image_h, grid.image_w)
-
-
-def raw_featurizer():
-    """Token grid of the first-stage features."""
-    return lambda out: out.main
-
-
-def projected_featurizer(p: Projector):
-    """Token grid of the second-stage (projected) features."""
-    return lambda out: project(p, out.main)
 
 
 def soft_argmax(heatmap: np.ndarray, temperature: float = 0.1) -> tuple[float, float]:
@@ -367,18 +348,10 @@ def _loss_and_grads(params: RegressorParams, win: np.ndarray, target: np.ndarray
     return loss, [d_conv, d_conv_bias, d_head_w, d_head_b]
 
 
-@dataclass
-class DetectionMetrics:
-    """Landmark errors as percent of each sample's inter-ocular distance."""
-
-    per_sample_pct: np.ndarray
-    mean_pct: float
-
-
 def inter_ocular_error(
     preds: np.ndarray, gts: np.ndarray, left_eye: int, right_eye: int
-) -> DetectionMetrics:
-    """Per-landmark mean of ||pred - gt|| / eye distance, times 100.
+) -> np.ndarray:
+    """(samples, landmarks) ||pred - gt|| / eye distance, times 100.
 
     `preds` and `gts` are (samples, landmarks, 2); the eye indices select
     the normalizing ground-truth pair per sample.
@@ -393,8 +366,7 @@ def inter_ocular_error(
     iod = np.linalg.norm(gts[:, left_eye] - gts[:, right_eye], axis=1)
     if (iod == 0.0).any():
         raise ValueError("coincident eye ground truths")
-    err = np.linalg.norm(preds - gts, axis=2) / iod[:, None] * 100.0
-    return DetectionMetrics(per_sample_pct=err, mean_pct=float(err.mean()))
+    return np.linalg.norm(preds - gts, axis=2) / iod[:, None] * 100.0
 
 
 def drop_mask(scores: np.ndarray, drop_rate: float, grid_h: int, grid_w: int, patch: int) -> np.ndarray:

@@ -94,8 +94,14 @@ class SyntheticFaceSpec:
             raise ValueError("noise scales must be non-negative")
         if not 0.0 <= self.proto_corr < 1.0:
             raise ValueError("prototype correlation must be in [0, 1)")
-        if self.d < 1 or self.d_aux < 1:
-            raise ValueError("feature dims must be >= 1")
+        if self.d_aux < 1:
+            raise ValueError("d_aux must be >= 1")
+        # the positional signatures need one channel per landmark and anchor
+        if self.d < self.n_landmarks + self.n_regions:
+            raise ValueError(
+                f"d = {self.d} is below the {self.n_landmarks + self.n_regions} "
+                "landmarks plus region anchors"
+            )
 
     @property
     def n_landmarks(self) -> int:

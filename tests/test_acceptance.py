@@ -14,13 +14,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from selcorr.cli import _match_protocol, main
+from selcorr.cli import _match_sweep, main
 from selcorr.config import ExperimentConfig, load_config
 from selcorr.dpc import cluster_tokens
 from selcorr.evaluation import (
     MASKED,
     inter_ocular_error,
-    projected_featurizer,
+    kind_means,
     regressor_forward,
     soft_argmax,
     train_regressor,
@@ -333,13 +333,14 @@ def test_criterion_06_training_improves_matching(cfg, corpus64, trained):
     start = time.perf_counter()
     # reference point: the projector exactly as training initialized it
     in_dim = corpus64[0][0].main.channels
-    before = _match_protocol(cfg, projected_featurizer(init_projector(in_dim, cfg.d_proj, cfg.seed)))
-    after = _match_protocol(cfg, projected_featurizer(proj))
+    initial = init_projector(in_dim, cfg.d_proj, cfg.seed)
+    before_same, before_diff = kind_means(_match_sweep(cfg, initial, (0.0,))[0], cfg.pairs)
+    after_same, after_diff = kind_means(_match_sweep(cfg, proj, (0.0,))[0], cfg.pairs)
     wall = train_wall + (time.perf_counter() - start)
-    improvement = (before.same_mean - after.same_mean) / before.same_mean
+    improvement = (before_same - after_same) / before_same
     ok = (
         improvement >= 0.30
-        and after.diff_mean < before.diff_mean
+        and after_diff < before_diff
         and trace.losses[-1] < trace.losses[0]
         and wall < 120.0
     )
@@ -347,8 +348,8 @@ def test_criterion_06_training_improves_matching(cfg, corpus64, trained):
         6,
         "matching improvement",
         ok,
-        f"same {before.same_mean:.2f}->{after.same_mean:.2f}px ({improvement:+.1%}, need >= +30%), "
-        f"diff {before.diff_mean:.2f}->{after.diff_mean:.2f}px, "
+        f"same {before_same:.2f}->{after_same:.2f}px ({improvement:+.1%}, need >= +30%), "
+        f"diff {before_diff:.2f}->{after_diff:.2f}px, "
         f"loss {trace.losses[0]:.0f}->{trace.losses[-1]:.0f}, {wall:.0f}s (limit 120s)",
     )
 
@@ -378,14 +379,14 @@ def test_criterion_07_limited_budget_detection(cfg, corpus64, trained):
         preds = np.stack(
             [regressor_forward(params, o.main, project(proj, o.main)) for o, _ in held]
         )
-        metrics = inter_ocular_error(preds, gts, LEFT_EYE, RIGHT_EYE)
-        assert np.isfinite(metrics.mean_pct)
-        results[budget] = metrics.mean_pct
+        mean_pct = inter_ocular_error(preds, gts, LEFT_EYE, RIGHT_EYE).mean()
+        assert np.isfinite(mean_pct)
+        results[budget] = mean_pct
 
     mean_lm = np.stack([lm for _, lm in corpus[:20]]).mean(axis=0)
     baseline = inter_ocular_error(
         np.tile(mean_lm, (len(held), 1, 1)), gts, LEFT_EYE, RIGHT_EYE
-    ).mean_pct
+    ).mean()
     ok = results[20] < baseline
     curve = ", ".join(f"{b}:{v:.2f}" for b, v in results.items())
     _report(
@@ -474,7 +475,7 @@ def test_criterion_10_documented_defaults():
         "repellence": (cfg.r_aa, cfg.r_ai, cfg.r_ii) == (5.0, 5.0, 2.0),
         "tau": cfg.tau == 0.07,
         "heatmaps": cfg.heatmaps == 50,
-        "geometry": (cfg.resize, cfg.crop, cfg.patch) == (136, 96, 8),
+        "geometry": (cfg.crop, cfg.patch) == (96, 8),
         "pairs": cfg.pairs == 500,
         "projector": (cfg.proj_lr, cfg.proj_steps, cfg.optimizer) == (1e-3, 200, "gd"),
         "alternate eta loads": load_config(overrides={"eta": "0.1"}).eta == 0.1,

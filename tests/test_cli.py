@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from selcorr import cli
-from selcorr.cli import DROP_SWEEP, _match_protocol, _match_sweep, main
+from selcorr.cli import DROP_SWEEP, _match_sweep, main
 from selcorr.config import load_config
-from selcorr.evaluation import projected_featurizer, raw_featurizer, train_regressor
+from selcorr.evaluation import train_regressor
 from selcorr.partition import cls_similarity, split_tokens
 from selcorr.projector import Projector, init_projector, projector_checksum
 from selcorr.synth import BackboneOutput, read_sample
@@ -20,7 +20,7 @@ from selcorr.tensorio import read_manifest, read_tensor, write_tensor
 
 # small geometry so every command finishes in well under a second
 TINY = [
-    "--crop", "32", "--resize", "48",
+    "--crop", "32",
     "--d", "8", "--d-aux", "4", "--d-proj", "4",
     "--proj-steps", "4", "--reg-steps", "3", "--heatmaps", "2",
     "--pairs", "2", "--holdout", "2", "--seed", "0",
@@ -182,14 +182,14 @@ def test_huge_checkpoint_weight_is_a_data_error(tiny_run, tmp_path, capsys, comm
 
 def test_drop_rate_sweep_equals_one_protocol_per_rate():
     cfg = load_config(None, _tiny_overrides(pairs="2"))
-    for featurize in (raw_featurizer(), projected_featurizer(init_projector(8, 4, seed=0))):
-        swept = _match_sweep(cfg, featurize, DROP_SWEEP)
+    for proj in (None, init_projector(8, 4, seed=0)):
+        swept = _match_sweep(cfg, proj, DROP_SWEEP)
+        assert swept.shape == (len(DROP_SWEEP), 2 * cfg.pairs, 5)
         for rate, got in zip(DROP_SWEEP, swept):
-            want = _match_protocol(cfg, featurize, drop_rate=rate)
-            assert got.errors.tobytes() == want.errors.tobytes()
-            assert (got.same_mean, got.diff_mean) == (want.same_mean, want.diff_mean)
+            want = _match_sweep(cfg, proj, (rate,))[0]
+            assert got.tobytes() == want.tobytes()
         # the high rates must actually move some matches
-        assert swept[0].errors.tobytes() != swept[-1].errors.tobytes()
+        assert swept[0].tobytes() != swept[-1].tobytes()
 
 
 def test_ablate_drop_rate_and_eta(tmp_path):
@@ -222,6 +222,9 @@ def test_usage_errors_exit_1(tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["gen", "--count", "0", "--out", str(tmp_path), *deleted])
         assert exc.value.code == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--count", "0", "--out", str(tmp_path), "--resize", "136"])  # deleted key
+    assert exc.value.code == 1
     assert main(["gen", "--count", "-1", "--out", str(tmp_path), *TINY]) == 1
     assert main(["gen", "--count", "0", "--out", str(tmp_path), "--eta", "2.0"]) == 1
     assert main(["ablate", "--axis", "kc", "--out", str(tmp_path), *TINY]) == 1
@@ -415,6 +418,9 @@ def test_overflowing_regressor_update_exits_3(tiny_run, tmp_path, capsys):
         ("train-projector", "--tau", "inf"),
         ("eval-match", "--seed", "-1"),
         ("gen", "--d", "0"),
+        # below the 5 landmarks plus 3 region anchors of the default layout
+        ("gen", "--d", "4"),
+        ("eval-match", "--d", "7"),
         ("train-projector", "--d-proj", "1"),
         ("gen", "--sigma-lm", "-1"),
         ("gen", "--proto-corr", "1"),

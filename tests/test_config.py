@@ -12,9 +12,10 @@ def test_default_values():
     assert cfg.kc == 4
     assert cfg.tau == 0.07
     assert (cfg.r_aa, cfg.r_ai, cfg.r_ii) == (5.0, 5.0, 2.0)
-    # dot-product logits stay a library option (RepellenceConfig), not a key
-    assert {"rho_verbatim", "cosine"}.isdisjoint(f.name for f in fields(cfg))
-    assert (cfg.resize, cfg.crop, cfg.patch) == (136, 96, 8)
+    # dot-product logits stay a library option (RepellenceConfig), not a key;
+    # no command ever resized an image
+    assert {"rho_verbatim", "cosine", "resize"}.isdisjoint(f.name for f in fields(cfg))
+    assert (cfg.crop, cfg.patch) == (96, 8)
     assert cfg.heatmaps == 50
     assert cfg.proj_steps == 200 and cfg.proj_lr == 1e-3
     assert cfg.optimizer == "gd"
@@ -66,6 +67,10 @@ def test_unknown_key_rejected(tmp_path):
     path.write_text("cosine=true\n")
     with pytest.raises(ConfigError, match="unknown config key 'cosine'"):
         load_config(path)
+    # and the resize key, which no command read
+    path.write_text("resize=136\n")
+    with pytest.raises(ConfigError, match="unknown config key 'resize'"):
+        load_config(path)
 
 
 def test_dump_load_roundtrip(tmp_path):
@@ -74,7 +79,7 @@ def test_dump_load_roundtrip(tmp_path):
     path = tmp_path / "dump.cfg"
     text = write_key_values(path, asdict(cfg))
     assert path.read_text() == text
-    assert "rho_verbatim" not in text and "cosine" not in text
+    assert "rho_verbatim" not in text and "cosine" not in text and "resize" not in text
     assert "eta=0.4\n" in text
     assert load_config(path) == cfg
 
@@ -86,7 +91,6 @@ def test_dump_load_roundtrip(tmp_path):
         {"eta": "1.0"},
         {"kc": "0"},
         {"heatmaps": "0"},
-        {"crop": "144"},  # exceeds resize
         {"crop": "90"},  # not a multiple of patch
         {"drop_rate": "1.0"},
         {"drop_rate": "-0.1"},
@@ -100,6 +104,7 @@ def test_dump_load_roundtrip(tmp_path):
         {"reg_optimizer": "adagrad"},
         {"momentum": "1.5"},
         {"eta": "fast"},  # not a number
+        {"d": "7"},  # below the 5 landmarks plus 3 region anchors
     ],
 )
 def test_validation_rejects(overrides):
@@ -108,7 +113,7 @@ def test_validation_rejects(overrides):
 
 
 def test_face_spec_scales_with_crop():
-    cfg = ExperimentConfig(crop=48, resize=72)
+    cfg = ExperimentConfig(crop=48)
     spec = cfg.face_spec()
     assert spec.image_size == 48
     # layout is defined on a 96-pixel crop and scales linearly

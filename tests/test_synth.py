@@ -85,6 +85,10 @@ def test_spec_validation():
         SyntheticFaceSpec(proto_corr=1.0)
     with pytest.raises(ValueError):
         SyntheticFaceSpec(sigma_bg=-0.1)
+    # the positional signatures need a channel per landmark and anchor (5 + 3)
+    with pytest.raises(ValueError, match="d = 7 is below the 8 landmarks plus region anchors"):
+        SyntheticFaceSpec(d=7)
+    SyntheticFaceSpec(d=8)
     with pytest.raises(ValueError):
         SyntheticFaceSpec(landmarks_px=((30.0, 36.0), (200.0, 36.0), (48.0, 56.0),
                                         (34.0, 72.0), (62.0, 72.0)))
