@@ -1,8 +1,12 @@
 """Downstream protocols: landmark matching and heatmap-regression detection.
 
-Matching takes cosine-similarity argmaxes at image resolution: only the
-test map is upsampled to pixels, and the reference query features are
-sampled in one call, each at its one pixel.
+Matching takes cosine-similarity argmaxes at image resolution, computed on
+the token grid: the test grid's rows are blended once, and each pixel's
+dot products and squared norm are two-tap column blends of that small
+grid's, so no per-pixel test map is built. The cosines agree with those of
+the upsampled maps (`similarity_map`) to within 1e-14 on the matching
+protocol's pairs. The reference query features are sampled in one call,
+each at its one pixel.
 Detection runs a 3x3 conv over concatenated first/second-stage channels,
 decodes each heatmap with a soft-argmax, and maps the decoded coordinates
 through a small per-landmark linear head; its backward pass is derived by
@@ -22,6 +26,7 @@ from .tensorio import (
     DenseFeatureMap,
     FeatureGrid,
     bilinear_sample,
+    bilinear_taps,
     bilinear_upsample,
     norm,
     softmax,
@@ -51,26 +56,58 @@ def similarity_map(
 
 def similarity_stack(ref: FeatureGrid, test: FeatureGrid, queries_px: np.ndarray) -> np.ndarray:
     """(L, H, W) cosine similarity of each query pixel's reference feature to
-    every pixel of the upsampled test map.
+    every pixel of the upsampled test map, computed on the token grid.
 
-    Equal, bit for bit, to `similarity_map` of both upsampled maps for each
-    query, but only the test grid is upsampled in full; the query features
-    are the diagonal of one (L, L) block sampled at the rounded, clipped
-    query rows and columns. Zero-norm rules as there.
+    Each test pixel is a two-tap column blend p = (1 - w) r0 + w r1 of the
+    (H, grid_w, d) row-blended test grid R (`bilinear_taps`), so no
+    (H, W, d) map is built: p's dot product with a query is the same blend
+    of R's dot products, and its squared norm is the quadratic form
+    (1 - w)^2 |r0|^2 + 2 w (1 - w) r0.r1 + w^2 |r1|^2. The query features
+    are the diagonal of one (L, L) `bilinear_sample` block at the rounded,
+    clipped query rows and columns.
+
+    Equal to `similarity_map` of both upsampled maps up to rounding: on the
+    matching protocol's pairs the tests bound the difference by 1e-14. The
+    quadratic form loses relative accuracy where (1 - w) r0 + w r1 nearly
+    cancels, in proportion to how much cancels; a pixel whose form is zero,
+    or rounds below zero, scores -1, as a zero-norm pixel does there. A
+    zero-norm query raises.
     """
     if ref.channels != test.channels:
         raise ValueError("feature maps disagree on channel count")
-    test_map = upsample_features(test)
-    flat = test_map.values.reshape(-1, test_map.channels)
-    norms = _TestNorms(flat)
+    rows, x0, x1, w = bilinear_taps(test, test.image_h, test.image_w)
+    # a finite norm keeps its sum of squares below DBL_MAX, so by
+    # Cauchy-Schwarz every product below stays finite
+    row_norms = norm(rows, axis=2)
     pixels = [_query_pixel(query_px, ref.image_h, ref.image_w) for query_px in queries_px]
     qxs = [qx for qx, _ in pixels]
     qys = [qy for _, qy in pixels]
     diag = np.arange(len(pixels))
     queries = bilinear_sample(ref, ref.image_h, ref.image_w, qys, qxs)[diag, diag]
-    sims = np.empty((len(pixels), test_map.height, test_map.width))
-    for i, (q, q_px) in enumerate(zip(queries, pixels)):
-        sims[i] = _cosine_rows(q, q_px, flat, norms).reshape(sims.shape[1:])
+    query_norms = norm(queries, axis=1)
+    for q_px, qn in zip(pixels, query_norms):
+        if qn == 0.0:
+            raise ValueError(f"zero-norm feature at query pixel {q_px}")
+    # each column's product with the next (with itself on a 1-wide grid),
+    # indexed like the squared norms by a pixel's lower tap
+    lo = np.arange(max(test.grid_w - 1, 1))
+    cross = np.einsum("hwd,hwd->hw", rows[:, lo], rows[:, np.minimum(lo + 1, test.grid_w - 1)])
+    sq_norms = row_norms * row_norms
+    pixel_sq = (
+        ((1.0 - w) * (1.0 - w)) * sq_norms[:, x0]
+        + (2.0 * w * (1.0 - w)) * cross[:, x0]
+        + (w * w) * sq_norms[:, x1]
+    )
+    zero = pixel_sq <= 0.0
+    pixel_norms = np.sqrt(np.where(zero, 1.0, pixel_sq))
+    dots = (queries @ rows.reshape(-1, test.channels).T).reshape(len(pixels), *row_norms.shape)
+    sims = np.take(dots, x0, axis=2)
+    sims *= 1.0 - w
+    tap = np.take(dots, x1, axis=2)
+    tap *= w
+    sims += tap
+    sims /= query_norms[:, None, None] * pixel_norms
+    sims[:, zero] = -1.0
     return sims
 
 

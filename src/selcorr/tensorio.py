@@ -5,7 +5,8 @@ Formats: `.scet` binary tensors (float64 in memory; float32 is allowed on
 disk and round-trips bit-exactly), key=value text, CSV and manifests.
 Primitives: squared distances and norms (both raise `NonFiniteError` on
 overflow), the last-axis softmax, the stable top-k, and bilinear
-upsampling of token grids. Imports nothing from the rest of the package.
+upsampling of token grids, whole or as its row-blended grid and column
+taps. Imports nothing from the rest of the package.
 """
 
 from __future__ import annotations
@@ -172,19 +173,13 @@ def bilinear_sample(
     interpolation is linear per axis, and pixels outside the convex hull of
     centers clamp to the nearest edge value.
 
-    Separable: the two source rows are blended once on the small
-    (rows, grid_w, d) array, then two columns of that at pixel resolution.
-    Every element goes through the same operations, so any block is
-    bit-identical to the same block of the full map.
+    Separable (see `bilinear_taps`): the two source rows are blended once
+    on the small (rows, grid_w, d) array, then two columns of that at pixel
+    resolution. Every element goes through the same operations, so any
+    block is bit-identical to the same block of the full map.
     """
-    if target_h < grid.grid_h or target_w < grid.grid_w:
-        raise ValueError("target dims must be >= grid dims")
-    vals = grid.features.reshape(grid.grid_h, grid.grid_w, grid.channels)
-    y0, y1, wy = _axis_taps(target_h, grid.grid_h, rows)
-    x0, x1, wx = _axis_taps(target_w, grid.grid_w, cols)
-    wy = wy[:, None, None]
+    blended, x0, x1, wx = bilinear_taps(grid, target_h, target_w, rows, cols)
     wx = wx[None, :, None]
-    blended = vals[y0] * (1.0 - wy) + vals[y1] * wy
     # one output and one scratch buffer at full size; take() keeps them
     # C-contiguous, as blended[:, x0] would not be
     out = np.take(blended, x0, axis=1)
@@ -193,6 +188,29 @@ def bilinear_sample(
     tap *= wx
     out += tap
     return out
+
+
+def bilinear_taps(
+    grid: FeatureGrid,
+    target_h: int,
+    target_w: int,
+    rows: np.ndarray | list[int] | None = None,
+    cols: np.ndarray | list[int] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The two stages of `bilinear_sample`, before the column blend.
+
+    Returns `(blended, x0, x1, wx)`: `blended` is the (len(rows), grid_w, d)
+    grid with its two source rows blended at each selected pixel row, and
+    each selected pixel column (x) is `blended[:, x0] * (1 - wx) +
+    blended[:, x1] * wx`. `x1` is `x0 + 1`, or `x0` on a 1-wide grid.
+    """
+    if target_h < grid.grid_h or target_w < grid.grid_w:
+        raise ValueError("target dims must be >= grid dims")
+    vals = grid.features.reshape(grid.grid_h, grid.grid_w, grid.channels)
+    y0, y1, wy = _axis_taps(target_h, grid.grid_h, rows)
+    x0, x1, wx = _axis_taps(target_w, grid.grid_w, cols)
+    wy = wy[:, None, None]
+    return vals[y0] * (1.0 - wy) + vals[y1] * wy, x0, x1, wx
 
 
 def _axis_taps(target: int, cells: int, pixels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

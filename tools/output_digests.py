@@ -15,7 +15,8 @@ Per seed: `gen` (32 samples); `train-projector` with gd and with
 with `--drop-rate 0.5`; `eval-detect` by default, with `--reg-optimizer gd
 --repeats 2`, and with `--budget 30` (clamped to 24, so the training and
 held-out samples meet); `ablate --axis kc`, and `--axis drop_rate` raw and
-with the checkpoint; `export-simmap`. Matching
+with the checkpoint; `export-simmap` with the checkpoint, and raw with
+`--kind different`. Matching
 runs at PAIRS (50) pairs per kind, except the first seed's three
 `eval-match` runs, which run FIRST_SEED_PAIRS (500, the default). Both are
 fixed so that two runs always hash the same matrix. A command that exits
@@ -69,6 +70,8 @@ def _matrix(root: Path, match_pairs: str) -> list[tuple[str, list[str]]]:
         ("ablate_drop_ckpt", ["ablate", "--axis", "drop_rate", "--checkpoint", ckpt,
                               *out("ablate_drop_ckpt"), "--pairs", PAIRS]),
         ("simmap", ["export-simmap", "--checkpoint", ckpt, *out("simmap/sim.pgm")]),
+        ("simmap_raw_diff", ["export-simmap", "--kind", "different",
+                             *out("simmap_raw_diff/sim.pgm")]),
     ]
 
 
