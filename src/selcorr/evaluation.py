@@ -5,8 +5,7 @@ the token grid: the test grid's rows are blended once, and each pixel's
 dot products and squared norm are two-tap column blends of that small
 grid's, so no per-pixel test map is built. The cosines agree with those of
 the upsampled maps (`similarity_map`) to within 1e-14 on the matching
-protocol's pairs. The reference query features are sampled in one call,
-each at its one pixel.
+protocol's pairs. Each reference query feature is blended at its one pixel.
 Detection runs a 3x3 conv over concatenated first/second-stage channels,
 decodes each heatmap with a soft-argmax, and maps the decoded coordinates
 through a small per-landmark linear head; its backward pass is derived by
@@ -25,7 +24,6 @@ from .synth import BackboneOutput, EvalPair
 from .tensorio import (
     DenseFeatureMap,
     FeatureGrid,
-    bilinear_sample,
     bilinear_taps,
     bilinear_upsample,
     norm,
@@ -49,8 +47,18 @@ def similarity_map(
     if ref_map.channels != test_map.channels:
         raise ValueError("feature maps disagree on channel count")
     qx, qy = _query_pixel(query_px, ref_map.height, ref_map.width)
+    q = ref_map.values[qy, qx]
     flat = test_map.values.reshape(-1, test_map.channels)
-    sims = _cosine_rows(ref_map.values[qy, qx], (qx, qy), flat, _TestNorms(flat))
+    norms = norm(flat, axis=1)
+    zero = norms == 0.0
+    safe = np.where(zero, 1.0, norms)
+    # a finite norm keeps its sum of squares below DBL_MAX, so by Cauchy-Schwarz
+    # both products below stay finite
+    qn = norm(q)
+    if qn == 0.0:
+        raise ValueError(f"zero-norm feature at query pixel {(qx, qy)}")
+    sims = (flat @ q) / (qn * safe)
+    sims[zero] = -1.0
     return sims.reshape(test_map.height, test_map.width)
 
 
@@ -63,8 +71,8 @@ def similarity_stack(ref: FeatureGrid, test: FeatureGrid, queries_px: np.ndarray
     (H, W, d) map is built: p's dot product with a query is the same blend
     of R's dot products, and its squared norm is the quadratic form
     (1 - w)^2 |r0|^2 + 2 w (1 - w) r0.r1 + w^2 |r1|^2. The query features
-    are the diagonal of one (L, L) `bilinear_sample` block at the rounded,
-    clipped query rows and columns.
+    are the reference map's pixels at the rounded, clipped query positions
+    (`_pixel_features`).
 
     Equal to `similarity_map` of both upsampled maps up to rounding: on the
     matching protocol's pairs the tests bound the difference by 1e-14. The
@@ -75,15 +83,13 @@ def similarity_stack(ref: FeatureGrid, test: FeatureGrid, queries_px: np.ndarray
     """
     if ref.channels != test.channels:
         raise ValueError("feature maps disagree on channel count")
+    pixels = [_query_pixel(query_px, ref.image_h, ref.image_w) for query_px in queries_px]
+    # before the test grid's taps, so the reference's are freed first
+    queries = _pixel_features(ref, [qx for qx, _ in pixels], [qy for _, qy in pixels])
     rows, x0, x1, w = bilinear_taps(test, test.image_h, test.image_w)
     # a finite norm keeps its sum of squares below DBL_MAX, so by
     # Cauchy-Schwarz every product below stays finite
     row_norms = norm(rows, axis=2)
-    pixels = [_query_pixel(query_px, ref.image_h, ref.image_w) for query_px in queries_px]
-    qxs = [qx for qx, _ in pixels]
-    qys = [qy for _, qy in pixels]
-    diag = np.arange(len(pixels))
-    queries = bilinear_sample(ref, ref.image_h, ref.image_w, qys, qxs)[diag, diag]
     query_norms = norm(queries, axis=1)
     for q_px, qn in zip(pixels, query_norms):
         if qn == 0.0:
@@ -117,24 +123,17 @@ def _query_pixel(query_px, height: int, width: int) -> tuple[int, int]:
     return qx, qy
 
 
-class _TestNorms:
-    """Per-pixel norms of a flattened test map, computed once per map."""
-
-    def __init__(self, flat: np.ndarray):
-        norms = norm(flat, axis=1)
-        self.zero = norms == 0.0
-        self.safe = np.where(self.zero, 1.0, norms)
-
-
-def _cosine_rows(q: np.ndarray, q_px, flat: np.ndarray, norms: _TestNorms) -> np.ndarray:
-    # a finite norm keeps its sum of squares below DBL_MAX, so by Cauchy-Schwarz
-    # both products below stay finite
-    qn = norm(q)
-    if qn == 0.0:
-        raise ValueError(f"zero-norm feature at query pixel {q_px}")
-    sims = (flat @ q) / (qn * norms.safe)
-    sims[norms.zero] = -1.0
-    return sims
+def _pixel_features(grid: FeatureGrid, xs, ys) -> np.ndarray:
+    """(len(xs), d) features of the upsampled map at pixels (xs[i], ys[i]),
+    bit for bit the map's own values there."""
+    rows, x0, x1, w = bilinear_taps(grid, grid.image_h, grid.image_w)
+    wx = w[xs][:, None]
+    out = rows[ys, x0[xs]]
+    out *= 1.0 - wx
+    tap = rows[ys, x1[xs]]
+    tap *= wx
+    out += tap
+    return out
 
 
 def token_grid(output: BackboneOutput, proj: Projector | None) -> FeatureGrid:
@@ -155,9 +154,11 @@ def match_pair(
     """(L,) pixel distance from each landmark's best test pixel to its ground truth.
 
     The best pixel is the argmax of the landmark's map in `sims`, the pair's
-    `pair_similarity`, which can serve several masks. Ties resolve in
-    scanline order (first row, then column). `test_mask` marks excluded
-    test pixels (True = dropped).
+    `pair_similarity`, which can serve several masks. Exactly equal scores
+    resolve in scanline order (first row, then column); pixels with
+    bit-identical features need not score exactly equal, as the cosine
+    GEMM may round a pixel's dot product by its place in the map.
+    `test_mask` marks excluded test pixels (True = dropped).
     """
     if test_mask is not None:
         if test_mask.shape != sims.shape[1:]:

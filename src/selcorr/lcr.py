@@ -4,10 +4,11 @@ Pairs of tokens that are far apart on the patch grid are pushed toward low
 correspondence probability; the push strength depends on whether each
 token of the pair is attentive. The loss is a plain double sum of
 log-distance * repellence-weight * correspondence with no normalization.
-The first two factors form the fixed per-image `pair_weight`; both
-`evaluate_loss` (the loss split by pair type) and `loss_and_gradient` (the
-loss with its analytic gradient, checked against finite differences in the
-tests) multiply it by the correspondence matrix.
+The first two factors form the fixed per-image `pair_weight`, and
+`loss_and_gradient` multiplies it by the correspondence matrix. The loss is
+linear in the pair weight, so one pair type's part of it is
+`loss_and_gradient` at the `pair_weight` of a config whose other two
+repellence weights are 0.
 
 An image whose rows repeat (substitution copies each cluster center into
 its members) can run the same loss on its m distinct rows: with column
@@ -47,16 +48,6 @@ class RepellenceConfig:
             raise ValueError("repellence weights must be non-negative")
 
 
-@dataclass
-class LossBreakdown:
-    """Loss total and its exact split by pair type."""
-
-    total: float
-    att_att: float
-    att_inatt: float
-    inatt_inatt: float
-
-
 def token_coords(grid_h: int, grid_w: int) -> np.ndarray:
     """(N, 2) array of (row, col) cell coordinates in row-major token order."""
     if grid_h < 1 or grid_w < 1:
@@ -82,10 +73,9 @@ def repellence_matrix(labels: np.ndarray, cfg: RepellenceConfig) -> np.ndarray:
     labels = np.asarray(labels, dtype=bool)
     if labels.ndim != 1:
         raise ValueError(f"expected boolean label vector, got shape {labels.shape}")
-    aa, _, ii = _pair_masks(labels)
     out = np.full((labels.size, labels.size), float(cfg.r_att_inatt))
-    out[aa] = cfg.r_att_att
-    out[ii] = cfg.r_inatt_inatt
+    out[labels[:, None] & labels[None, :]] = cfg.r_att_att
+    out[~labels[:, None] & ~labels[None, :]] = cfg.r_inatt_inatt
     return out
 
 
@@ -128,41 +118,6 @@ def _unit_rows(projected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if (norms == 0.0).any():
         raise ValueError("cannot normalize zero-norm feature rows")
     return phi / norms, norms
-
-
-def _pair_masks(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    labels = np.asarray(labels, dtype=bool)
-    aa = labels[:, None] & labels[None, :]
-    ii = ~labels[:, None] & ~labels[None, :]
-    return aa, ~aa & ~ii, ii
-
-
-def evaluate_loss(
-    projected: np.ndarray,
-    positions: np.ndarray,
-    labels: np.ndarray,
-    cfg: RepellenceConfig,
-) -> LossBreakdown:
-    """Sum over all ordered pairs of pair weight * correspondence, split by pair type.
-
-    No averaging anywhere, so the value scales with N^2. The diagonal
-    contributes nothing because the locality factor of the pair weight is
-    zero there. `labels` routes each term into the per-type partials, which
-    partition the total.
-    """
-    phi = np.asarray(projected, dtype=np.float64)
-    if np.asarray(positions).shape[0] != phi.shape[0] or np.asarray(labels).shape[0] != phi.shape[0]:
-        raise ValueError("projected, positions and labels disagree on token count")
-    terms = pair_weight(locality_matrix(positions), labels, cfg) * correspondence_matrix(
-        phi, tau=cfg.tau, cosine=cfg.cosine
-    )
-    aa, ai, ii = _pair_masks(labels)
-    return LossBreakdown(
-        total=float(terms.sum()),
-        att_att=float(terms[aa].sum()),
-        att_inatt=float(terms[ai].sum()),
-        inatt_inatt=float(terms[ii].sum()),
-    )
 
 
 def pair_weight(locality: np.ndarray, labels: np.ndarray, cfg: RepellenceConfig) -> np.ndarray:

@@ -155,30 +155,17 @@ class DenseFeatureMap:
 
 
 def bilinear_upsample(grid: FeatureGrid, target_h: int, target_w: int) -> DenseFeatureMap:
-    """Upsample a feature grid to per-pixel resolution (see `bilinear_sample`)."""
-    return DenseFeatureMap(bilinear_sample(grid, target_h, target_w))
+    """Upsample a feature grid to per-pixel resolution.
 
-
-def bilinear_sample(
-    grid: FeatureGrid,
-    target_h: int,
-    target_w: int,
-    rows: np.ndarray | list[int] | None = None,
-    cols: np.ndarray | list[int] | None = None,
-) -> np.ndarray:
-    """(len(rows), len(cols), d) block of the grid upsampled to target_h x target_w.
-
-    `rows` and `cols` select pixel rows and columns (all when None). Each
-    cell's value is anchored at its cell-center pixel; in between the
+    Each cell's value is anchored at its cell-center pixel; in between the
     interpolation is linear per axis, and pixels outside the convex hull of
     centers clamp to the nearest edge value.
 
     Separable (see `bilinear_taps`): the two source rows are blended once
-    on the small (rows, grid_w, d) array, then two columns of that at pixel
-    resolution. Every element goes through the same operations, so any
-    block is bit-identical to the same block of the full map.
+    on the small (target_h, grid_w, d) array, then two columns of that at
+    pixel resolution.
     """
-    blended, x0, x1, wx = bilinear_taps(grid, target_h, target_w, rows, cols)
+    blended, x0, x1, wx = bilinear_taps(grid, target_h, target_w)
     wx = wx[None, :, None]
     # one output and one scratch buffer at full size; take() keeps them
     # C-contiguous, as blended[:, x0] would not be
@@ -187,37 +174,31 @@ def bilinear_sample(
     tap = np.take(blended, x1, axis=1)
     tap *= wx
     out += tap
-    return out
+    return DenseFeatureMap(out)
 
 
 def bilinear_taps(
-    grid: FeatureGrid,
-    target_h: int,
-    target_w: int,
-    rows: np.ndarray | list[int] | None = None,
-    cols: np.ndarray | list[int] | None = None,
+    grid: FeatureGrid, target_h: int, target_w: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The two stages of `bilinear_sample`, before the column blend.
+    """The two stages of `bilinear_upsample`, before the column blend.
 
-    Returns `(blended, x0, x1, wx)`: `blended` is the (len(rows), grid_w, d)
-    grid with its two source rows blended at each selected pixel row, and
-    each selected pixel column (x) is `blended[:, x0] * (1 - wx) +
-    blended[:, x1] * wx`. `x1` is `x0 + 1`, or `x0` on a 1-wide grid.
+    Returns `(blended, x0, x1, wx)`: `blended` is the (target_h, grid_w, d)
+    grid with its two source rows blended at each pixel row, and pixel
+    column x is `blended[:, x0[x]] * (1 - wx[x]) + blended[:, x1[x]] *
+    wx[x]`. `x1` is `x0 + 1`, or `x0` on a 1-wide grid.
     """
     if target_h < grid.grid_h or target_w < grid.grid_w:
         raise ValueError("target dims must be >= grid dims")
     vals = grid.features.reshape(grid.grid_h, grid.grid_w, grid.channels)
-    y0, y1, wy = _axis_taps(target_h, grid.grid_h, rows)
-    x0, x1, wx = _axis_taps(target_w, grid.grid_w, cols)
+    y0, y1, wy = _axis_taps(target_h, grid.grid_h)
+    x0, x1, wx = _axis_taps(target_w, grid.grid_w)
     wy = wy[:, None, None]
     return vals[y0] * (1.0 - wy) + vals[y1] * wy, x0, x1, wx
 
 
-def _axis_taps(target: int, cells: int, pixels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # lower cell, upper cell and upper weight of each selected pixel
+def _axis_taps(target: int, cells: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # lower cell, upper cell and upper weight of each pixel
     coords = _grid_coords(target, cells)
-    if pixels is not None:
-        coords = coords[np.asarray(pixels, dtype=np.intp)]
     lo = np.clip(np.floor(coords).astype(np.intp), 0, max(cells - 2, 0))
     hi = np.minimum(lo + 1, cells - 1)
     return lo, hi, coords - lo

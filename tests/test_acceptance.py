@@ -28,7 +28,6 @@ from selcorr.evaluation import (
 from selcorr.lcr import (
     RepellenceConfig,
     correspondence_matrix,
-    evaluate_loss,
     locality_matrix,
     loss_and_gradient,
     pair_weight,
@@ -254,6 +253,22 @@ def _loop_loss(phi, positions, labels, repel, tau, cosine):
     return totals
 
 
+_WEIGHTS = ("r_att_att", "r_att_inatt", "r_inatt_inatt")
+
+
+def _loss_split(phi, positions, labels, cfg):
+    """The training core's loss total and its att-att, att-inatt and
+    inatt-inatt parts: the loss is linear in the pair weight, so a type's
+    part is `loss_and_gradient` with the other two repellence weights at 0."""
+    locality = locality_matrix(positions)
+
+    def loss(c):
+        return loss_and_gradient(phi, pair_weight(locality, labels, c), c.tau, c.cosine)[0]
+
+    only = [replace(cfg, **{k: 0.0 for k in _WEIGHTS if k != keep}) for keep in _WEIGHTS]
+    return (loss(cfg), *map(loss, only))
+
+
 def test_criterion_04_loss_decomposition():
     rng = np.random.default_rng(404)
     repel = RepellenceConfig()
@@ -266,17 +281,17 @@ def test_criterion_04_loss_decomposition():
         labels[rng.permutation(n)[: n // 3]] = True
         for cosine in (True, False):
             cfg = replace(repel, cosine=cosine)
-            got = evaluate_loss(phi, positions, labels, cfg)
+            total, aa, ai, ii = _loss_split(phi, positions, labels, cfg)
             ref = _loop_loss(phi, positions, labels, cfg, cfg.tau, cosine)
             ref_total = ref["aa"] + ref["ai"] + ref["ii"]
             worst = max(
                 worst,
-                _max_rel(got.total, ref_total),
-                _max_rel(got.att_att, ref["aa"]),
-                _max_rel(got.att_inatt, ref["ai"]),
-                _max_rel(got.inatt_inatt, ref["ii"]),
+                _max_rel(total, ref_total),
+                _max_rel(aa, ref["aa"]),
+                _max_rel(ai, ref["ai"]),
+                _max_rel(ii, ref["ii"]),
                 # partials must partition the library total as well
-                _max_rel(got.att_att + got.att_inatt + got.inatt_inatt, got.total),
+                _max_rel(aa + ai + ii, total),
             )
             # same value when composed from the three public matrices
             composed = (
@@ -284,7 +299,7 @@ def test_criterion_04_loss_decomposition():
                 * repellence_matrix(labels, cfg)
                 * correspondence_matrix(phi, tau=cfg.tau, cosine=cosine)
             ).sum()
-            worst = max(worst, _max_rel(composed, got.total))
+            worst = max(worst, _max_rel(composed, total))
             # scaling every pair-type factor by c scales the loss by exactly c
             c = 10.0 / 3.0
             cfg_c = replace(
@@ -293,14 +308,14 @@ def test_criterion_04_loss_decomposition():
                 r_att_inatt=cfg.r_att_inatt * c,
                 r_inatt_inatt=cfg.r_inatt_inatt * c,
             )
-            got_c = evaluate_loss(phi, positions, labels, cfg_c)
-            worst = max(worst, _max_rel(got_c.total, c * got.total))
+            total_c = _loss_split(phi, positions, labels, cfg_c)[0]
+            worst = max(worst, _max_rel(total_c, c * total))
             # zeroing one pair type removes exactly that term
             cfg0 = replace(cfg, r_att_att=0.0)
-            got0 = evaluate_loss(phi, positions, labels, cfg0)
+            total0, aa0, _, _ = _loss_split(phi, positions, labels, cfg0)
             ref0 = _loop_loss(phi, positions, labels, cfg0, cfg0.tau, cosine)
-            assert got0.att_att == 0.0
-            worst = max(worst, _max_rel(got0.total, ref0["ai"] + ref0["ii"]))
+            assert aa0 == 0.0
+            worst = max(worst, _max_rel(total0, ref0["ai"] + ref0["ii"]))
     ok = worst <= 1e-12
     _report(4, "loss decomposition", ok, f"max rel err {worst:.2e} (tol 1e-12)")
 

@@ -26,7 +26,7 @@ from selcorr.evaluation import RegressorParams, init_regressor
 from selcorr.projector import DivergenceError, OptimConfig, init_projector
 from selcorr.partition import cls_similarity
 from selcorr.synth import EvalPair, SyntheticFaceSpec, generate_backbone_output, make_pair
-from selcorr.tensorio import DenseFeatureMap, FeatureGrid
+from selcorr.tensorio import DenseFeatureMap, FeatureGrid, bilinear_upsample
 
 SMALL = dict(
     landmarks_px=((6.0, 6.0), (20.0, 6.0), (13.0, 13.0), (8.0, 24.0), (20.0, 24.0)),
@@ -173,25 +173,37 @@ def test_pair_similarity_near_dense_oracle_and_errors_bit_for_bit(features, drop
 
 @pytest.mark.parametrize("n_queries", [1, 5, 9])
 def test_similarity_stack_never_upsamples(monkeypatch, n_queries):
-    """No dense map is built, and one query block is sampled per pair, whatever L."""
+    """No dense map is built, and each grid's taps are taken once per pair
+    (the reference's for the queries, the test's for the maps), whatever L."""
 
     def dense(*args):
         raise AssertionError("the test map was upsampled")
 
     calls = []
-    sample = tensorio.bilinear_sample
-    counting = lambda *a: calls.append(1) or sample(*a)  # noqa: E731
+    taps = tensorio.bilinear_taps
+    counting = lambda *a: calls.append(1) or taps(*a)  # noqa: E731
     monkeypatch.setattr(tensorio, "bilinear_upsample", dense)
     monkeypatch.setattr(evaluation, "bilinear_upsample", dense)
     monkeypatch.setattr(evaluation, "upsample_features", dense)
-    monkeypatch.setattr(tensorio, "bilinear_sample", counting)
-    monkeypatch.setattr(evaluation, "bilinear_sample", counting)
+    monkeypatch.setattr(tensorio, "bilinear_taps", counting)
+    monkeypatch.setattr(evaluation, "bilinear_taps", counting)
     pair = make_pair(SyntheticFaceSpec(**SMALL), "same", 0)
     queries = np.random.default_rng(n_queries).uniform(-2.0, 34.0, size=(n_queries, 2))
     stack = similarity_stack(pair.ref.main, pair.test.main, queries)
-    assert stack.shape == (n_queries, 32, 32) and len(calls) == 1
+    assert stack.shape == (n_queries, 32, 32) and len(calls) == 2
     pair = replace(pair, ref_landmarks=queries, test_landmarks=queries)
-    assert pair_similarity(pair, None).tobytes() == stack.tobytes() and len(calls) == 2
+    assert pair_similarity(pair, None).tobytes() == stack.tobytes() and len(calls) == 4
+
+
+def test_pixel_features_are_bit_identical_to_the_full_map():
+    """The query features matching uses are the upsampled map's own values."""
+    rng = np.random.default_rng(12)
+    grid = FeatureGrid(3, 5, 4, rng.standard_normal((15, 6)))
+    full = bilinear_upsample(grid, 12, 20).values
+    ys, xs = (a.ravel() for a in np.mgrid[0:12, 0:20])
+    assert evaluation._pixel_features(grid, xs, ys).tobytes() == full[ys, xs].tobytes()
+    xs, ys = [7, 7, 0, 19, 7], [5, 5, 11, 0, 5]  # repeated pixels
+    assert evaluation._pixel_features(grid, xs, ys).tobytes() == full[ys, xs].tobytes()
 
 
 @pytest.mark.parametrize("grid_h, grid_w", [(1, 4), (4, 1)])

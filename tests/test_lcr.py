@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from selcorr.lcr import (
     RepellenceConfig,
     correspondence_matrix,
-    evaluate_loss,
     locality_matrix,
     loss_and_gradient,
     pair_weight,
@@ -25,6 +25,22 @@ def _random_instance(rng, n=None, dp=None):
     if labels.all() or not labels.any():
         labels[0] = ~labels[0]
     return phi, pos, labels
+
+
+_WEIGHTS = ("r_att_att", "r_att_inatt", "r_inatt_inatt")
+
+
+def _loss_split(phi, pos, labels, cfg):
+    """The loss total and its att-att, att-inatt and inatt-inatt parts, each
+    from `loss_and_gradient`: the loss is linear in the pair weight, so a
+    type's part is the loss with the other two repellence weights at 0."""
+    locality = locality_matrix(pos)
+
+    def loss(c):
+        return loss_and_gradient(phi, pair_weight(locality, labels, c), c.tau, c.cosine)[0]
+
+    only = [replace(cfg, **{k: 0.0 for k in _WEIGHTS if k != keep}) for keep in _WEIGHTS]
+    return (loss(cfg), *map(loss, only))
 
 
 def test_token_coords():
@@ -82,9 +98,8 @@ def test_partials_partition_total():
     rng = np.random.default_rng(14)
     for _ in range(10):
         phi, pos, labels = _random_instance(rng)
-        out = evaluate_loss(phi, pos, labels, RepellenceConfig())
-        parts = out.att_att + out.att_inatt + out.inatt_inatt
-        assert abs(out.total - parts) <= 1e-12 * max(abs(out.total), 1.0)
+        total, *parts = _loss_split(phi, pos, labels, RepellenceConfig())
+        assert abs(total - sum(parts)) <= 1e-12 * max(abs(total), 1.0)
 
 
 def test_loss_is_linear_in_repellence_weights():
@@ -93,8 +108,8 @@ def test_loss_is_linear_in_repellence_weights():
     base = RepellenceConfig(r_att_att=5.0, r_att_inatt=5.0, r_inatt_inatt=2.0)
     c = 3.7
     scaled = RepellenceConfig(r_att_att=5.0 * c, r_att_inatt=5.0 * c, r_inatt_inatt=2.0 * c)
-    l0 = evaluate_loss(phi, pos, labels, base).total
-    l1 = evaluate_loss(phi, pos, labels, scaled).total
+    l0 = _loss_split(phi, pos, labels, base)[0]
+    l1 = _loss_split(phi, pos, labels, scaled)[0]
     assert abs(l1 - c * l0) <= 1e-12 * abs(l1)
 
 
@@ -103,10 +118,10 @@ def test_diagonal_never_contributes():
     rng = np.random.default_rng(16)
     phi, pos, labels = _random_instance(rng)
     cfg = RepellenceConfig()
-    out = evaluate_loss(phi, pos, labels, cfg)
+    total = _loss_split(phi, pos, labels, cfg)[0]
     w = pair_weight(locality_matrix(pos), labels, cfg)
     terms = w * correspondence_matrix(phi, tau=cfg.tau, cosine=cfg.cosine)
-    assert out.total == pytest.approx(terms[~np.eye(len(labels), dtype=bool)].sum(), rel=1e-12)
+    assert total == pytest.approx(terms[~np.eye(len(labels), dtype=bool)].sum(), rel=1e-12)
 
 
 @pytest.mark.parametrize("cosine", [True, False])
@@ -124,19 +139,19 @@ def test_gradient_matches_finite_differences(cosine):
             p1[i, j] += h
             p2[i, j] -= h
             fd[i, j] = (
-                evaluate_loss(p1, pos, labels, cfg).total
-                - evaluate_loss(p2, pos, labels, cfg).total
+                _loss_split(p1, pos, labels, cfg)[0] - _loss_split(p2, pos, labels, cfg)[0]
             ) / (2.0 * h)
     assert np.abs(grad - fd).max() <= 1e-6 * max(np.abs(fd).max(), 1.0)
 
 
-def test_loss_and_gradient_consistent_with_evaluate():
+def test_loss_and_gradient_consistent_with_composed_sum():
     rng = np.random.default_rng(18)
     phi, pos, labels = _random_instance(rng)
     cfg = RepellenceConfig()
     w = pair_weight(locality_matrix(pos), labels, cfg)
     total, _ = loss_and_gradient(phi, w, tau=cfg.tau, cosine=cfg.cosine)
-    assert total == pytest.approx(evaluate_loss(phi, pos, labels, cfg).total, rel=1e-12)
+    composed = (w * correspondence_matrix(phi, tau=cfg.tau, cosine=cfg.cosine)).sum()
+    assert total == pytest.approx(composed, rel=1e-12)
 
 
 def test_validation_errors():
@@ -150,8 +165,6 @@ def test_validation_errors():
         correspondence_matrix(np.zeros((2, 2)))  # zero rows cannot be normalized
     with pytest.raises(ValueError):
         locality_matrix(np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        evaluate_loss(np.zeros((3, 2)) + 1.0, np.zeros((2, 2)), np.zeros(3, dtype=bool), RepellenceConfig())
 
 
 def test_overflowing_feature_norm_raises():

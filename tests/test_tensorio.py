@@ -8,7 +8,6 @@ from selcorr.tensorio import (
     FeatureGrid,
     NonFiniteError,
     ScetError,
-    bilinear_sample,
     bilinear_upsample,
     norm,
     read_manifest,
@@ -163,16 +162,6 @@ def test_upsample_linear_field_is_exact_inside_hull():
     xs = np.clip((np.arange(gw * patch) + 0.5) / patch - 0.5, 0, gw - 1)
     expect = 2.0 * ys[:, None] + 0.5 * xs[None, :]
     assert np.abs(dense.values[:, :, 0] - expect).max() < 1e-12
-
-
-def test_sample_blocks_are_bit_identical_to_the_full_map():
-    rng = np.random.default_rng(12)
-    grid = FeatureGrid(3, 5, 4, rng.standard_normal((15, 6)))
-    full = bilinear_upsample(grid, 12, 20).values
-    assert full.flags.c_contiguous
-    for rows, cols in [([0], [0]), ([11], [19]), ([5, 2], [7, 7, 13]), (range(12), [3])]:
-        block = bilinear_sample(grid, 12, 20, list(rows), cols)
-        assert block.tobytes() == full[np.ix_(list(rows), cols)].tobytes()
 
 
 def test_sample_is_rows_then_columns_two_tap():
