@@ -35,7 +35,6 @@ from .projector import (
     DivergenceError,
     Projector,
     load_checkpoint,
-    project,
     save_checkpoint,
     train_projector,
 )
@@ -218,10 +217,12 @@ def cmd_eval_detect(
 ) -> int:
     if budget < 1:
         raise ConfigError("budget must be >= 1")
-    # every sample is read and checked, but only the first `budget` and the
-    # last `holdout` are kept; an empty manifest raises before `count` is read
+    # every file of every sample is read and checked, but only the stage-1
+    # grid and landmarks of the first `budget` and the last `holdout` are
+    # kept; an empty manifest raises before `count` is read
+    samples = ((output.main, landmarks) for output, landmarks in read_corpus(manifest))
     train_samples, held_out = [], deque(maxlen=cfg.holdout)
-    for count, sample in enumerate(read_corpus(manifest), start=1):
+    for count, sample in enumerate(samples, start=1):
         if count <= budget:
             train_samples.append(sample)
         held_out.append(sample)
@@ -243,7 +244,7 @@ def cmd_eval_detect(
             temperature=cfg.softargmax_temp,
         )
         preds = np.stack(
-            [regressor_forward(params, o.main, project(proj, o.main)) for o, _ in held_out]
+            [regressor_forward(params, grid, proj, cfg.softargmax_temp) for grid, _ in held_out]
         )
         runs.append(inter_ocular_error(preds, gts, LEFT_EYE, RIGHT_EYE))
     out.mkdir(parents=True, exist_ok=True)

@@ -14,7 +14,6 @@ hand and verified against a dense oracle in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -207,95 +206,48 @@ def _expect(heat: np.ndarray, temperature: float, xs: np.ndarray, ys: np.ndarray
     return probs, (probs * xs).sum(axis=(-2, -1)), (probs * ys).sum(axis=(-2, -1))
 
 
-@dataclass
-class RegressorParams:
-    """Conv-to-heatmaps detector with a per-landmark coordinate head.
-
-    `conv` is (n_landmarks * heatmaps, in_channels, 3, 3); `head_w` is
-    (n_landmarks, 2 * heatmaps, 2) applied to the concatenated (x, y)
-    decodings of that landmark's heatmaps.
-    """
-
-    conv: np.ndarray
-    conv_bias: np.ndarray
-    head_w: np.ndarray
-    head_b: np.ndarray
-    heatmaps: int
-    temperature: float = 0.1
-
-    def __post_init__(self) -> None:
-        self.conv = np.asarray(self.conv, dtype=np.float64)
-        self.conv_bias = np.asarray(self.conv_bias, dtype=np.float64)
-        self.head_w = np.asarray(self.head_w, dtype=np.float64)
-        self.head_b = np.asarray(self.head_b, dtype=np.float64)
-        if self.heatmaps < 1:
-            raise ValueError("need at least one heatmap per landmark")
-        n_lm = self.head_w.shape[0]
-        if self.conv.shape[0] != n_lm * self.heatmaps or self.conv.shape[2:] != (3, 3):
-            raise ValueError(f"bad conv shape {self.conv.shape}")
-        if self.conv_bias.shape != (self.conv.shape[0],):
-            raise ValueError("conv bias length mismatch")
-        if self.head_w.shape[1:] != (2 * self.heatmaps, 2) or self.head_b.shape != (n_lm, 2):
-            raise ValueError(f"bad head shapes {self.head_w.shape} / {self.head_b.shape}")
-        for arr in (self.conv, self.conv_bias, self.head_w, self.head_b):
-            if not np.isfinite(arr).all():
-                raise ValueError("non-finite regressor parameters")
-
-    @property
-    def n_landmarks(self) -> int:
-        return self.head_w.shape[0]
-
-    @property
-    def in_channels(self) -> int:
-        return self.conv.shape[1]
-
-
 def init_regressor(
     n_landmarks: int,
     in_channels: int,
     heatmaps: int,
     seed: int,
-    temperature: float = 0.1,
     center: tuple[float, float] = (0.0, 0.0),
-) -> RegressorParams:
-    """Small uniform conv/head weights; head bias starts at `center`.
+) -> list[np.ndarray]:
+    """The detector's `[conv, conv_bias, head_w, head_b]`: small uniform conv
+    and head weights, head bias at `center`.
 
-    The head sees heatmap decodings with `center` subtracted, so starting
-    the bias there makes the initial prediction the image center.
+    `conv` is (n_landmarks * heatmaps, in_channels, 3, 3); `head_w` is
+    (n_landmarks, 2 * heatmaps, 2), applied to the concatenated (x, y)
+    decodings of that landmark's heatmaps. The head sees those decodings
+    with `center` subtracted, so starting the bias there makes the initial
+    prediction the image center.
     """
     rng = np.random.default_rng([37, seed])
     k = 1.0 / np.sqrt(in_channels * 9)
     h = 1.0 / np.sqrt(2 * heatmaps)
-    return RegressorParams(
-        conv=rng.uniform(-k, k, size=(n_landmarks * heatmaps, in_channels, 3, 3)),
-        conv_bias=np.zeros(n_landmarks * heatmaps),
-        head_w=rng.uniform(-h, h, size=(n_landmarks, 2 * heatmaps, 2)),
-        head_b=np.tile(np.asarray(center, dtype=np.float64), (n_landmarks, 1)),
-        heatmaps=heatmaps,
-        temperature=temperature,
-    )
+    return [
+        rng.uniform(-k, k, size=(n_landmarks * heatmaps, in_channels, 3, 3)),
+        np.zeros(n_landmarks * heatmaps),
+        rng.uniform(-h, h, size=(n_landmarks, 2 * heatmaps, 2)),
+        np.tile(np.asarray(center, dtype=np.float64), (n_landmarks, 1)),
+    ]
 
 
-def _windows(stage1: FeatureGrid, stage2: FeatureGrid) -> np.ndarray:
-    """(H, W, C, 3, 3) zero-padded 3x3 windows of both stages' channels."""
-    if (stage1.grid_h, stage1.grid_w, stage1.patch) != (
-        stage2.grid_h,
-        stage2.grid_w,
-        stage2.patch,
-    ):
-        raise ValueError("stage grids disagree on geometry")
-    both = np.concatenate([stage1.features, stage2.features], axis=1)
+def _windows(grid: FeatureGrid, proj: Projector) -> np.ndarray:
+    """(H, W, C, 3, 3) zero-padded 3x3 windows of the first-stage grid's
+    channels followed by its projection's."""
+    both = np.concatenate([grid.features, project(proj, grid).features], axis=1)
     norm(both, axis=1)  # a feature too large to normalize is a data error here too
-    x = both.reshape(stage1.grid_h, stage1.grid_w, both.shape[1])
+    x = both.reshape(grid.grid_h, grid.grid_w, both.shape[1])
     padded = np.pad(x, ((1, 1), (1, 1), (0, 0)))
     return np.lib.stride_tricks.sliding_window_view(padded, (3, 3), axis=(0, 1))
 
 
-def _forward(params: RegressorParams, win: np.ndarray, patch: int):
+def _forward(params: list[np.ndarray], win: np.ndarray, patch: int, temperature: float):
     """All intermediates: heatmaps, per-map probabilities, coords, predictions."""
+    conv, conv_bias, head_w, head_b = params
     # 3x3 conv, stride 1: win (H, W, C, 3, 3), kernel (O, C, 3, 3) -> (O, H, W)
-    bias = params.conv_bias[:, None, None]
-    heat = np.einsum("hwcuv,ocuv->ohw", win, params.conv, optimize=True) + bias
+    heat = np.einsum("hwcuv,ocuv->ohw", win, conv, optimize=True) + conv_bias[:, None, None]
     gh, gw = heat.shape[1:]
     ys, xs = np.mgrid[0:gh, 0:gw]
     # decoded at patch centers, as a fraction of the image size with the
@@ -304,72 +256,71 @@ def _forward(params: RegressorParams, win: np.ndarray, patch: int):
     # the head, absorbs most of the fit.
     xs_n = ((xs + 0.5) * patch - 0.5) / (gw * patch) - 0.5
     ys_n = ((ys + 0.5) * patch - 0.5) / (gh * patch) - 0.5
-    probs, cx, cy = _expect(heat, params.temperature, xs_n, ys_n)
-    coords = np.stack([cx, cy], axis=1).reshape(params.n_landmarks, 2 * params.heatmaps)
-    preds = np.einsum("li,lio->lo", coords, params.head_w) + params.head_b
+    probs, cx, cy = _expect(heat, temperature, xs_n, ys_n)
+    # (landmarks, 2 * heatmaps): each landmark's heatmaps' (x, y) decodings
+    coords = np.stack([cx, cy], axis=1).reshape(head_w.shape[:2])
+    preds = np.einsum("li,lio->lo", coords, head_w) + head_b
     return heat, probs, (xs_n, ys_n), coords, preds
 
 
 def regressor_forward(
-    params: RegressorParams, stage1: FeatureGrid, stage2: FeatureGrid
+    params: list[np.ndarray], grid: FeatureGrid, proj: Projector, temperature: float
 ) -> np.ndarray:
-    """Predicted (x, y) pixel coordinates for every landmark, shape (L, 2)."""
-    win = _windows(stage1, stage2)
-    if win.shape[2] != params.in_channels:
-        raise ValueError(
-            f"{win.shape[2]} input channels, regressor expects {params.in_channels}"
-        )
-    return _forward(params, win, stage1.patch)[4]
+    """Predicted (x, y) pixel coordinates for every landmark, shape (L, 2),
+    from a first-stage grid and its projection by `proj`."""
+    win = _windows(grid, proj)
+    in_channels = params[0].shape[1]
+    if win.shape[2] != in_channels:
+        raise ValueError(f"{win.shape[2]} input channels, regressor expects {in_channels}")
+    return _forward(params, win, grid.patch, temperature)[4]
 
 
 def train_regressor(
-    samples: list[tuple[BackboneOutput, np.ndarray]],
+    samples: list[tuple[FeatureGrid, np.ndarray]],
     proj: Projector,
     cfg: OptimConfig,
     heatmaps: int = 50,
     temperature: float = 0.1,
-) -> tuple[RegressorParams, TrainTrace]:
-    """Fit the detector by gradient descent on mean squared pixel error.
+) -> tuple[list[np.ndarray], TrainTrace]:
+    """Fit the detector on (first-stage grid, landmarks) samples by gradient
+    descent on mean squared pixel error.
 
     Backbone and projector stay frozen, so each sample's conv windows are
-    built once; only conv and head parameters move.
+    built once; only the `init_regressor` arrays move.
     """
     cfg.validate()
     if not samples:
         raise ValueError("no training samples")
-    windows = [_windows(out.main, project(proj, out.main)) for out, _ in samples]
+    windows = [_windows(grid, proj) for grid, _ in samples]
     targets = [np.asarray(lm, dtype=np.float64) for _, lm in samples]
-    n_lm = targets[0].shape[0]
-    grid = samples[0][0].main
-    patch = grid.patch
+    grid = samples[0][0]
     params = init_regressor(
-        n_lm,
+        targets[0].shape[0],
         windows[0].shape[2],
         heatmaps=heatmaps,
         seed=cfg.seed,
-        temperature=temperature,
         center=(grid.image_w / 2.0, grid.image_h / 2.0),
     )
 
-    def item_losses(arrays):
-        step_params = RegressorParams(*arrays, heatmaps=heatmaps, temperature=temperature)
+    def item_losses(params):
         for win, t in zip(windows, targets):
-            yield _loss_and_grads(step_params, win, t, patch)
+            yield _loss_and_grads(params, win, t, grid.patch, temperature)
 
-    arrays = [params.conv, params.conv_bias, params.head_w, params.head_b]
-    arrays, losses = descend(arrays, item_losses, cfg)
-    params = RegressorParams(*arrays, heatmaps=heatmaps, temperature=temperature)
+    params, losses = descend(params, item_losses, cfg)
     return params, TrainTrace(losses)
 
 
-def _loss_and_grads(params: RegressorParams, win: np.ndarray, target: np.ndarray, patch: int):
-    heat, probs, (xs_n, ys_n), coords, preds = _forward(params, win, patch)
+def _loss_and_grads(
+    params: list[np.ndarray], win: np.ndarray, target: np.ndarray, patch: int, temperature: float
+):
+    head_w = params[2]
+    heat, probs, (xs_n, ys_n), coords, preds = _forward(params, win, patch, temperature)
     resid = preds - target
     loss = float((resid**2).mean())
     d_preds = 2.0 * resid / resid.size
     d_head_w = np.einsum("li,lo->lio", coords, d_preds)
     d_head_b = d_preds
-    d_coords = np.einsum("lio,lo->li", params.head_w, d_preds).reshape(-1, 2)
+    d_coords = np.einsum("lio,lo->li", head_w, d_preds).reshape(-1, 2)
     # soft-argmax backward: dE[x]/dh = p * (x - E[x]) / T per heatmap
     cx = coords.reshape(-1, 2)[:, 0][:, None, None]
     cy = coords.reshape(-1, 2)[:, 1][:, None, None]
@@ -379,7 +330,7 @@ def _loss_and_grads(params: RegressorParams, win: np.ndarray, target: np.ndarray
             d_coords[:, 0][:, None, None] * (xs_n[None] - cx)
             + d_coords[:, 1][:, None, None] * (ys_n[None] - cy)
         )
-        / params.temperature
+        / temperature
     )
     d_conv = np.einsum("ohw,hwcuv->ocuv", d_heat, win, optimize=True)
     d_conv_bias = d_heat.sum(axis=(1, 2))

@@ -128,7 +128,6 @@ class BackboneOutput:
     aux: FeatureGrid
     q_cls: np.ndarray
     keys: np.ndarray
-    spec: SyntheticFaceSpec | None = None
 
     def __post_init__(self) -> None:
         self.q_cls = np.asarray(self.q_cls, dtype=np.float64)
@@ -306,7 +305,6 @@ def generate_backbone_output(spec: SyntheticFaceSpec, seed: int) -> BackboneOutp
         aux=FeatureGrid(g, g, spec.patch, aux),
         q_cls=q.copy(),
         keys=keys,
-        spec=spec,
     )
 
 
@@ -445,7 +443,7 @@ def write_sample(directory: str | Path, output: BackboneOutput, landmarks: np.nd
 
 
 def read_sample(directory: str | Path) -> tuple[BackboneOutput, np.ndarray]:
-    """Inverse of `write_sample`; the returned output carries no generating spec.
+    """Inverse of `write_sample`.
 
     Malformed metadata, tensors or landmark tables raise ValueError naming
     the file: every tensor value must be finite, and the table needs the

@@ -35,7 +35,7 @@ from selcorr.lcr import (
     token_coords,
 )
 from selcorr.partition import cls_similarity, split_tokens
-from selcorr.projector import init_projector, project, train_projector
+from selcorr.projector import init_projector, train_projector
 from selcorr.synth import LEFT_EYE, RIGHT_EYE, generate_backbone_output, sample_spec
 from selcorr.tensorio import read_tensor, write_tensor
 
@@ -378,7 +378,7 @@ def test_criterion_07_limited_budget_detection(cfg, corpus64, trained):
     assert soft_argmax(heat, temperature=cfg.softargmax_temp) == (7.0, 3.0)
 
     proj = trained[0]
-    corpus = corpus64[:32]
+    corpus = [(o.main, lm) for o, lm in corpus64[:32]]
     held = corpus[32 - cfg.holdout :]
     gts = np.stack([lm for _, lm in held])
     results = {}
@@ -392,7 +392,7 @@ def test_criterion_07_limited_budget_detection(cfg, corpus64, trained):
             temperature=cfg.softargmax_temp,
         )
         preds = np.stack(
-            [regressor_forward(params, o.main, project(proj, o.main)) for o, _ in held]
+            [regressor_forward(params, grid, proj, cfg.softargmax_temp) for grid, _ in held]
         )
         mean_pct = inter_ocular_error(preds, gts, LEFT_EYE, RIGHT_EYE).mean()
         assert np.isfinite(mean_pct)

@@ -16,7 +16,7 @@ from selcorr.evaluation import train_regressor
 from selcorr.partition import cls_similarity, split_tokens
 from selcorr.projector import Projector, init_projector, projector_checksum
 from selcorr.synth import BackboneOutput, read_sample
-from selcorr.tensorio import read_manifest, read_tensor, write_tensor
+from selcorr.tensorio import FeatureGrid, read_manifest, read_tensor, write_tensor
 
 # small geometry so every command finishes in well under a second
 TINY = [
@@ -308,6 +308,26 @@ def test_huge_main_value_is_a_data_error(tiny_run, tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("tensor", ["aux", "keys", "qcls"])
+def test_eval_detect_checks_the_tensors_it_drops(tiny_run, tmp_path, capsys, tensor):
+    # detection keeps only each sample's main grid, but reads and checks
+    # every file; sample 0 is trained on at budget 2
+    corpus = tmp_path / "corpus"
+    shutil.copytree(tiny_run / "corpus", corpus)
+    path = corpus / "sample_0000" / f"{tensor}.scet"
+    values = read_tensor(path)
+    values.flat[0] = np.nan
+    write_tensor(path, values)
+    capsys.readouterr()
+    rc = main(["eval-detect", "--manifest", str(corpus / "manifest.txt"),
+               "--checkpoint", str(tiny_run / "run" / "checkpoint"), "--budget", "2",
+               "--out", str(tmp_path / "det"), *TINY])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{path}: non-finite values" in err and "Traceback" not in err
+    assert not (tmp_path / "det").exists()
+
+
 def test_sample_meta_without_grid_h_is_a_data_error(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     _gen(corpus, count=3)
@@ -458,9 +478,9 @@ def test_budget_clamp_warning(tmp_path, capsys):
     assert "budget=4" in (tmp_path / "det" / "summary.txt").read_text()
 
 
-def _alive_outputs() -> int:
+def _alive(kind: type) -> int:
     gc.collect()
-    return sum(isinstance(o, BackboneOutput) for o in gc.get_objects())
+    return sum(isinstance(o, kind) for o in gc.get_objects())
 
 
 def test_eval_detect_keeps_only_the_samples_it_uses(tmp_path, monkeypatch):
@@ -468,18 +488,21 @@ def test_eval_detect_keeps_only_the_samples_it_uses(tmp_path, monkeypatch):
     _gen(corpus, count=9)
     manifest = str(corpus / "manifest.txt")
     assert main(["train-projector", "--manifest", manifest, "--out", str(run), *TINY]) == 0
-    before = _alive_outputs()
-    alive = []
+    before = _alive(BackboneOutput), _alive(FeatureGrid)
+    alive, received = [], []
 
     def counting(samples, *args, **kwargs):
-        alive.append(_alive_outputs() - before)
+        alive.append((_alive(BackboneOutput) - before[0], _alive(FeatureGrid) - before[1]))
+        received.append([type(grid) for grid, _ in samples])
         return train_regressor(samples, *args, **kwargs)
 
     monkeypatch.setattr(cli, "train_regressor", counting)
-    # 9 samples, budget 3, holdout 2: samples 0-2 train, 7-8 are held out
+    # 9 samples, budget 3, holdout 2: the stage-1 grids of samples 0-2
+    # train and those of 7-8 are held out; no whole sample is kept
     assert main(["eval-detect", "--manifest", manifest, "--checkpoint", str(run / "checkpoint"),
                  "--budget", "3", "--out", str(tmp_path / "det"), *TINY, "--repeats", "2"]) == 0
-    assert alive == [3 + 2, 3 + 2]
+    assert alive == [(0, 3 + 2), (0, 3 + 2)]
+    assert received == [[FeatureGrid] * 3, [FeatureGrid] * 3]
 
 
 def test_bad_landmarks_are_a_data_error(tmp_path, capsys):

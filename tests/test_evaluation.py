@@ -22,8 +22,8 @@ from selcorr.evaluation import (
     upsample_features,
     write_pgm,
 )
-from selcorr.evaluation import RegressorParams, init_regressor
-from selcorr.projector import DivergenceError, OptimConfig, init_projector
+from selcorr.evaluation import init_regressor
+from selcorr.projector import DivergenceError, OptimConfig, Projector, init_projector
 from selcorr.partition import cls_similarity
 from selcorr.synth import EvalPair, SyntheticFaceSpec, generate_backbone_output, make_pair
 from selcorr.tensorio import DenseFeatureMap, FeatureGrid, bilinear_upsample
@@ -44,7 +44,9 @@ def _dense(values):
 
 def _best_pixel(ref, test, query, mask=None):
     """Oracle: the (x, y) argmax of the query's similarity map, masked pixels
-    at -inf, ties to the first pixel in scanline order (np.argmax's rule)."""
+    at -inf; exactly equal scores resolve to the first pixel in scanline
+    order (np.argmax's rule). Bit-identical features need not score exactly
+    equal: the map's GEMV may round a pixel's cosine by its place."""
     sims = similarity_map(ref, test, query)
     if mask is not None:
         sims = np.where(mask, -np.inf, sims)
@@ -311,53 +313,43 @@ def test_soft_argmax_stays_in_hull():
 def test_regressor_zero_conv_zero_head_weights():
     # with nothing learned the prediction is exactly the head bias
     target = np.array([[10.0, 20.0], [30.0, 5.0]])
-    params = RegressorParams(
-        conv=np.zeros((2 * 3, 4, 3, 3)),
-        conv_bias=np.zeros(6),
-        head_w=np.zeros((2, 6, 2)),
-        head_b=target,
-        heatmaps=3,
-    )
+    params = [np.zeros((2 * 3, 4, 3, 3)), np.zeros(6), np.zeros((2, 6, 2)), target]
     rng = np.random.default_rng(34)
-    s1 = FeatureGrid(4, 4, 8, rng.standard_normal((16, 2)))
-    s2 = FeatureGrid(4, 4, 8, rng.standard_normal((16, 2)))
-    assert np.array_equal(regressor_forward(params, s1, s2), target)
+    grid = FeatureGrid(4, 4, 8, rng.standard_normal((16, 2)))
+    proj = Projector(rng.standard_normal((2, 2)), rng.standard_normal(2))
+    assert np.array_equal(regressor_forward(params, grid, proj, 0.1), target)
 
 
 def test_regressor_dense_loop_oracle():
     """Random parameters on a 4x4 grid against an independent implementation:
-    explicit zero-padded convolution loops, per-map softmax, coordinate
-    expectation in the same normalized units, then the linear head."""
+    stage-2 channels as x @ W + b, explicit zero-padded convolution loops,
+    per-map softmax, coordinate expectation in the same normalized units,
+    then the linear head."""
     rng = np.random.default_rng(35)
-    n_lm, heatmaps, in_ch, patch = 2, 2, 3, 8
+    n_lm, heatmaps, in_ch, patch = 2, 2, 4, 8
     gh = gw = 4
-    params = RegressorParams(
-        conv=rng.standard_normal((n_lm * heatmaps, in_ch, 3, 3)),
-        conv_bias=rng.standard_normal(n_lm * heatmaps),
-        head_w=rng.standard_normal((n_lm, 2 * heatmaps, 2)),
-        head_b=rng.standard_normal((n_lm, 2)),
-        heatmaps=heatmaps,
-        temperature=0.7,
+    conv = rng.standard_normal((n_lm * heatmaps, in_ch, 3, 3))
+    conv_bias = rng.standard_normal(n_lm * heatmaps)
+    head_w = rng.standard_normal((n_lm, 2 * heatmaps, 2))
+    head_b = rng.standard_normal((n_lm, 2))
+    feats = rng.standard_normal((gh * gw, 2))
+    proj = Projector(rng.standard_normal((2, 2)), rng.standard_normal(2))
+    got = regressor_forward(
+        [conv, conv_bias, head_w, head_b], FeatureGrid(gh, gw, patch, feats), proj, 0.7
     )
-    feats = rng.standard_normal((gh * gw, in_ch))
-    s1 = FeatureGrid(gh, gw, patch, feats[:, :2])
-    s2 = FeatureGrid(gh, gw, patch, feats[:, 2:])
-    got = regressor_forward(params, s1, s2)
 
-    x = feats.reshape(gh, gw, in_ch)
+    x = np.concatenate([feats, feats @ proj.weight + proj.bias], axis=1).reshape(gh, gw, in_ch)
     coords = []
     for o in range(n_lm * heatmaps):
         heat = np.zeros((gh, gw))
         for i in range(gh):
             for j in range(gw):
-                acc = params.conv_bias[o]
+                acc = conv_bias[o]
                 for di in (-1, 0, 1):
                     for dj in (-1, 0, 1):
                         ii, jj = i + di, j + dj
                         if 0 <= ii < gh and 0 <= jj < gw:
-                            acc += float(
-                                params.conv[o, :, di + 1, dj + 1] @ x[ii, jj]
-                            )
+                            acc += float(conv[o, :, di + 1, dj + 1] @ x[ii, jj])
                 heat[i, j] = acc
         p = np.exp(heat / 0.7 - (heat / 0.7).max())
         p /= p.sum()
@@ -368,45 +360,30 @@ def test_regressor_dense_loop_oracle():
                 ey += p[i, j] * (((i + 0.5) * patch - 0.5) / (gh * patch) - 0.5)
         coords.extend([ex, ey])
     coords = np.asarray(coords).reshape(n_lm, 2 * heatmaps)
-    expect = np.einsum("li,lio->lo", coords, params.head_w) + params.head_b
+    expect = np.einsum("li,lio->lo", coords, head_w) + head_b
     assert np.abs(got - expect).max() <= 1e-10
 
 
 def test_regressor_head_bias_translation():
     # shifting the head bias shifts every prediction by exactly that amount
     rng = np.random.default_rng(36)
-    params = init_regressor(2, 4, heatmaps=3, seed=0, center=(16.0, 16.0))
-    s1 = FeatureGrid(4, 4, 8, rng.standard_normal((16, 2)))
-    s2 = FeatureGrid(4, 4, 8, rng.standard_normal((16, 2)))
-    base = regressor_forward(params, s1, s2)
+    conv, conv_bias, head_w, head_b = init_regressor(2, 4, heatmaps=3, seed=0, center=(16.0, 16.0))
+    grid = FeatureGrid(4, 4, 8, rng.standard_normal((16, 2)))
+    proj = Projector(rng.standard_normal((2, 2)), rng.standard_normal(2))
+    base = regressor_forward([conv, conv_bias, head_w, head_b], grid, proj, 0.1)
     delta = np.array([3.0, -2.0])
-    shifted = RegressorParams(
-        conv=params.conv,
-        conv_bias=params.conv_bias,
-        head_w=params.head_w,
-        head_b=params.head_b + delta,
-        heatmaps=params.heatmaps,
-        temperature=params.temperature,
-    )
-    moved = regressor_forward(shifted, s1, s2)
+    moved = regressor_forward([conv, conv_bias, head_w, head_b + delta], grid, proj, 0.1)
     assert np.abs(moved - (base + delta)).max() <= 1e-12
 
 
 def test_regressor_geometry_and_param_checks():
     params = init_regressor(2, 4, heatmaps=2, seed=0)
     rng = np.random.default_rng(37)
-    s1 = FeatureGrid(4, 4, 8, rng.standard_normal((16, 2)))
-    bad = FeatureGrid(2, 8, 8, rng.standard_normal((16, 2)))
-    with pytest.raises(ValueError):
-        regressor_forward(params, s1, bad)
-    with pytest.raises(ValueError):
-        RegressorParams(
-            conv=np.zeros((4, 2, 3, 3)),
-            conv_bias=np.zeros(4),
-            head_w=np.zeros((2, 3, 2)),  # must be 2 * heatmaps wide
-            head_b=np.zeros((2, 2)),
-            heatmaps=2,
-        )
+    grid = FeatureGrid(4, 4, 8, rng.standard_normal((16, 2)))
+    with pytest.raises(ValueError, match="projector expects 3"):
+        regressor_forward(params, grid, Projector(np.zeros((3, 2)), np.zeros(2)), 0.1)
+    with pytest.raises(ValueError, match="5 input channels, regressor expects 4"):
+        regressor_forward(params, grid, Projector(np.zeros((2, 3)), np.zeros(3)), 0.1)
 
 
 def _training_setup(n=3):
@@ -415,7 +392,7 @@ def _training_setup(n=3):
     samples = []
     for i in range(n):
         out = generate_backbone_output(spec, seed=i)
-        samples.append((out, np.asarray(spec.landmarks_px)))
+        samples.append((out.main, np.asarray(spec.landmarks_px)))
     return samples, proj
 
 
@@ -423,13 +400,12 @@ def test_train_regressor_zero_steps_and_determinism():
     samples, proj = _training_setup()
     p0, t0 = train_regressor(samples, proj, OptimConfig(steps=0), heatmaps=2)
     ref = init_regressor(5, 12, heatmaps=2, seed=0, center=(16.0, 16.0))
-    assert np.array_equal(p0.conv, ref.conv)
-    assert np.array_equal(p0.head_b, ref.head_b)
+    assert np.array_equal(p0[0], ref[0])
+    assert np.array_equal(p0[3], ref[3])
     assert t0.losses == []
     pa, ta = train_regressor(samples, proj, OptimConfig(lr=1e-3, steps=5), heatmaps=2)
     pb, tb = train_regressor(samples, proj, OptimConfig(lr=1e-3, steps=5), heatmaps=2)
-    for a, b in zip((pa.conv, pa.conv_bias, pa.head_w, pa.head_b),
-                    (pb.conv, pb.conv_bias, pb.head_w, pb.head_b)):
+    for a, b in zip(pa, pb):
         assert a.tobytes() == b.tobytes()
     assert ta.losses == tb.losses
 
@@ -444,33 +420,24 @@ def test_train_regressor_reduces_loss():
 
 def test_train_regressor_gradient_matches_finite_differences():
     from selcorr.evaluation import _loss_and_grads, _windows
-    from selcorr.projector import project
 
     samples, proj = _training_setup(1)
-    out, lm = samples[0]
-    x = _windows(out.main, project(proj, out.main))
-    params = init_regressor(5, 12, heatmaps=2, seed=1, center=(16.0, 16.0))
-    _, grads = _loss_and_grads(params, x, lm, patch=8)
+    grid, lm = samples[0]
+    x = _windows(grid, proj)
+    conv, conv_bias, head_w, head_b = init_regressor(5, 12, heatmaps=2, seed=1, center=(16.0, 16.0))
+    _, grads = _loss_and_grads([conv, conv_bias, head_w, head_b], x, lm, 8, 0.1)
     h = 1e-6
 
-    def loss_with(conv=None, head_w=None):
-        p = RegressorParams(
-            conv=params.conv if conv is None else conv,
-            conv_bias=params.conv_bias,
-            head_w=params.head_w if head_w is None else head_w,
-            head_b=params.head_b,
-            heatmaps=2,
-            temperature=params.temperature,
-        )
-        return _loss_and_grads(p, x, lm, patch=8)[0]
+    def loss_with(conv=conv, head_w=head_w):
+        return _loss_and_grads([conv, conv_bias, head_w, head_b], x, lm, 8, 0.1)[0]
 
     for idx in [(0, 0, 0, 0), (3, 5, 1, 2), (9, 11, 2, 1)]:
-        c1, c2 = params.conv.copy(), params.conv.copy()
+        c1, c2 = conv.copy(), conv.copy()
         c1[idx] += h
         c2[idx] -= h
         fd = (loss_with(conv=c1) - loss_with(conv=c2)) / (2.0 * h)
         assert grads[0][idx] == pytest.approx(fd, rel=1e-3, abs=1e-8)
-    w1, w2 = params.head_w.copy(), params.head_w.copy()
+    w1, w2 = head_w.copy(), head_w.copy()
     w1[1, 2, 0] += h
     w2[1, 2, 0] -= h
     fd = (loss_with(head_w=w1) - loss_with(head_w=w2)) / (2.0 * h)
@@ -483,15 +450,15 @@ def test_train_regressor_builds_each_samples_windows_once(monkeypatch):
     calls = []
     windows = evaluation._windows
 
-    def counted(stage1, stage2):
-        calls.append(stage1)
-        return windows(stage1, stage2)
+    def counted(grid, proj):
+        calls.append(grid)
+        return windows(grid, proj)
 
     monkeypatch.setattr(evaluation, "_windows", counted)
     samples, proj = _training_setup(3)
     _, trace = train_regressor(samples, proj, OptimConfig(lr=1e-3, steps=5), heatmaps=2)
     assert len(trace.losses) == 5
-    assert calls == [out.main for out, _ in samples]
+    assert calls == [grid for grid, _ in samples]
 
 
 def test_train_regressor_divergence():
