@@ -1,8 +1,10 @@
 """Command-line driver wiring the pipeline into reproducible experiments.
 
 Commands: gen, train-projector, eval-match, eval-detect, ablate,
-export-simmap. Every hyperparameter is a config key and a flag of the same
-name; reruns with identical seeds produce byte-identical outputs.
+export-simmap. Every hyperparameter of the method and every grid size is a
+config key and a flag of the same name; the synthetic world's statistics are
+fixed constants of `synth`. Reruns with identical seeds produce
+byte-identical outputs.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical divergence.
 """
@@ -155,7 +157,7 @@ def _match_sweep(cfg: ExperimentConfig, proj: Projector | None, drop_rates) -> n
     errors = np.empty((len(drop_rates), 2 * cfg.pairs, len(base.landmarks_px)))
     for i in range(2 * cfg.pairs):
         kind = "same" if i < cfg.pairs else "different"
-        pair = make_pair(base, kind, seeds[i], sigma_frac=cfg.tps_sigma_frac)
+        pair = make_pair(base, kind, seeds[i])
         sims = pair_similarity(pair, proj)
         grid = pair.test.main
         scores = None
@@ -176,7 +178,7 @@ def cmd_gen(cfg: ExperimentConfig, count: int, out: Path) -> int:
     base = cfg.face_spec()
     names = []
     for i in range(count):
-        spec = sample_spec(base, cfg.seed, i, sigma_frac=cfg.tps_sigma_frac)
+        spec = sample_spec(base, cfg.seed, i)
         output = generate_backbone_output(spec, seed=i)
         name = f"sample_{i:04d}"
         write_sample(out / name, output, np.asarray(spec.landmarks_px))
@@ -302,7 +304,7 @@ def cmd_ablate(
 def cmd_export_simmap(
     cfg: ExperimentConfig, out: Path, checkpoint: Path | None, landmark: int, kind: str
 ) -> int:
-    pair = make_pair(cfg.face_spec(), kind, cfg.seed, sigma_frac=cfg.tps_sigma_frac)
+    pair = make_pair(cfg.face_spec(), kind, cfg.seed)
     if not 0 <= landmark < pair.ref_landmarks.shape[0]:
         raise ConfigError(f"landmark index {landmark} out of range")
     proj = _projector(checkpoint)

@@ -30,20 +30,12 @@ class ExperimentConfig:
     r_ai: float = 5.0
     r_ii: float = 2.0
     drop_rate: float = 0.0
-    # image geometry
+    # grid sizes: image geometry and channel counts
     crop: int = 96
     patch: int = 8
-    # generator statistics
     d: int = 32
     d_aux: int = 16
     d_proj: int = 16
-    sigma_lm: float = 0.2
-    sigma_bg: float = 0.2
-    identity_sigma: float = 0.18
-    proto_corr: float = 0.96
-    pos_gamma: float = 6.0
-    beta: float = 6.0
-    tps_sigma_frac: float = 0.05
     # projector training
     proj_lr: float = 1e-3
     proj_steps: int = 200
@@ -67,12 +59,13 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if f.type == "float" and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
+            # larger ints overflow numpy, deque and float conversions downstream
+            if f.type == "int" and abs(value) >= 2**63:
+                raise ConfigError(f"{f.name} must be below 2**63 in magnitude")
         if not 0.0 < self.eta < 1.0:
             raise ConfigError(f"eta must be in (0, 1), got {self.eta}")
         if self.kc < 1 or self.heatmaps < 1:
             raise ConfigError("kc and heatmaps must be >= 1")
-        if self.patch < 1 or self.crop < self.patch or self.crop % self.patch != 0:
-            raise ConfigError("patch must be >= 1 and crop a positive multiple of it")
         if self.seed < 0 or self.d_proj < 2:
             raise ConfigError("seed must be >= 0 and d_proj >= 2")
         if self.softargmax_temp <= 0.0:
@@ -90,7 +83,7 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
 
     def face_spec(self) -> SyntheticFaceSpec:
-        """Base face geometry at the configured crop, statistics per config.
+        """Base face geometry at the configured crop and channel counts.
 
         The default landmark/anchor layout is defined on a 96-pixel crop
         and scales with it.
@@ -102,13 +95,6 @@ class ExperimentConfig:
             image_size=self.crop,
             patch=self.patch,
             prototype_seed=self.seed,
-            identity_seed=0,
-            sigma_lm=self.sigma_lm,
-            sigma_bg=self.sigma_bg,
-            identity_sigma=self.identity_sigma,
-            proto_corr=self.proto_corr,
-            pos_gamma=self.pos_gamma,
-            beta=self.beta,
             d=self.d,
             d_aux=self.d_aux,
         )

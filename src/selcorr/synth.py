@@ -43,19 +43,29 @@ _NOISE_TAG = 17
 _WARP_TAG = 19
 _PAIR_TAG = 23
 
+# the fixed statistics of the synthetic world: the spread of each identity's
+# offsets from the class prototypes, the weight of the component every
+# prototype shares, the positional signature's gain over the token noise,
+# and the expected CLS-logit advantage of landmark key rows over the rest
+IDENTITY_SIGMA = 0.18
+PROTO_CORR = 0.96
+POS_GAMMA = 6.0
+BETA = 6.0
+
 # every warp's thin-plate spline: a TPS_GRID x TPS_GRID control grid spanning
-# the image, with TPS_RIDGE on the kernel block's diagonal
+# the image, with TPS_RIDGE on the kernel block's diagonal; corpus samples and
+# test images draw their control displacements with TPS_SIGMA_FRAC of the side
 TPS_GRID = 3
 TPS_RIDGE = 1e-8
+TPS_SIGMA_FRAC = 0.05
 
 
 @dataclass(frozen=True)
 class SyntheticFaceSpec:
-    """Geometry and statistics of one synthetic face image.
+    """Geometry and token noise of one synthetic face image.
 
-    Landmarks and region anchors are (x, y) pixel coordinates. `proto_corr`
-    is the weight of the component shared by every prototype; `beta` is the
-    expected CLS-logit advantage of landmark key rows over the rest.
+    Landmarks and region anchors are (x, y) pixel coordinates; the other
+    statistics are the module constants above.
     """
 
     landmarks_px: tuple[tuple[float, float], ...] = DEFAULT_LANDMARKS
@@ -67,10 +77,6 @@ class SyntheticFaceSpec:
     identity_seed: int = 0
     sigma_lm: float = 0.2
     sigma_bg: float = 0.2
-    identity_sigma: float = 0.18
-    proto_corr: float = 0.96
-    pos_gamma: float = 6.0
-    beta: float = 6.0
     d: int = 32
     d_aux: int = 16
 
@@ -88,12 +94,10 @@ class SyntheticFaceSpec:
         for x, y in list(self.landmarks_px) + list(self.region_anchors_px):
             if not (0.0 <= x <= hi and 0.0 <= y <= hi):
                 raise ValueError(f"point ({x}, {y}) outside image bounds")
-        if self.image_size < self.patch or self.image_size % self.patch != 0:
-            raise ValueError("image size must be a positive multiple of patch size")
-        if min(self.sigma_lm, self.sigma_bg, self.identity_sigma, self.pos_gamma) < 0.0:
+        if self.patch < 1 or self.image_size < self.patch or self.image_size % self.patch != 0:
+            raise ValueError("patch must be >= 1 and the image size a positive multiple of it")
+        if min(self.sigma_lm, self.sigma_bg) < 0.0:
             raise ValueError("noise scales must be non-negative")
-        if not 0.0 <= self.proto_corr < 1.0:
-            raise ValueError("prototype correlation must be in [0, 1)")
         if self.d_aux < 1:
             raise ValueError("d_aux must be >= 1")
         # the positional signatures need one channel per landmark and anchor
@@ -175,7 +179,6 @@ def _prototypes(spec: SyntheticFaceSpec) -> dict[str, np.ndarray]:
         spec.n_landmarks,
         spec.n_groups,
         spec.n_regions,
-        spec.proto_corr,
     )
 
 
@@ -188,7 +191,6 @@ def _prototype_draw(
     n_landmarks: int,
     n_groups: int,
     n_regions: int,
-    proto_corr: float,
 ) -> dict[str, np.ndarray]:
     rng = np.random.default_rng([_PROTO_TAG, prototype_seed])
     base = rng.standard_normal(d)
@@ -209,12 +211,12 @@ def _prototype_draw(
     base = _ortho_unit(base[None])[0]
     group_unique = _ortho_unit(group_unique)
     region_unique = _ortho_unit(region_unique)
-    c = proto_corr
-    mix = math.sqrt(1.0 - c * c)
+    shared = PROTO_CORR * base
+    mix = math.sqrt(1.0 - PROTO_CORR * PROTO_CORR)
     scale = math.sqrt(d)
     proto = {
-        "lm_mean": (scale * (c * base + mix * group_unique))[list(landmark_groups)],
-        "region_mean": scale * (c * base + mix * region_unique),
+        "lm_mean": (scale * (shared + mix * group_unique))[list(landmark_groups)],
+        "region_mean": scale * (shared + mix * region_unique),
         "lm_aux": lm_aux,
         "region_aux": region_aux,
         "q_cls": q_cls,
@@ -228,8 +230,8 @@ def _prototype_draw(
 
 def _identity_offsets(spec: SyntheticFaceSpec) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng([_IDENT_TAG, spec.prototype_seed, spec.identity_seed])
-    lm = spec.identity_sigma * rng.standard_normal((spec.n_landmarks, spec.d))
-    region = spec.identity_sigma * rng.standard_normal((spec.n_regions, spec.d))
+    lm = IDENTITY_SIGMA * rng.standard_normal((spec.n_landmarks, spec.d))
+    region = IDENTITY_SIGMA * rng.standard_normal((spec.n_regions, spec.d))
     return lm, region
 
 
@@ -268,8 +270,8 @@ def generate_backbone_output(spec: SyntheticFaceSpec, seed: int) -> BackboneOutp
     Each patch token is its region's identity prototype plus noise; patches
     holding a landmark get that landmark's prototype instead (later
     landmark wins if two share a cell). Landmark key rows carry an extra
-    beta / ||q_cls|| along the query direction, so their expected CLS logit
-    advantage is exactly beta before the 1/sqrt(d) scaling.
+    BETA / ||q_cls|| along the query direction, so their expected CLS logit
+    advantage is exactly BETA before the 1/sqrt(d) scaling.
     """
     proto = _prototypes(spec)
     lm_off, region_off = _identity_offsets(spec)
@@ -294,12 +296,12 @@ def generate_backbone_output(spec: SyntheticFaceSpec, seed: int) -> BackboneOutp
     # positional signature rides on the noise amplitude so sigma=0 keeps
     # tokens exactly prototype-valued
     code = _position_code(spec, _cell_centers(spec))
-    main += spec.pos_gamma * sigma[:, None] * (code @ proto["pos_embed"].T)
+    main += POS_GAMMA * sigma[:, None] * (code @ proto["pos_embed"].T)
 
     q = proto["q_cls"]
     # attention-layer analog: same reduced noise as the aux grid
     keys = 0.5 * sigma[:, None] * rng.standard_normal((n, spec.d))
-    keys[cells] += spec.beta * q / (q @ q)
+    keys[cells] += BETA * q / (q @ q)
     return BackboneOutput(
         main=FeatureGrid(g, g, spec.patch, main),
         aux=FeatureGrid(g, g, spec.patch, aux),
@@ -379,22 +381,15 @@ def warped_spec(spec: SyntheticFaceSpec, displacements: np.ndarray) -> Synthetic
     )
 
 
-def sample_spec(
-    base: SyntheticFaceSpec, master_seed: int, index: int, sigma_frac: float = 0.05
-) -> SyntheticFaceSpec:
+def sample_spec(base: SyntheticFaceSpec, master_seed: int, index: int) -> SyntheticFaceSpec:
     """Corpus sample `index`: fresh identity, independently warped geometry."""
     rng = np.random.default_rng([_WARP_TAG, master_seed, index])
     identity = int(rng.integers(0, 2**31))
-    warped = warped_spec(base, draw_warp(base.image_size, rng, sigma_frac=sigma_frac))
+    warped = warped_spec(base, draw_warp(base.image_size, rng, TPS_SIGMA_FRAC))
     return replace(warped, identity_seed=identity)
 
 
-def make_pair(
-    spec: SyntheticFaceSpec,
-    kind: str,
-    seed: int,
-    sigma_frac: float = 0.05,
-) -> EvalPair:
+def make_pair(spec: SyntheticFaceSpec, kind: str, seed: int) -> EvalPair:
     """Reference/test pair; `same` keeps the identity, `different` redraws it.
 
     Both kinds warp the test geometry so ground-truth correspondences are
@@ -406,7 +401,7 @@ def make_pair(
         raise ValueError("pair seed must be non-negative")
     rng = np.random.default_rng([_PAIR_TAG, seed])
     ref_seed, test_seed = (int(s) for s in rng.integers(0, 2**31, size=2))
-    warp = draw_warp(spec.image_size, np.random.default_rng([_WARP_TAG, seed]), sigma_frac=sigma_frac)
+    warp = draw_warp(spec.image_size, np.random.default_rng([_WARP_TAG, seed]), TPS_SIGMA_FRAC)
     test = warped_spec(spec, warp)
     if kind == "different":
         test = replace(test, identity_seed=spec.identity_seed + 1 + seed)

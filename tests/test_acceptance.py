@@ -62,7 +62,7 @@ def corpus64(cfg):
     base = cfg.face_spec()
     out = []
     for i in range(64):
-        spec = sample_spec(base, cfg.seed, i, sigma_frac=cfg.tps_sigma_frac)
+        spec = sample_spec(base, cfg.seed, i)
         out.append((generate_backbone_output(spec, seed=i), np.asarray(spec.landmarks_px)))
     return out
 

@@ -5,6 +5,11 @@ import pytest
 from selcorr.config import ConfigError, ExperimentConfig, load_config
 from selcorr.tensorio import write_key_values
 
+# generator statistics that were config keys; an older gen wrote them into config.txt
+GENERATOR_KEYS = (
+    "sigma_lm", "sigma_bg", "identity_sigma", "proto_corr", "pos_gamma", "beta", "tps_sigma_frac"
+)
+
 
 def test_default_values():
     cfg = ExperimentConfig()
@@ -13,8 +18,10 @@ def test_default_values():
     assert cfg.tau == 0.07
     assert (cfg.r_aa, cfg.r_ai, cfg.r_ii) == (5.0, 5.0, 2.0)
     # dot-product logits stay a library option (RepellenceConfig), not a key;
-    # no command ever resized an image
-    assert {"rho_verbatim", "cosine", "resize"}.isdisjoint(f.name for f in fields(cfg))
+    # no command ever resized an image; the generator statistics are synth constants
+    assert {"rho_verbatim", "cosine", "resize", *GENERATOR_KEYS}.isdisjoint(
+        f.name for f in fields(cfg)
+    )
     assert (cfg.crop, cfg.patch) == (96, 8)
     assert cfg.heatmaps == 50
     assert cfg.proj_steps == 200 and cfg.proj_lr == 1e-3
@@ -71,6 +78,11 @@ def test_unknown_key_rejected(tmp_path):
     path.write_text("resize=136\n")
     with pytest.raises(ConfigError, match="unknown config key 'resize'"):
         load_config(path)
+    # and the generator statistics, now fixed in synth
+    for key in GENERATOR_KEYS:
+        path.write_text(f"{key}=0.1\n")
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            load_config(path)
 
 
 def test_dump_load_roundtrip(tmp_path):

@@ -76,7 +76,7 @@ def test_verbatim_density_overflow_raises():
     # every inattentive aux row of the default corpus's sample 0 has a
     # squared-distance sum far past the ~709 where exp overflows
     cfg = ExperimentConfig()
-    spec = sample_spec(cfg.face_spec(), cfg.seed, 0, sigma_frac=cfg.tps_sigma_frac)
+    spec = sample_spec(cfg.face_spec(), cfg.seed, 0)
     out = generate_backbone_output(spec, seed=0)
     part = split_tokens(cls_similarity(out.q_cls, out.keys), cfg.eta)
     feats = out.aux.features[part.inattentive]
@@ -88,7 +88,7 @@ def test_verbatim_density_overflow_raises():
 def test_cluster_tokens_builds_the_distances_once(monkeypatch):
     # the default corpus's inattentive aux rows: 108 of them, against kc 4
     cfg = ExperimentConfig()
-    spec = sample_spec(cfg.face_spec(), cfg.seed, 0, sigma_frac=cfg.tps_sigma_frac)
+    spec = sample_spec(cfg.face_spec(), cfg.seed, 0)
     out = generate_backbone_output(spec, seed=0)
     part = split_tokens(cls_similarity(out.q_cls, out.keys), cfg.eta)
     feats = out.aux.features[part.inattentive]

@@ -63,12 +63,12 @@ def test_landmark_cells_hand_check():
 
 def test_key_logit_advantage_is_beta():
     # zero noise isolates the planted key component: landmark rows score
-    # exactly beta against the query before the 1/sqrt(d) scaling
-    spec = SyntheticFaceSpec(sigma_lm=0.0, sigma_bg=0.0, beta=6.0)
+    # exactly BETA against the query before the 1/sqrt(d) scaling
+    spec = SyntheticFaceSpec(sigma_lm=0.0, sigma_bg=0.0)
     out = generate_backbone_output(spec, seed=0)
     logits = out.keys @ out.q_cls
     cells = landmark_cells(spec)
-    assert logits[cells] == pytest.approx([6.0] * 5, abs=1e-12)
+    assert logits[cells] == pytest.approx([synth.BETA] * 5, abs=1e-12)
     others = np.setdiff1d(np.arange(out.main.n_tokens), cells)
     assert np.abs(logits[others]).max() == 0.0
 
@@ -82,8 +82,10 @@ def test_spec_validation():
         SyntheticFaceSpec(landmark_groups=(0, 0, 1, 3, 3))  # gap in group ids
     with pytest.raises(ValueError):
         SyntheticFaceSpec(image_size=97)
-    with pytest.raises(ValueError):
-        SyntheticFaceSpec(proto_corr=1.0)
+    # neither a division by zero nor a negative grid
+    for patch in (0, -8):
+        with pytest.raises(ValueError, match="patch must be >= 1"):
+            SyntheticFaceSpec(patch=patch)
     with pytest.raises(ValueError):
         SyntheticFaceSpec(sigma_bg=-0.1)
     # the positional signatures need a channel per landmark and anchor (5 + 3)
