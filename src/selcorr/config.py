@@ -20,6 +20,12 @@ class ConfigError(ValueError):
     """Unknown key or unparseable value; a usage error, not a data error."""
 
 
+# the largest float64 array a configuration may imply, 1 TiB: numpy would
+# fail on a larger one (out of memory, or past its own size limit) only
+# after work has begun, so `validate` rejects it as a usage error
+MAX_ARRAY_BYTES = 2**40
+
+
 @dataclass
 class ExperimentConfig:
     # token split, clustering, repellence loss
@@ -81,6 +87,31 @@ class ExperimentConfig:
             self.regressor_train().validate()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        self._check_array_sizes()
+
+    def _check_array_sizes(self) -> None:
+        """Bound `crop` and `heatmaps` by the largest arrays they imply.
+
+        A (crop, crop) map per landmark or channel bounds the token grids,
+        their row blends and the similarity stacks, and the projector's
+        locality matrix is (tokens, tokens); the detector's conv is
+        (landmarks * heatmaps, 3, 3, d + d_proj) and each sample's heatmaps
+        (landmarks * heatmaps, tokens).
+        """
+        spec = self.face_spec()
+        tokens = spec.grid_size**2
+        per_pixel = max(spec.n_landmarks, self.d, self.d_aux, self.d_proj)
+        sizes = {
+            "crop": 8 * max(self.crop**2 * per_pixel, tokens**2),
+            "heatmaps": 8 * spec.n_landmarks * self.heatmaps
+            * max(9 * (self.d + self.d_proj), tokens),
+        }
+        for key, size in sizes.items():
+            if size > MAX_ARRAY_BYTES:
+                raise ConfigError(
+                    f"{key} = {getattr(self, key)} implies a {size}-byte array, "
+                    f"above the {MAX_ARRAY_BYTES}-byte limit"
+                )
 
     def face_spec(self) -> SyntheticFaceSpec:
         """Base face geometry at the configured crop and channel counts.

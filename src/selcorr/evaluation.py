@@ -6,10 +6,13 @@ dot products and squared norm are two-tap column blends of that small
 grid's, so no per-pixel test map is built. The cosines agree with those of
 the upsampled maps (`similarity_map`) to within 1e-14 on the matching
 protocol's pairs. Each reference query feature is blended at its one pixel.
-Detection runs a 3x3 conv over concatenated first/second-stage channels,
+Detection runs a 3x3 conv over concatenated first/second-stage channels
+as one GEMM of channel-last kernel rows with a sample's im2col rows,
 decodes each heatmap with a soft-argmax, and maps the decoded coordinates
-through a small per-landmark linear head; its backward pass is derived by
-hand and verified against a dense oracle in the tests.
+through a small per-landmark linear head. Its backward pass is derived by
+hand: the soft-argmax's is a rank-3 product with the cells' (x, y, 1)
+rows, the conv's a second GEMM. The tests check both against explicit
+loops.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .tensorio import (
     bilinear_taps,
     bilinear_upsample,
     norm,
-    softmax,
     top_k,
 )
 
@@ -194,16 +196,39 @@ def soft_argmax(heatmap: np.ndarray, temperature: float = 0.1) -> tuple[float, f
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
     ys, xs = np.mgrid[0 : heatmap.shape[0], 0 : heatmap.shape[1]]
-    _, x, y = _expect(heatmap, temperature, xs, ys)
-    return float(x), float(y)
+    cells = np.stack([xs.ravel(), ys.ravel(), np.ones(xs.size)])
+    _, _, coords = _expect(heatmap.reshape(1, -1) / temperature, cells)
+    return float(coords[0, 0]), float(coords[0, 1])
 
 
-def _expect(heat: np.ndarray, temperature: float, xs: np.ndarray, ys: np.ndarray):
-    """Softmax of each (H, W) map of (..., H, W) `heat` over its cells, and
-    the expected `xs` and `ys` under it."""
-    flat = (heat / temperature).reshape(*heat.shape[:-2], -1)
-    probs = softmax(flat).reshape(heat.shape)
-    return probs, (probs * xs).sum(axis=(-2, -1)), (probs * ys).sum(axis=(-2, -1))
+def _expect(logits: np.ndarray, cells: np.ndarray):
+    """Softmax of each row of (M, N) `logits` and the expected cell (x, y)
+    under it, with `cells` the (3, N) rows of each cell's x, y and 1.
+
+    `logits` is overwritten with the unnormalised weights e = exp(logits -
+    row max). Returns e, the (M, 1) row sums s (the ones row's product) and
+    the (M, 2) expectations (e @ cells.T)[:, :2] / s. A cell at MASKED below
+    the row max gets e = 0 exactly.
+    """
+    logits -= logits.max(axis=1, keepdims=True)
+    e = np.exp(logits, out=logits)
+    moments = e @ cells.T
+    s = moments[:, 2:]
+    return e, s, moments[:, :2] / s
+
+
+def _cells(grid_h: int, grid_w: int, patch: int) -> np.ndarray:
+    """(3, H*W) rows of each grid cell's decoded x, y and 1, in scanline order.
+
+    Cells decode at patch centers, as a fraction of the image size with
+    the center at the origin; the head bias carries the absolute pixel
+    offset. Fractional units keep the head's inputs O(1) so the conv
+    block, not the head, absorbs most of the fit.
+    """
+    ys, xs = np.mgrid[0:grid_h, 0:grid_w]
+    xs_n = ((xs + 0.5) * patch - 0.5) / (grid_w * patch) - 0.5
+    ys_n = ((ys + 0.5) * patch - 0.5) / (grid_h * patch) - 0.5
+    return np.stack([xs_n.ravel(), ys_n.ravel(), np.ones(xs.size)])
 
 
 def init_regressor(
@@ -213,54 +238,59 @@ def init_regressor(
     seed: int,
     center: tuple[float, float] = (0.0, 0.0),
 ) -> list[np.ndarray]:
-    """The detector's `[conv, conv_bias, head_w, head_b]`: small uniform conv
-    and head weights, head bias at `center`.
+    """The detector's `[conv, head_w, head_b]`: small uniform conv and head
+    weights, head bias at `center`.
 
-    `conv` is (n_landmarks * heatmaps, in_channels, 3, 3); `head_w` is
-    (n_landmarks, 2 * heatmaps, 2), applied to the concatenated (x, y)
-    decodings of that landmark's heatmaps. The head sees those decodings
-    with `center` subtracted, so starting the bias there makes the initial
-    prediction the image center.
+    `conv` is (n_landmarks * heatmaps, 3, 3, in_channels), channels last,
+    matching `_im2col`'s rows; `head_w` is (n_landmarks, 2 * heatmaps, 2),
+    applied to the concatenated (x, y) decodings of that landmark's
+    heatmaps. The head sees those decodings with `center` subtracted, so
+    starting the bias there makes the initial prediction the image center.
+    A conv bias would be inert: the soft-argmax ignores a constant added
+    to a map.
     """
     rng = np.random.default_rng([37, seed])
     k = 1.0 / np.sqrt(in_channels * 9)
     h = 1.0 / np.sqrt(2 * heatmaps)
+    conv = rng.uniform(-k, k, size=(n_landmarks * heatmaps, in_channels, 3, 3))
     return [
-        rng.uniform(-k, k, size=(n_landmarks * heatmaps, in_channels, 3, 3)),
-        np.zeros(n_landmarks * heatmaps),
+        np.ascontiguousarray(conv.transpose(0, 2, 3, 1)),
         rng.uniform(-h, h, size=(n_landmarks, 2 * heatmaps, 2)),
         np.tile(np.asarray(center, dtype=np.float64), (n_landmarks, 1)),
     ]
 
 
 def _windows(grid: FeatureGrid, proj: Projector) -> np.ndarray:
-    """(H, W, C, 3, 3) zero-padded 3x3 windows of the first-stage grid's
-    channels followed by its projection's."""
+    """(H + 2, W + 2, C) zero-padded channels of the first-stage grid
+    followed by its projection's."""
     both = np.concatenate([grid.features, project(proj, grid).features], axis=1)
     norm(both, axis=1)  # a feature too large to normalize is a data error here too
     x = both.reshape(grid.grid_h, grid.grid_w, both.shape[1])
-    padded = np.pad(x, ((1, 1), (1, 1), (0, 0)))
-    return np.lib.stride_tricks.sliding_window_view(padded, (3, 3), axis=(0, 1))
+    return np.pad(x, ((1, 1), (1, 1), (0, 0)))
 
 
-def _forward(params: list[np.ndarray], win: np.ndarray, patch: int, temperature: float):
-    """All intermediates: heatmaps, per-map probabilities, coords, predictions."""
-    conv, conv_bias, head_w, head_b = params
-    # 3x3 conv, stride 1: win (H, W, C, 3, 3), kernel (O, C, 3, 3) -> (O, H, W)
-    heat = np.einsum("hwcuv,ocuv->ohw", win, conv, optimize=True) + conv_bias[:, None, None]
-    gh, gw = heat.shape[1:]
-    ys, xs = np.mgrid[0:gh, 0:gw]
-    # decoded at patch centers, as a fraction of the image size with the
-    # center at the origin; the head bias carries the absolute pixel offset.
-    # Fractional units keep the head's inputs O(1) so the conv block, not
-    # the head, absorbs most of the fit.
-    xs_n = ((xs + 0.5) * patch - 0.5) / (gw * patch) - 0.5
-    ys_n = ((ys + 0.5) * patch - 0.5) / (gh * patch) - 0.5
-    probs, cx, cy = _expect(heat, temperature, xs_n, ys_n)
-    # (landmarks, 2 * heatmaps): each landmark's heatmaps' (x, y) decodings
-    coords = np.stack([cx, cy], axis=1).reshape(head_w.shape[:2])
+def _im2col(padded: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Copy each cell's 3x3 window of `_windows`' `padded` into its row of
+    the (H * W, 9 * C) `out`, ordered (row offset, column offset, channel)
+    like a `conv` kernel, and return `out`."""
+    h, w, c = padded.shape[0] - 2, padded.shape[1] - 2, padded.shape[2]
+    win = np.lib.stride_tricks.sliding_window_view(padded, (3, 3), axis=(0, 1))
+    np.copyto(out.reshape(h, w, 3, 3, c), win.transpose(0, 1, 3, 4, 2))
+    return out
+
+
+def _forward(params: list[np.ndarray], x: np.ndarray, cells: np.ndarray, temperature: float):
+    """The weights e and sums s of each heatmap's softmax, the decoded
+    (landmarks, 2 * heatmaps) coordinates and the (landmarks, 2) predictions
+    from one sample's `_im2col` rows `x`."""
+    conv, head_w, head_b = params
+    # 3x3 conv, stride 1: (O, 9C) kernel rows times (N, 9C) window rows
+    logits = conv.reshape(len(conv), -1) @ x.T
+    logits /= temperature
+    e, s, expect = _expect(logits, cells)
+    coords = expect.reshape(head_w.shape[:2])
     preds = np.einsum("li,lio->lo", coords, head_w) + head_b
-    return heat, probs, (xs_n, ys_n), coords, preds
+    return e, s, coords, preds
 
 
 def regressor_forward(
@@ -268,11 +298,13 @@ def regressor_forward(
 ) -> np.ndarray:
     """Predicted (x, y) pixel coordinates for every landmark, shape (L, 2),
     from a first-stage grid and its projection by `proj`."""
-    win = _windows(grid, proj)
-    in_channels = params[0].shape[1]
-    if win.shape[2] != in_channels:
-        raise ValueError(f"{win.shape[2]} input channels, regressor expects {in_channels}")
-    return _forward(params, win, grid.patch, temperature)[4]
+    padded = _windows(grid, proj)
+    in_channels = params[0].shape[3]
+    if padded.shape[2] != in_channels:
+        raise ValueError(f"{padded.shape[2]} input channels, regressor expects {in_channels}")
+    x = _im2col(padded, np.empty((grid.grid_h * grid.grid_w, 9 * in_channels)))
+    cells = _cells(grid.grid_h, grid.grid_w, grid.patch)
+    return _forward(params, x, cells, temperature)[3]
 
 
 def train_regressor(
@@ -285,56 +317,67 @@ def train_regressor(
     """Fit the detector on (first-stage grid, landmarks) samples by gradient
     descent on mean squared pixel error.
 
-    Backbone and projector stay frozen, so each sample's conv windows are
-    built once; only the `init_regressor` arrays move.
+    Backbone and projector stay frozen, so each sample's padded channels
+    are built once; each item copies its windows into one shared im2col
+    buffer, and only the `init_regressor` arrays move. The samples must
+    share one grid geometry.
     """
     cfg.validate()
     if not samples:
         raise ValueError("no training samples")
-    windows = [_windows(grid, proj) for grid, _ in samples]
-    targets = [np.asarray(lm, dtype=np.float64) for _, lm in samples]
     grid = samples[0][0]
+    geometry = (grid.grid_h, grid.grid_w, grid.patch)
+    if any((g.grid_h, g.grid_w, g.patch) != geometry for g, _ in samples):
+        raise ValueError("training samples differ in grid geometry")
+    windows = [_windows(g, proj) for g, _ in samples]
+    targets = [np.asarray(lm, dtype=np.float64) for _, lm in samples]
+    in_channels = windows[0].shape[2]
     params = init_regressor(
         targets[0].shape[0],
-        windows[0].shape[2],
+        in_channels,
         heatmaps=heatmaps,
         seed=cfg.seed,
         center=(grid.image_w / 2.0, grid.image_h / 2.0),
     )
+    cells = _cells(grid.grid_h, grid.grid_w, grid.patch)
+    x = np.empty((grid.grid_h * grid.grid_w, 9 * in_channels))
 
     def item_losses(params):
-        for win, t in zip(windows, targets):
-            yield _loss_and_grads(params, win, t, grid.patch, temperature)
+        for padded, t in zip(windows, targets):
+            yield _loss_and_grads(params, _im2col(padded, x), cells, t, temperature)
 
     params, losses = descend(params, item_losses, cfg)
     return params, TrainTrace(losses)
 
 
 def _loss_and_grads(
-    params: list[np.ndarray], win: np.ndarray, target: np.ndarray, patch: int, temperature: float
+    params: list[np.ndarray],
+    x: np.ndarray,
+    cells: np.ndarray,
+    target: np.ndarray,
+    temperature: float,
 ):
-    head_w = params[2]
-    heat, probs, (xs_n, ys_n), coords, preds = _forward(params, win, patch, temperature)
+    """One sample's squared-error loss and fresh `[conv, head_w, head_b]`
+    gradients from its `_im2col` rows `x`."""
+    conv, head_w, _ = params
+    e, s, coords, preds = _forward(params, x, cells, temperature)
     resid = preds - target
     loss = float((resid**2).mean())
     d_preds = 2.0 * resid / resid.size
     d_head_w = np.einsum("li,lo->lio", coords, d_preds)
-    d_head_b = d_preds
     d_coords = np.einsum("lio,lo->li", head_w, d_preds).reshape(-1, 2)
-    # soft-argmax backward: dE[x]/dh = p * (x - E[x]) / T per heatmap
-    cx = coords.reshape(-1, 2)[:, 0][:, None, None]
-    cy = coords.reshape(-1, 2)[:, 1][:, None, None]
-    d_heat = (
-        probs
-        * (
-            d_coords[:, 0][:, None, None] * (xs_n[None] - cx)
-            + d_coords[:, 1][:, None, None] * (ys_n[None] - cy)
-        )
-        / temperature
-    )
-    d_conv = np.einsum("ohw,hwcuv->ocuv", d_heat, win, optimize=True)
-    d_conv_bias = d_heat.sum(axis=(1, 2))
-    return loss, [d_conv, d_conv_bias, d_head_w, d_head_b]
+    # soft-argmax backward: with p = e / s, d(p.x)/d(logit) = p (x - E[x]),
+    # so d_heat = e * (dx x + dy y - (dx E[x] + dy E[y])) / (s T): a rank-3
+    # product of per-map coefficients with the cells' (x, y, 1) rows
+    expect = coords.reshape(-1, 2)
+    a = np.empty((len(conv), 3))
+    a[:, :2] = d_coords
+    a[:, 2] = -(d_coords * expect).sum(axis=1)
+    a /= s * temperature
+    d_heat = a @ cells
+    d_heat *= e
+    d_conv = (d_heat @ x).reshape(conv.shape)
+    return loss, [d_conv, d_head_w, d_preds]
 
 
 def inter_ocular_error(

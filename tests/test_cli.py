@@ -445,6 +445,11 @@ def test_overflowing_regressor_update_exits_3(tiny_run, tmp_path, capsys):
                      id="eval-detect---holdout-401-digits"),
         pytest.param("eval-detect", "--heatmaps", "9" * 401,
                      id="eval-detect---heatmaps-401-digits"),
+        # below 2**63, but the arrays they imply cannot be allocated
+        ("gen", "--crop", "4000000000"),
+        ("gen", "--crop", "9223372036854775800"),
+        ("eval-detect", "--heatmaps", "4000000000"),
+        ("eval-detect", "--heatmaps", "9223372036854775807"),
     ],
 )
 def test_bad_config_values_are_usage_errors(tiny_run, tmp_path, capsys, command, flag, value):

@@ -124,6 +124,35 @@ def test_validation_rejects(overrides):
         load_config(overrides=overrides)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("crop", 4_000_000_000),
+        ("crop", 2**63 - 8),
+        ("heatmaps", 4_000_000_000),
+        ("heatmaps", 2**63 - 1),
+    ],
+)
+def test_grid_sizes_bounded_by_the_arrays_they_imply(key, value):
+    with pytest.raises(ConfigError, match=f"^{key} = {value} implies a [0-9]+-byte array"):
+        load_config(overrides={key: str(value)})
+
+
+@pytest.mark.parametrize(
+    "patch, largest",
+    [
+        # the (crop, crop, d) maps: 8 * crop**2 * 32 bytes is exactly 2**40
+        (128, 2**16),
+        # the (tokens, tokens) locality matrix: 608**4 * 8 bytes fits, 609**4 * 8 does not
+        (8, 608 * 8),
+    ],
+)
+def test_largest_crop_within_the_array_limit(patch, largest):
+    load_config(overrides={"patch": str(patch), "crop": str(largest)})
+    with pytest.raises(ConfigError, match=f"^crop = {largest + patch} implies"):
+        load_config(overrides={"patch": str(patch), "crop": str(largest + patch)})
+
+
 def test_face_spec_scales_with_crop():
     cfg = ExperimentConfig(crop=48)
     spec = cfg.face_spec()

@@ -313,7 +313,7 @@ def test_soft_argmax_stays_in_hull():
 def test_regressor_zero_conv_zero_head_weights():
     # with nothing learned the prediction is exactly the head bias
     target = np.array([[10.0, 20.0], [30.0, 5.0]])
-    params = [np.zeros((2 * 3, 4, 3, 3)), np.zeros(6), np.zeros((2, 6, 2)), target]
+    params = [np.zeros((2 * 3, 3, 3, 4)), np.zeros((2, 6, 2)), target]
     rng = np.random.default_rng(34)
     grid = FeatureGrid(4, 4, 8, rng.standard_normal((16, 2)))
     proj = Projector(rng.standard_normal((2, 2)), rng.standard_normal(2))
@@ -324,7 +324,8 @@ def test_regressor_dense_loop_oracle():
     """Random parameters on a 4x4 grid against an independent implementation:
     stage-2 channels as x @ W + b, explicit zero-padded convolution loops,
     per-map softmax, coordinate expectation in the same normalized units,
-    then the linear head."""
+    then the linear head. The oracle adds a random bias to each map, which
+    the soft-argmax ignores."""
     rng = np.random.default_rng(35)
     n_lm, heatmaps, in_ch, patch = 2, 2, 4, 8
     gh = gw = 4
@@ -335,7 +336,7 @@ def test_regressor_dense_loop_oracle():
     feats = rng.standard_normal((gh * gw, 2))
     proj = Projector(rng.standard_normal((2, 2)), rng.standard_normal(2))
     got = regressor_forward(
-        [conv, conv_bias, head_w, head_b], FeatureGrid(gh, gw, patch, feats), proj, 0.7
+        [conv.transpose(0, 2, 3, 1), head_w, head_b], FeatureGrid(gh, gw, patch, feats), proj, 0.7
     )
 
     x = np.concatenate([feats, feats @ proj.weight + proj.bias], axis=1).reshape(gh, gw, in_ch)
@@ -367,12 +368,12 @@ def test_regressor_dense_loop_oracle():
 def test_regressor_head_bias_translation():
     # shifting the head bias shifts every prediction by exactly that amount
     rng = np.random.default_rng(36)
-    conv, conv_bias, head_w, head_b = init_regressor(2, 4, heatmaps=3, seed=0, center=(16.0, 16.0))
+    conv, head_w, head_b = init_regressor(2, 4, heatmaps=3, seed=0, center=(16.0, 16.0))
     grid = FeatureGrid(4, 4, 8, rng.standard_normal((16, 2)))
     proj = Projector(rng.standard_normal((2, 2)), rng.standard_normal(2))
-    base = regressor_forward([conv, conv_bias, head_w, head_b], grid, proj, 0.1)
+    base = regressor_forward([conv, head_w, head_b], grid, proj, 0.1)
     delta = np.array([3.0, -2.0])
-    moved = regressor_forward([conv, conv_bias, head_w, head_b + delta], grid, proj, 0.1)
+    moved = regressor_forward([conv, head_w, head_b + delta], grid, proj, 0.1)
     assert np.abs(moved - (base + delta)).max() <= 1e-12
 
 
@@ -401,7 +402,7 @@ def test_train_regressor_zero_steps_and_determinism():
     p0, t0 = train_regressor(samples, proj, OptimConfig(steps=0), heatmaps=2)
     ref = init_regressor(5, 12, heatmaps=2, seed=0, center=(16.0, 16.0))
     assert np.array_equal(p0[0], ref[0])
-    assert np.array_equal(p0[3], ref[3])
+    assert np.array_equal(p0[2], ref[2])
     assert t0.losses == []
     pa, ta = train_regressor(samples, proj, OptimConfig(lr=1e-3, steps=5), heatmaps=2)
     pb, tb = train_regressor(samples, proj, OptimConfig(lr=1e-3, steps=5), heatmaps=2)
@@ -418,20 +419,110 @@ def test_train_regressor_reduces_loss():
     assert trace.losses[-1] < trace.losses[0]
 
 
+def _im2col_rows(grid, proj):
+    from selcorr.evaluation import _im2col, _windows
+
+    padded = _windows(grid, proj)
+    out = np.empty((grid.grid_h * grid.grid_w, 9 * padded.shape[2]))
+    return padded, _im2col(padded, out)
+
+
+def test_im2col_rows_are_channel_last_windows():
+    rng = np.random.default_rng(38)
+    gh, gw = 3, 5
+    feats = rng.standard_normal((gh * gw, 2))
+    proj = Projector(rng.standard_normal((2, 3)), rng.standard_normal(3))
+    padded, x = _im2col_rows(FeatureGrid(gh, gw, 8, feats), proj)
+    both = np.concatenate([feats, feats @ proj.weight + proj.bias], axis=1).reshape(gh, gw, 5)
+    assert x.shape == (gh * gw, 9 * 5)
+    for i in range(gh):
+        for j in range(gw):
+            window = np.zeros((3, 3, 5))
+            for u in range(3):
+                for v in range(3):
+                    ii, jj = i + u - 1, j + v - 1
+                    if 0 <= ii < gh and 0 <= jj < gw:
+                        window[u, v] = both[ii, jj]
+            assert np.array_equal(x[i * gw + j], window.ravel())
+
+
+def test_train_regressor_gradients_match_loop_backward():
+    """`_loss_and_grads` on a non-square 3x5 grid with random parameters
+    against an explicit-loop backward: each map's softmax gradient
+    p * (dx (x - E[x]) + dy (y - E[y])) / T, then the conv gradient summed
+    window by window."""
+    from selcorr.evaluation import _cells, _loss_and_grads
+
+    rng = np.random.default_rng(39)
+    n_lm, heatmaps, patch, temp = 2, 2, 8, 0.7
+    gh, gw, n_maps = 3, 5, n_lm * heatmaps
+    grid = FeatureGrid(gh, gw, patch, rng.standard_normal((gh * gw, 2)))
+    proj = Projector(rng.standard_normal((2, 2)), rng.standard_normal(2))
+    conv = rng.standard_normal((n_maps, 3, 3, 4))
+    head_w = rng.standard_normal((n_lm, 2 * heatmaps, 2))
+    head_b = rng.standard_normal((n_lm, 2))
+    target = rng.standard_normal((n_lm, 2)) * 10.0
+    padded, x = _im2col_rows(grid, proj)
+    loss, grads = _loss_and_grads(
+        [conv, head_w, head_b], x, _cells(gh, gw, patch), target, temp
+    )
+
+    xs = [((j + 0.5) * patch - 0.5) / (gw * patch) - 0.5 for j in range(gw)]
+    ys = [((i + 0.5) * patch - 0.5) / (gh * patch) - 0.5 for i in range(gh)]
+    probs, coords = [], np.zeros((n_lm, 2 * heatmaps))
+    for o in range(n_maps):
+        heat = np.zeros((gh, gw))
+        for i in range(gh):
+            for j in range(gw):
+                for u in range(3):
+                    for v in range(3):
+                        heat[i, j] += float(conv[o, u, v] @ padded[i + u, j + v])
+        p = np.exp(heat / temp - (heat / temp).max())
+        p /= p.sum()
+        probs.append(p)
+        lm, m = divmod(o, heatmaps)
+        coords[lm, 2 * m] = sum(p[i, j] * xs[j] for i in range(gh) for j in range(gw))
+        coords[lm, 2 * m + 1] = sum(p[i, j] * ys[i] for i in range(gh) for j in range(gw))
+    preds = np.einsum("li,lio->lo", coords, head_w) + head_b
+    d_preds = 2.0 * (preds - target) / target.size
+    d_head_w = np.zeros_like(head_w)
+    d_conv = np.zeros_like(conv)
+    for lm in range(n_lm):
+        for k in range(2 * heatmaps):
+            d_head_w[lm, k] = coords[lm, k] * d_preds[lm]
+    for o in range(n_maps):
+        lm, m = divmod(o, heatmaps)
+        dx = float(head_w[lm, 2 * m] @ d_preds[lm])
+        dy = float(head_w[lm, 2 * m + 1] @ d_preds[lm])
+        ex, ey = coords[lm, 2 * m], coords[lm, 2 * m + 1]
+        for i in range(gh):
+            for j in range(gw):
+                d_heat = probs[o][i, j] * (dx * (xs[j] - ex) + dy * (ys[i] - ey)) / temp
+                for u in range(3):
+                    for v in range(3):
+                        d_conv[o, u, v] += d_heat * padded[i + u, j + v]
+    assert loss == pytest.approx(float(((preds - target) ** 2).mean()), rel=1e-12)
+    assert np.abs(grads[0] - d_conv).max() <= 1e-10
+    assert np.abs(grads[1] - d_head_w).max() <= 1e-10
+    assert np.abs(grads[2] - d_preds).max() <= 1e-10
+
+
 def test_train_regressor_gradient_matches_finite_differences():
-    from selcorr.evaluation import _loss_and_grads, _windows
+    from selcorr.evaluation import _cells, _loss_and_grads
 
     samples, proj = _training_setup(1)
     grid, lm = samples[0]
-    x = _windows(grid, proj)
-    conv, conv_bias, head_w, head_b = init_regressor(5, 12, heatmaps=2, seed=1, center=(16.0, 16.0))
-    _, grads = _loss_and_grads([conv, conv_bias, head_w, head_b], x, lm, 8, 0.1)
+    _, x = _im2col_rows(grid, proj)
+    cells = _cells(grid.grid_h, grid.grid_w, grid.patch)
+    conv, head_w, head_b = init_regressor(5, 12, heatmaps=2, seed=1, center=(16.0, 16.0))
+    _, grads = _loss_and_grads([conv, head_w, head_b], x, cells, lm, 0.1)
     h = 1e-6
 
     def loss_with(conv=conv, head_w=head_w):
-        return _loss_and_grads([conv, conv_bias, head_w, head_b], x, lm, 8, 0.1)[0]
+        return _loss_and_grads([conv, head_w, head_b], x, cells, lm, 0.1)[0]
 
-    for idx in [(0, 0, 0, 0), (3, 5, 1, 2), (9, 11, 2, 1)]:
+    # (map, row offset, column offset, channel)
+    for idx in [(0, 0, 0, 0), (3, 1, 2, 5), (9, 2, 1, 11)]:
         c1, c2 = conv.copy(), conv.copy()
         c1[idx] += h
         c2[idx] -= h
@@ -441,7 +532,7 @@ def test_train_regressor_gradient_matches_finite_differences():
     w1[1, 2, 0] += h
     w2[1, 2, 0] -= h
     fd = (loss_with(head_w=w1) - loss_with(head_w=w2)) / (2.0 * h)
-    assert grads[2][1, 2, 0] == pytest.approx(fd, rel=1e-5)
+    assert grads[1][1, 2, 0] == pytest.approx(fd, rel=1e-5)
 
 
 def test_train_regressor_builds_each_samples_windows_once(monkeypatch):
@@ -459,6 +550,22 @@ def test_train_regressor_builds_each_samples_windows_once(monkeypatch):
     _, trace = train_regressor(samples, proj, OptimConfig(lr=1e-3, steps=5), heatmaps=2)
     assert len(trace.losses) == 5
     assert calls == [grid for grid, _ in samples]
+
+
+def test_init_regressor_stores_the_channel_first_draw_channels_last():
+    conv = init_regressor(5, 12, heatmaps=2, seed=3)[0]
+    k = 1.0 / np.sqrt(12 * 9)
+    drawn = np.random.default_rng([37, 3]).uniform(-k, k, size=(10, 12, 3, 3))
+    assert np.array_equal(conv, drawn.transpose(0, 2, 3, 1))
+
+
+def test_train_regressor_rejects_mixed_grid_geometry():
+    samples, proj = _training_setup(2)
+    grid, lm = samples[1]
+    wide = FeatureGrid(grid.grid_h, grid.grid_w + 1, grid.patch,
+                       np.zeros((grid.grid_h * (grid.grid_w + 1), grid.channels)))
+    with pytest.raises(ValueError, match="differ in grid geometry"):
+        train_regressor([samples[0], (wide, lm)], proj, OptimConfig(steps=1), heatmaps=2)
 
 
 def test_train_regressor_divergence():
