@@ -144,30 +144,29 @@ def _require_pairs(cfg: ExperimentConfig) -> None:
         raise ConfigError("matching needs pairs >= 1")
 
 
-def _match_sweep(cfg: ExperimentConfig, proj: Projector | None, drop_rates) -> np.ndarray:
-    """(rates, 2 * pairs, L) per-landmark pixel errors of the match protocol
-    at each drop rate, each pair generated and featurized once.
+def _match_sweep(cfg: ExperimentConfig, projs: list[Projector | None], drop_rates) -> np.ndarray:
+    """(projectors, rates, 2 * pairs, L) per-landmark pixel errors of the match
+    protocol for each projector (None = raw features) at each drop rate.
 
-    Along axis 1 the first cfg.pairs rows are the same-identity pairs, the
-    rest the different-identity pairs.
+    A pair depends only on the seed, `pairs` and the grid sizes, never on a
+    projector or a drop rate, so each pair is generated and masked once, then
+    featurized once per projector. Along axis 2 the first cfg.pairs rows are
+    the same-identity pairs, the rest the different-identity pairs.
     """
     _require_pairs(cfg)
     base = cfg.face_spec()
     seeds = pair_seeds(cfg.seed, 2 * cfg.pairs)
-    errors = np.empty((len(drop_rates), 2 * cfg.pairs, len(base.landmarks_px)))
+    errors = np.empty((len(projs), len(drop_rates), 2 * cfg.pairs, len(base.landmarks_px)))
     for i in range(2 * cfg.pairs):
-        kind = "same" if i < cfg.pairs else "different"
-        pair = make_pair(base, kind, seeds[i])
-        sims = pair_similarity(pair, proj)
-        grid = pair.test.main
-        scores = None
-        for r, rate in enumerate(drop_rates):
-            mask = None
-            if rate > 0.0:
-                if scores is None:
-                    scores = cls_similarity(pair.test.q_cls, pair.test.keys)
-                mask = drop_mask(scores, rate, grid.grid_h, grid.grid_w, grid.patch)
-            errors[r, i] = match_pair(pair, sims, test_mask=mask)
+        pair = make_pair(base, "same" if i < cfg.pairs else "different", seeds[i])
+        test = pair.test
+        scores = cls_similarity(test.q_cls, test.keys) if max(drop_rates) > 0.0 else None
+        cells = (test.main.grid_h, test.main.grid_w, test.main.patch)
+        masks = [drop_mask(scores, rate, *cells) if rate > 0.0 else None for rate in drop_rates]
+        for p, proj in enumerate(projs):
+            sims = pair_similarity(pair, proj)
+            for r, mask in enumerate(masks):
+                errors[p, r, i] = match_pair(pair, sims, test_mask=mask)
     return errors
 
 
@@ -201,7 +200,7 @@ def cmd_train_projector(cfg: ExperimentConfig, manifest: Path, out: Path) -> int
 
 
 def cmd_eval_match(cfg: ExperimentConfig, out: Path, checkpoint: Path | None) -> int:
-    errors = _match_sweep(cfg, _projector(checkpoint), (cfg.drop_rate,))[0]
+    errors = _match_sweep(cfg, [_projector(checkpoint)], (cfg.drop_rate,))[0, 0]
     out.mkdir(parents=True, exist_ok=True)
     rows = [
         (i, lid, "same" if i < cfg.pairs else "different", err)
@@ -266,15 +265,17 @@ def cmd_ablate(
 ) -> int:
     # usage checks come before any variant is trained
     _require_pairs(cfg)
+    # every axis sweeps or fixes the drop rate, and eta and kc sweep their own key
+    for key in ("drop_rate", *{"eta": ("eta",), "kc": ("kc",)}.get(axis, ())):
+        default = getattr(ExperimentConfig(), key)
+        if getattr(cfg, key) != default:
+            raise ConfigError(f"axis {axis} ignores {key}; leave it at its default {default}")
     if axis == "drop_rate" and manifest is not None:
         raise ConfigError("axis drop_rate generates its own pairs and takes no --manifest")
     if axis != "drop_rate" and checkpoint is not None:
         raise ConfigError(f"axis {axis} trains a projector per variant and takes no --checkpoint")
-    rows: list[tuple[object, float, float]] = []
     if axis == "drop_rate":
-        errors = _match_sweep(cfg, _projector(checkpoint), DROP_SWEEP)
-        for rate, rate_errors in zip(DROP_SWEEP, errors):
-            rows.append((rate, *kind_means(rate_errors, cfg.pairs)))
+        values, projs, rates = DROP_SWEEP, [_projector(checkpoint)], DROP_SWEEP
     else:
         if manifest is None:
             raise ConfigError(f"axis {axis} requires --manifest")
@@ -290,13 +291,16 @@ def cmd_ablate(
                 ("no_att_inatt", replace(cfg, r_ai=0.0)),
                 ("no_inatt_inatt", replace(cfg, r_ii=0.0)),
             ]
-        for label, variant in variants:
-            proj, _ = train_projector(corpus, variant.projector_train(), out_dim=variant.d_proj)
-            errors = _match_sweep(variant, proj, (0.0,))[0]
-            rows.append((label, *kind_means(errors, variant.pairs)))
+        values = [label for label, _ in variants]
+        projs = [
+            train_projector(corpus, v.projector_train(), out_dim=v.d_proj)[0] for _, v in variants
+        ]
+        rates = (0.0,)
+    errors = _match_sweep(cfg, projs, rates).reshape(len(values), 2 * cfg.pairs, -1)
+    rows = [(axis, value, *kind_means(e, cfg.pairs)) for value, e in zip(values, errors)]
     out.mkdir(parents=True, exist_ok=True)
     header = ("axis", "value", "same_mean_px", "diff_mean_px")
-    write_csv(out / f"ablate_{axis}.csv", [header, *((axis, *row) for row in rows)])
+    write_csv(out / f"ablate_{axis}.csv", [header, *rows])
     print(f"{axis}: {len(rows)} rows")
     return EXIT_OK
 

@@ -349,8 +349,9 @@ def test_criterion_06_training_improves_matching(cfg, corpus64, trained):
     # reference point: the projector exactly as training initialized it
     in_dim = corpus64[0][0].main.channels
     initial = init_projector(in_dim, cfg.d_proj, cfg.seed)
-    before_same, before_diff = kind_means(_match_sweep(cfg, initial, (0.0,))[0], cfg.pairs)
-    after_same, after_diff = kind_means(_match_sweep(cfg, proj, (0.0,))[0], cfg.pairs)
+    before, after = _match_sweep(cfg, [initial, proj], (0.0,))[:, 0]
+    before_same, before_diff = kind_means(before, cfg.pairs)
+    after_same, after_diff = kind_means(after, cfg.pairs)
     wall = train_wall + (time.perf_counter() - start)
     improvement = (before_same - after_same) / before_same
     ok = (

@@ -12,11 +12,11 @@ import pytest
 from selcorr import cli
 from selcorr.cli import DROP_SWEEP, _match_sweep, main
 from selcorr.config import load_config
-from selcorr.evaluation import train_regressor
+from selcorr.evaluation import kind_means, train_regressor
 from selcorr.partition import cls_similarity, split_tokens
-from selcorr.projector import Projector, init_projector, projector_checksum
-from selcorr.synth import BackboneOutput, read_sample
-from selcorr.tensorio import FeatureGrid, read_manifest, read_tensor, write_tensor
+from selcorr.projector import Projector, init_projector, projector_checksum, train_projector
+from selcorr.synth import BackboneOutput, make_pair, read_sample
+from selcorr.tensorio import FeatureGrid, read_manifest, read_tensor, write_csv, write_tensor
 
 # small geometry so every command finishes in well under a second
 TINY = [
@@ -182,14 +182,45 @@ def test_huge_checkpoint_weight_is_a_data_error(tiny_run, tmp_path, capsys, comm
 
 def test_drop_rate_sweep_equals_one_protocol_per_rate():
     cfg = load_config(None, _tiny_overrides(pairs="2"))
-    for proj in (None, init_projector(8, 4, seed=0)):
-        swept = _match_sweep(cfg, proj, DROP_SWEEP)
-        assert swept.shape == (len(DROP_SWEEP), 2 * cfg.pairs, 5)
-        for rate, got in zip(DROP_SWEEP, swept):
-            want = _match_sweep(cfg, proj, (rate,))[0]
+    projs = [None, init_projector(8, 4, seed=0)]
+    swept = _match_sweep(cfg, projs, DROP_SWEEP)
+    assert swept.shape == (len(projs), len(DROP_SWEEP), 2 * cfg.pairs, 5)
+    for proj, proj_swept in zip(projs, swept):
+        for rate, got in zip(DROP_SWEEP, proj_swept):
+            want = _match_sweep(cfg, [proj], (rate,))[0, 0]
             assert got.tobytes() == want.tobytes()
         # the high rates must actually move some matches
-        assert swept[0].tobytes() != swept[-1].tobytes()
+        assert proj_swept[0].tobytes() != proj_swept[-1].tobytes()
+
+
+def test_training_axes_generate_each_pair_once(tmp_path, monkeypatch):
+    corpus = tmp_path / "corpus"
+    _gen(corpus, count=3)
+    calls, trained = [], []
+
+    def counted_make_pair(*args):
+        calls.append(args)
+        return make_pair(*args)
+
+    def kept_train_projector(*args, **kwargs):
+        trained.append(train_projector(*args, **kwargs)[0])
+        return trained[-1], None
+
+    monkeypatch.setattr(cli, "make_pair", counted_make_pair)
+    monkeypatch.setattr(cli, "train_projector", kept_train_projector)
+    out = tmp_path / "ab"
+    rc = main(["ablate", "--axis", "kc", "--manifest", str(corpus / "manifest.txt"),
+               "--out", str(out), *TINY])
+    assert rc == 0
+    cfg = load_config(None, _tiny_overrides())
+    assert len(calls) == 2 * cfg.pairs and len(trained) == len(cli.KC_SWEEP)
+    # each row is its variant's projector scored alone, byte for byte
+    alone = [
+        ("kc", kc, *kind_means(_match_sweep(cfg, [proj], (0.0,))[0, 0], cfg.pairs))
+        for kc, proj in zip(cli.KC_SWEEP, trained)
+    ]
+    write_csv(tmp_path / "alone.csv", [("axis", "value", "same_mean_px", "diff_mean_px"), *alone])
+    assert (out / "ablate_kc.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
 
 
 def test_ablate_drop_rate_and_eta(tmp_path):
@@ -580,4 +611,13 @@ def test_ablate_rejects_flags_it_would_ignore(tmp_path, capsys, monkeypatch):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.count("takes no --checkpoint") == 3 and err.count("takes no --manifest") == 1
+    # a value the axis sweeps or fixes itself, set away from its default
+    for axis, key, flag in (("kc", "drop_rate", ["--drop-rate", "0.5"]),
+                            ("drop_rate", "drop_rate", ["--drop-rate", "0.5"]),
+                            ("eta", "eta", ["--eta", "0.3"]),
+                            ("kc", "kc", ["--kc", "3"])):
+        extra = [] if axis == "drop_rate" else ["--manifest", manifest]
+        rc = main(["ablate", "--axis", axis, *extra, "--out", str(tmp_path / "a"), *TINY, *flag])
+        assert rc == 1
+        assert f"axis {axis} ignores {key}" in capsys.readouterr().err
     assert not (tmp_path / "a").exists()

@@ -14,10 +14,10 @@ Per seed: `gen` (32 samples); `train-projector` with gd and with
 `--optimizer momentum`; `eval-match` with the gd checkpoint, raw, and raw
 with `--drop-rate 0.5`; `eval-detect` by default, with `--reg-optimizer gd
 --repeats 2`, and with `--budget 30` (clamped to 24, so the training and
-held-out samples meet); `ablate --axis kc`, and `--axis drop_rate` raw and
-with the checkpoint; `export-simmap` with the checkpoint, and raw with
-`--kind different`. Matching
-runs at PAIRS (50) pairs per kind, except the first seed's three
+held-out samples meet); `ablate --axis kc`, `--axis eta` and `--axis
+repellence`, and `--axis drop_rate` raw and with the checkpoint;
+`export-simmap` with the checkpoint, and raw with `--kind different`.
+Matching runs at PAIRS (50) pairs per kind, except the first seed's three
 `eval-match` runs, which run FIRST_SEED_PAIRS (500, the default). Both are
 fixed so that two runs always hash the same matrix. A command that exits
 non-zero stops the run with exit 1.
@@ -65,6 +65,10 @@ def _matrix(root: Path, match_pairs: str) -> list[tuple[str, list[str]]]:
                              *out("detect_budget30"), "--budget", "30"]),
         ("ablate_kc", ["ablate", "--axis", "kc", "--manifest", manifest, *out("ablate_kc"),
                        "--pairs", PAIRS]),
+        ("ablate_eta", ["ablate", "--axis", "eta", "--manifest", manifest, *out("ablate_eta"),
+                        "--pairs", PAIRS]),
+        ("ablate_repellence", ["ablate", "--axis", "repellence", "--manifest", manifest,
+                               *out("ablate_repellence"), "--pairs", PAIRS]),
         ("ablate_drop_raw", ["ablate", "--axis", "drop_rate", *out("ablate_drop_raw"),
                              "--pairs", PAIRS]),
         ("ablate_drop_ckpt", ["ablate", "--axis", "drop_rate", "--checkpoint", ckpt,
