@@ -2,9 +2,9 @@
 
 Commands: gen, train-projector, eval-match, eval-detect, ablate,
 export-simmap. Every hyperparameter of the method and every grid size is a
-config key and a flag of the same name; the synthetic world's statistics are
-fixed constants of `synth`. Reruns with identical seeds produce
-byte-identical outputs.
+config key that a `--config` file may set; a command takes flags only for
+the keys it reads (`READS`). The synthetic world's statistics are constants
+of `synth`. Reruns with identical seeds produce byte-identical outputs.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical divergence.
 """
@@ -62,31 +62,44 @@ KC_SWEEP = (1, 2, 4, 8)
 # Past ~0.96 the drop starts consuming top-scoring landmark cells, so the
 # matching curve stays flat to a knee and then degrades sharply.
 DROP_SWEEP = (0.0, 0.25, 0.5, 0.75, 0.875, 0.9375, 0.97, 0.99)
+GRID_KEYS = {"crop", "patch", "d", "d_aux", "seed"}
+PROJECTOR_KEYS = {"eta", "kc", "tau", "r_aa", "r_ai", "r_ii", "d_proj", "proj_lr", "proj_steps",
+                  "optimizer", "momentum", "seed"}
+# the config keys each command form reads, the only ones it takes as flags.
+# No ablate axis reads drop_rate (each sweeps or fixes it), drop_rate trains
+# no projector, and eta and kc sweep their own key
+READS = {
+    "gen": GRID_KEYS,
+    "train-projector": PROJECTOR_KEYS,
+    "eval-match": GRID_KEYS | {"pairs", "drop_rate"},
+    "eval-detect": {"heatmaps", "softargmax_temp", "reg_lr", "reg_steps", "reg_optimizer",
+                    "momentum", "holdout", "repeats", "seed"},
+    "ablate --axis drop_rate": GRID_KEYS | {"pairs"},
+    "ablate --axis eta": GRID_KEYS | {"pairs"} | (PROJECTOR_KEYS - {"eta"}),
+    "ablate --axis kc": GRID_KEYS | {"pairs"} | (PROJECTOR_KEYS - {"kc"}),
+    "ablate --axis repellence": GRID_KEYS | {"pairs"} | PROJECTOR_KEYS,
+    "export-simmap": GRID_KEYS,
+}
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse's default usage-error exit code is 2; this CLI reserves 2
-    for data errors, so remap to 1."""
+    """Usage errors exit 1, not argparse's 2 (kept here for data errors), and
+    no abbreviated flag is taken: `--d` could mean another key's `--d-proj`."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message: str):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _add_config_flags(parser: argparse.ArgumentParser, keys: set[str]) -> None:
     parser.add_argument("--config", type=Path, default=None, help="key=value config file")
     for f in fields(ExperimentConfig):
-        flag = "--" + f.name.replace("_", "-")
-        parser.add_argument(flag, dest=f"k_{f.name}", default=None, metavar=f.type.upper())
-
-
-def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    overrides = {
-        f.name: getattr(args, f"k_{f.name}")
-        for f in fields(ExperimentConfig)
-        if getattr(args, f"k_{f.name}") is not None
-    }
-    return load_config(args.config, overrides)
+        if f.name in keys:
+            flag = "--" + f.name.replace("_", "-")
+            parser.add_argument(flag, dest=f"k_{f.name}", default=None, metavar=f.type.upper())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,12 +109,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", parents=[], help="generate a synthetic sample corpus")
     p.add_argument("--count", type=int, default=32)
     p.add_argument("--out", type=Path, required=True)
-    _add_config_flags(p)
 
     p = sub.add_parser("train-projector", help="fit the projector on a corpus")
     p.add_argument("--manifest", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    _add_config_flags(p)
 
     p = sub.add_parser(
         "eval-match",
@@ -110,28 +121,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--checkpoint", type=Path, default=None)
     p.add_argument("--out", type=Path, required=True)
-    _add_config_flags(p)
 
     p = sub.add_parser("eval-detect", help="limited-annotation landmark detection")
     p.add_argument("--manifest", type=Path, required=True)
     p.add_argument("--checkpoint", type=Path, required=True)
     p.add_argument("--budget", type=int, default=20)
     p.add_argument("--out", type=Path, required=True)
-    _add_config_flags(p)
 
     p = sub.add_parser("ablate", help="hyperparameter sweeps as CSV")
     p.add_argument("--axis", choices=("eta", "kc", "repellence", "drop_rate"), required=True)
     p.add_argument("--manifest", type=Path, default=None)
     p.add_argument("--checkpoint", type=Path, default=None)
     p.add_argument("--out", type=Path, required=True)
-    _add_config_flags(p)
 
     p = sub.add_parser("export-simmap", help="similarity map of one landmark as PGM")
     p.add_argument("--checkpoint", type=Path, default=None)
     p.add_argument("--landmark", type=int, default=0)
     p.add_argument("--kind", choices=("same", "different"), default="same")
     p.add_argument("--out", type=Path, required=True)
-    _add_config_flags(p)
+    for name, cmd in sub.choices.items():
+        # the keys that some form of the command reads
+        _add_config_flags(cmd, set().union(*(v for k, v in READS.items() if k.split()[0] == name)))
     return parser
 
 
@@ -190,11 +200,11 @@ def cmd_gen(cfg: ExperimentConfig, count: int, out: Path) -> int:
 
 def cmd_train_projector(cfg: ExperimentConfig, manifest: Path, out: Path) -> int:
     corpus = (output for output, _ in read_corpus(manifest))
-    proj, trace = train_projector(corpus, cfg.projector_train(), out_dim=cfg.d_proj)
+    proj, losses = train_projector(corpus, cfg.projector_train(), out_dim=cfg.d_proj)
     out.mkdir(parents=True, exist_ok=True)
     digest = save_checkpoint(out / "checkpoint", proj, seed=cfg.seed, steps=cfg.proj_steps)
-    write_csv(out / "trace.csv", [("step", "loss"), *enumerate(trace.losses)])
-    last = trace.losses[-1] if trace.losses else float("nan")
+    write_csv(out / "trace.csv", [("step", "loss"), *enumerate(losses)])
+    last = losses[-1] if losses else float("nan")
     print(f"trained {cfg.proj_steps} steps, final_loss={last!r}, sha256={digest}")
     return EXIT_OK
 
@@ -265,11 +275,6 @@ def cmd_ablate(
 ) -> int:
     # usage checks come before any variant is trained
     _require_pairs(cfg)
-    # every axis sweeps or fixes the drop rate, and eta and kc sweep their own key
-    for key in ("drop_rate", *{"eta": ("eta",), "kc": ("kc",)}.get(axis, ())):
-        default = getattr(ExperimentConfig(), key)
-        if getattr(cfg, key) != default:
-            raise ConfigError(f"axis {axis} ignores {key}; leave it at its default {default}")
     if axis == "drop_rate" and manifest is not None:
         raise ConfigError("axis drop_rate generates its own pairs and takes no --manifest")
     if axis != "drop_rate" and checkpoint is not None:
@@ -308,9 +313,9 @@ def cmd_ablate(
 def cmd_export_simmap(
     cfg: ExperimentConfig, out: Path, checkpoint: Path | None, landmark: int, kind: str
 ) -> int:
-    pair = make_pair(cfg.face_spec(), kind, cfg.seed)
-    if not 0 <= landmark < pair.ref_landmarks.shape[0]:
+    if not 0 <= landmark < len(cfg.face_spec().landmarks_px):
         raise ConfigError(f"landmark index {landmark} out of range")
+    pair = make_pair(cfg.face_spec(), kind, cfg.seed)
     proj = _projector(checkpoint)
     query = pair.ref_landmarks[landmark : landmark + 1]
     sims = similarity_stack(token_grid(pair.ref, proj), token_grid(pair.test, proj), query)[0]
@@ -321,9 +326,14 @@ def cmd_export_simmap(
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    flags = {k[2:]: v for k, v in vars(args).items() if k.startswith("k_") and v is not None}
+    form = args.command + (f" --axis {args.axis}" if args.command == "ablate" else "")
+    if flags.keys() - READS[form]:
+        parser.error(f"{form} ignores {', '.join(sorted(flags.keys() - READS[form]))}")
     try:
-        cfg = _config_from_args(args)
+        cfg = load_config(args.config, flags)
         if args.command == "gen":
             return cmd_gen(cfg, args.count, args.out)
         if args.command == "train-projector":
@@ -336,7 +346,6 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_ablate(cfg, args.axis, args.manifest, args.checkpoint, args.out)
         if args.command == "export-simmap":
             return cmd_export_simmap(cfg, args.out, args.checkpoint, args.landmark, args.kind)
-        raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"selcorr: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,7 +1,7 @@
 """Experiment configuration: a flat key=value record shared by all commands.
 
-Every field can come from a config file line or a command-line flag of the
-same name; flags win over the file, the file wins over defaults.
+Every field can come from a config file line, and from a same-named flag of
+each command that reads it; flags win over the file, the file over defaults.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .projector import OptimConfig, Projector, TrainTrace, descend, project
+from .projector import OptimConfig, Projector, descend, project
 from .synth import BackboneOutput, EvalPair
 from .tensorio import (
     DenseFeatureMap,
@@ -313,14 +313,14 @@ def train_regressor(
     cfg: OptimConfig,
     heatmaps: int = 50,
     temperature: float = 0.1,
-) -> tuple[list[np.ndarray], TrainTrace]:
+) -> tuple[list[np.ndarray], list[float]]:
     """Fit the detector on (first-stage grid, landmarks) samples by gradient
     descent on mean squared pixel error.
 
     Backbone and projector stay frozen, so each sample's padded channels
     are built once; each item copies its windows into one shared im2col
-    buffer, and only the `init_regressor` arrays move. The samples must
-    share one grid geometry.
+    buffer, and only the `init_regressor` arrays move. They are returned
+    with each step's mean loss. The samples must share one grid geometry.
     """
     cfg.validate()
     if not samples:
@@ -346,8 +346,7 @@ def train_regressor(
         for padded, t in zip(windows, targets):
             yield _loss_and_grads(params, _im2col(padded, x), cells, t, temperature)
 
-    params, losses = descend(params, item_losses, cfg)
-    return params, TrainTrace(losses)
+    return descend(params, item_losses, cfg)
 
 
 def _loss_and_grads(

@@ -98,13 +98,6 @@ class TrainConfig(OptimConfig):
         self.repel.validate()
 
 
-@dataclass
-class TrainTrace:
-    """Mean per-item loss at each step."""
-
-    losses: list[float]
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def descend(
     params: list[np.ndarray],
@@ -208,11 +201,10 @@ def projector_checksum(p: Projector) -> str:
 
 def train_projector(
     corpus: Iterable[BackboneOutput], cfg: TrainConfig, out_dim: int
-) -> tuple[Projector, TrainTrace]:
-    """Minimize the mean per-image repellence loss over a frozen corpus.
-
-    Only each image's prepared rows are kept, so `corpus` may be a stream
-    that is read once.
+) -> tuple[Projector, list[float]]:
+    """Minimize the mean per-image repellence loss over a frozen corpus;
+    returns the projector and each step's mean loss. Only each image's
+    prepared rows are kept, so `corpus` may be a stream that is read once.
     """
     cfg.validate()
     prepared = [prepare_image(out, cfg) for out in corpus]
@@ -231,7 +223,7 @@ def train_projector(
             yield loss, [feats.T @ g_phi, g_phi.sum(axis=0)]
 
     (w, b), losses = descend([init.weight, init.bias], item_losses, cfg)
-    return Projector(w, b), TrainTrace(losses)
+    return Projector(w, b), losses
 
 
 def save_checkpoint(directory: str | Path, p: Projector, seed: int, steps: int) -> str:

@@ -10,6 +10,7 @@ import hashlib
 import math
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -357,7 +358,7 @@ def test_criterion_06_training_improves_matching(cfg, corpus64, trained):
     ok = (
         improvement >= 0.30
         and after_diff < before_diff
-        and trace.losses[-1] < trace.losses[0]
+        and trace[-1] < trace[0]
         and wall < 120.0
     )
     _report(
@@ -366,7 +367,7 @@ def test_criterion_06_training_improves_matching(cfg, corpus64, trained):
         ok,
         f"same {before_same:.2f}->{after_same:.2f}px ({improvement:+.1%}, need >= +30%), "
         f"diff {before_diff:.2f}->{after_diff:.2f}px, "
-        f"loss {trace.losses[0]:.0f}->{trace.losses[-1]:.0f}, {wall:.0f}s (limit 120s)",
+        f"loss {trace[0]:.0f}->{trace[-1]:.0f}, {wall:.0f}s (limit 120s)",
     )
 
 
@@ -425,7 +426,7 @@ def _tree_digest(root):
 
 
 def test_criterion_08_cli_reruns_are_byte_identical(tmp_path):
-    flags = ["--pairs", "20", "--proj-steps", "25", "--reg-steps", "25", "--holdout", "3"]
+    flags = ["--config", str(Path(__file__).resolve().parent / "configs" / "criterion_08.txt")]
 
     def run(args):
         assert main(args) == 0, f"command failed: {args}"

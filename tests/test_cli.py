@@ -4,6 +4,7 @@ import gc
 import hashlib
 import shutil
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,26 +12,23 @@ import pytest
 
 from selcorr import cli
 from selcorr.cli import DROP_SWEEP, _match_sweep, main
-from selcorr.config import load_config
+from selcorr.config import ExperimentConfig, load_config
 from selcorr.evaluation import kind_means, train_regressor
 from selcorr.partition import cls_similarity, split_tokens
 from selcorr.projector import Projector, init_projector, projector_checksum, train_projector
 from selcorr.synth import BackboneOutput, make_pair, read_sample
-from selcorr.tensorio import FeatureGrid, read_manifest, read_tensor, write_csv, write_tensor
+from selcorr.tensorio import (
+    FeatureGrid,
+    read_manifest,
+    read_meta,
+    read_tensor,
+    write_csv,
+    write_tensor,
+)
 
 # small geometry so every command finishes in well under a second
-TINY = [
-    "--crop", "32",
-    "--d", "8", "--d-aux", "4", "--d-proj", "4",
-    "--proj-steps", "4", "--reg-steps", "3", "--heatmaps", "2",
-    "--pairs", "2", "--holdout", "2", "--seed", "0",
-]
-
-
-def _tiny_overrides(**extra: str) -> dict[str, str]:
-    flags = dict(zip(TINY[::2], TINY[1::2]))
-    flags.update({f"--{k}": v for k, v in extra.items()})
-    return {k[2:].replace("-", "_"): v for k, v in flags.items()}
+TINY_CONFIG = Path(__file__).resolve().parent / "configs" / "tiny.txt"
+TINY = ["--config", str(TINY_CONFIG)]
 
 
 def _gen(out: Path, count: int = 6) -> None:
@@ -181,7 +179,7 @@ def test_huge_checkpoint_weight_is_a_data_error(tiny_run, tmp_path, capsys, comm
 
 
 def test_drop_rate_sweep_equals_one_protocol_per_rate():
-    cfg = load_config(None, _tiny_overrides(pairs="2"))
+    cfg = load_config(TINY_CONFIG)
     projs = [None, init_projector(8, 4, seed=0)]
     swept = _match_sweep(cfg, projs, DROP_SWEEP)
     assert swept.shape == (len(projs), len(DROP_SWEEP), 2 * cfg.pairs, 5)
@@ -212,7 +210,7 @@ def test_training_axes_generate_each_pair_once(tmp_path, monkeypatch):
     rc = main(["ablate", "--axis", "kc", "--manifest", str(corpus / "manifest.txt"),
                "--out", str(out), *TINY])
     assert rc == 0
-    cfg = load_config(None, _tiny_overrides())
+    cfg = load_config(TINY_CONFIG)
     assert len(calls) == 2 * cfg.pairs and len(trained) == len(cli.KC_SWEEP)
     # each row is its variant's projector scored alone, byte for byte
     alone = [
@@ -263,7 +261,8 @@ def test_usage_errors_exit_1(tmp_path):
             main(["gen", "--count", "0", "--out", str(tmp_path), flag, "0.1"])
         assert exc.value.code == 1
     assert main(["gen", "--count", "-1", "--out", str(tmp_path), *TINY]) == 1
-    assert main(["gen", "--count", "0", "--out", str(tmp_path), "--eta", "2.0"]) == 1
+    assert main(["train-projector", "--manifest", str(tmp_path / "none.txt"),
+                 "--out", str(tmp_path), "--eta", "2.0"]) == 1
     assert main(["ablate", "--axis", "kc", "--out", str(tmp_path), *TINY]) == 1
     corpus = tmp_path / "c"
     _gen(corpus, count=3)
@@ -611,13 +610,145 @@ def test_ablate_rejects_flags_it_would_ignore(tmp_path, capsys, monkeypatch):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.count("takes no --checkpoint") == 3 and err.count("takes no --manifest") == 1
-    # a value the axis sweeps or fixes itself, set away from its default
-    for axis, key, flag in (("kc", "drop_rate", ["--drop-rate", "0.5"]),
-                            ("drop_rate", "drop_rate", ["--drop-rate", "0.5"]),
-                            ("eta", "eta", ["--eta", "0.3"]),
-                            ("kc", "kc", ["--kc", "3"])):
+    # a key the axis sweeps or fixes itself: no axis takes --drop-rate
+    for axis in ("kc", "drop_rate"):
         extra = [] if axis == "drop_rate" else ["--manifest", manifest]
-        rc = main(["ablate", "--axis", axis, *extra, "--out", str(tmp_path / "a"), *TINY, *flag])
-        assert rc == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["ablate", "--axis", axis, *extra, "--out", str(tmp_path / "a"), *TINY,
+                  "--drop-rate", "0.5"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --drop-rate 0.5" in capsys.readouterr().err
+    for axis, key, flag in (("eta", "eta", ["--eta", "0.3"]),
+                            ("kc", "kc", ["--kc", "3"])):
+        with pytest.raises(SystemExit) as exc:
+            main(["ablate", "--axis", axis, "--manifest", manifest,
+                  "--out", str(tmp_path / "a"), *TINY, *flag])
+        assert exc.value.code == 1
         assert f"axis {axis} ignores {key}" in capsys.readouterr().err
     assert not (tmp_path / "a").exists()
+
+
+# the config keys each command form reads, written out here rather than
+# imported from the CLI: a command takes exactly these as flags
+READ_KEYS = {
+    "gen": {"crop", "patch", "d", "d_aux", "seed"},
+    "train-projector": {"eta", "kc", "tau", "r_aa", "r_ai", "r_ii", "d_proj", "proj_lr",
+                        "proj_steps", "optimizer", "momentum", "seed"},
+    "eval-match": {"crop", "patch", "d", "d_aux", "seed", "pairs", "drop_rate"},
+    "eval-detect": {"heatmaps", "softargmax_temp", "reg_lr", "reg_steps", "reg_optimizer",
+                    "momentum", "holdout", "repeats", "seed"},
+    "ablate --axis drop_rate": {"crop", "patch", "d", "d_aux", "seed", "pairs"},
+    "ablate --axis eta": {"crop", "patch", "d", "d_aux", "seed", "pairs", "kc", "tau", "r_aa",
+                          "r_ai", "r_ii", "d_proj", "proj_lr", "proj_steps", "optimizer",
+                          "momentum"},
+    "ablate --axis kc": {"crop", "patch", "d", "d_aux", "seed", "pairs", "eta", "tau", "r_aa",
+                         "r_ai", "r_ii", "d_proj", "proj_lr", "proj_steps", "optimizer",
+                         "momentum"},
+    "ablate --axis repellence": {"crop", "patch", "d", "d_aux", "seed", "pairs", "eta", "kc",
+                                 "tau", "r_aa", "r_ai", "r_ii", "d_proj", "proj_lr",
+                                 "proj_steps", "optimizer", "momentum"},
+    "export-simmap": {"crop", "patch", "d", "d_aux", "seed"},
+}
+# a valid value away from the default for every key
+NON_DEFAULT = {
+    "eta": "0.3", "kc": "3", "tau": "0.1", "r_aa": "4.0", "r_ai": "3.0", "r_ii": "1.0",
+    "drop_rate": "0.5", "crop": "48", "patch": "4", "d": "16", "d_aux": "8", "d_proj": "8",
+    "proj_lr": "0.01", "proj_steps": "7", "optimizer": "momentum", "momentum": "0.5",
+    "heatmaps": "7", "softargmax_temp": "0.2", "reg_lr": "0.05", "reg_steps": "7",
+    "reg_optimizer": "gd", "holdout": "3", "repeats": "2", "pairs": "7", "seed": "3",
+}
+COMMANDS = ("cmd_gen", "cmd_train_projector", "cmd_eval_match", "cmd_eval_detect",
+            "cmd_ablate", "cmd_export_simmap")
+
+
+def _flag(key: str, value: str) -> list[str]:
+    return ["--" + key.replace("_", "-"), value]
+
+
+def _form_argv(form: str, manifest: str, checkpoint: str) -> list[str]:
+    """The command line of `form` with the inputs it needs, but no --out."""
+    argv = form.split()
+    if form in ("train-projector", "eval-detect") or argv[-1] in ("eta", "kc", "repellence"):
+        argv += ["--manifest", manifest]
+    if form in ("eval-match", "eval-detect", "export-simmap"):
+        argv += ["--checkpoint", checkpoint]
+    return argv
+
+
+def test_each_command_takes_only_the_config_flags_it_reads(tmp_path, capsys, monkeypatch):
+    assert set(NON_DEFAULT) == {f.name for f in fields(ExperimentConfig)}
+    out = tmp_path / "out"
+    forms = {form: [*_form_argv(form, str(tmp_path / "manifest.txt"), str(tmp_path / "ck")),
+                    "--out", str(out)] for form in READ_KEYS}
+    # every other key is an unknown flag: exit 1 before any work
+    for form, argv in forms.items():
+        for key in NON_DEFAULT.keys() - READ_KEYS[form]:
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, *_flag(key, NON_DEFAULT[key])])
+            assert exc.value.code == 1, (form, key)
+            err = capsys.readouterr().err
+            assert err.startswith("selcorr: error: ") and "Traceback" not in err
+            assert not out.exists()
+    # each read key is taken, and reaches the config the command runs on
+    seen = []
+    for name in COMMANDS:
+        monkeypatch.setattr(cli, name, lambda cfg, *args: seen.append(cfg) or 0)
+    for form, argv in forms.items():
+        for key in READ_KEYS[form]:
+            assert main([*argv, *_flag(key, NON_DEFAULT[key])]) == 0, (form, key)
+            want = getattr(load_config(None, {key: NON_DEFAULT[key]}), key)
+            assert getattr(seen.pop(), key) == want != getattr(ExperimentConfig(), key)
+
+
+def test_flags_a_command_ignores_exit_1(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    for argv in (
+        ["ablate", "--axis", "drop_rate", "--kc", "3", "--proj-steps", "7", "--crop", "32",
+         "--d", "8", "--d-aux", "4", "--pairs", "1", "--out", out],
+        ["eval-match", "--eta", "0.3", "--crop", "32", "--d", "8", "--d-aux", "4",
+         "--pairs", "1", "--out", out],
+        ["gen", "--heatmaps", "7", "--reg-lr", "5", "--count", "1", "--out", out],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "ablate --axis drop_rate ignores kc, proj_steps" in err
+    assert "unrecognized arguments: --eta 0.3" in err
+    assert "unrecognized arguments: --heatmaps 7 --reg-lr 5" in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
+def test_export_simmap_rejects_the_landmark_before_any_pair(tmp_path, capsys, monkeypatch):
+    def no_pair(*args, **kwargs):
+        raise AssertionError("a pair was generated")
+
+    monkeypatch.setattr(cli, "make_pair", no_pair)
+    for landmark in ("5", "-1"):
+        out = tmp_path / "sim.pgm"
+        assert main(["export-simmap", "--landmark", landmark, "--out", str(out), *TINY]) == 1
+        err = capsys.readouterr().err
+        assert f"landmark index {landmark} out of range" in err and "Traceback" not in err
+        assert not out.exists()
+
+
+def test_gen_config_passes_back_to_every_command(tmp_path):
+    # gen's config.txt holds every key; passed back with --config, each
+    # command writes what the flags of the keys it reads make it write
+    corpus, run = tmp_path / "corpus", tmp_path / "run"
+    _gen(corpus)
+    config = corpus / "config.txt"
+    values = read_meta(config)
+    manifest = str(corpus / "manifest.txt")
+    assert main(["train-projector", "--manifest", manifest, "--out", str(run), *TINY]) == 0
+    checkpoint = str(run / "checkpoint")
+    for form in READ_KEYS.keys() - {"gen"}:
+        argv = _form_argv(form, manifest, checkpoint)
+        flags = [word for key in sorted(READ_KEYS[form]) for word in _flag(key, values[key])]
+        written = []
+        for tag, settings in (("file", ["--config", str(config)]), ("flags", flags)):
+            out = tmp_path / tag / form.replace(" ", "_")
+            target = out / "sim.pgm" if form == "export-simmap" else out
+            assert main([*argv, "--out", str(target), *settings]) == 0, (form, tag)
+            written.append(_tree_digest(out))
+        assert written[0] and written[0] == written[1], form

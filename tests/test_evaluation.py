@@ -403,12 +403,12 @@ def test_train_regressor_zero_steps_and_determinism():
     ref = init_regressor(5, 12, heatmaps=2, seed=0, center=(16.0, 16.0))
     assert np.array_equal(p0[0], ref[0])
     assert np.array_equal(p0[2], ref[2])
-    assert t0.losses == []
+    assert t0 == []
     pa, ta = train_regressor(samples, proj, OptimConfig(lr=1e-3, steps=5), heatmaps=2)
     pb, tb = train_regressor(samples, proj, OptimConfig(lr=1e-3, steps=5), heatmaps=2)
     for a, b in zip(pa, pb):
         assert a.tobytes() == b.tobytes()
-    assert ta.losses == tb.losses
+    assert ta == tb
 
 
 def test_train_regressor_reduces_loss():
@@ -416,7 +416,7 @@ def test_train_regressor_reduces_loss():
     _, trace = train_regressor(
         samples, proj, OptimConfig(lr=1e-2, steps=30, optimizer="momentum"), heatmaps=2
     )
-    assert trace.losses[-1] < trace.losses[0]
+    assert trace[-1] < trace[0]
 
 
 def _im2col_rows(grid, proj):
@@ -548,7 +548,7 @@ def test_train_regressor_builds_each_samples_windows_once(monkeypatch):
     monkeypatch.setattr(evaluation, "_windows", counted)
     samples, proj = _training_setup(3)
     _, trace = train_regressor(samples, proj, OptimConfig(lr=1e-3, steps=5), heatmaps=2)
-    assert len(trace.losses) == 5
+    assert len(trace) == 5
     assert calls == [grid for grid, _ in samples]
 
 

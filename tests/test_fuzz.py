@@ -186,11 +186,7 @@ def test_loaded_config_builds_everything_or_raises_config_error(values):
 
 # a 3-sample, 32-pixel corpus and a checkpoint trained on it, small enough
 # that each command runs in tens of milliseconds
-CLI_FLAGS = [
-    "--crop", "32", "--d", "8", "--d-aux", "4", "--d-proj", "4",
-    "--proj-steps", "2", "--reg-steps", "2", "--heatmaps", "2",
-    "--pairs", "1", "--holdout", "1", "--seed", "0",
-]
+CLI_FLAGS = ["--config", str(Path(__file__).resolve().parent / "configs" / "fuzz.txt")]
 CHECKPOINT_FILES = ("meta.txt", "weight.scet", "bias.scet")
 CORPUS_FILES = (
     "corpus/manifest.txt",
