@@ -200,7 +200,7 @@ def cmd_gen(cfg: ExperimentConfig, count: int, out: Path) -> int:
 
 def cmd_train_projector(cfg: ExperimentConfig, manifest: Path, out: Path) -> int:
     corpus = (output for output, _ in read_corpus(manifest))
-    proj, losses = train_projector(corpus, cfg.projector_train(), out_dim=cfg.d_proj)
+    proj, losses = train_projector(corpus, cfg)
     out.mkdir(parents=True, exist_ok=True)
     digest = save_checkpoint(out / "checkpoint", proj, seed=cfg.seed, steps=cfg.proj_steps)
     write_csv(out / "trace.csv", [("step", "loss"), *enumerate(losses)])
@@ -228,6 +228,9 @@ def cmd_eval_detect(
 ) -> int:
     if budget < 1:
         raise ConfigError("budget must be >= 1")
+    # repeat r trains from seed + r, which `train_regressor` validates as a seed
+    if cfg.seed + cfg.repeats > 2**63:
+        raise ConfigError(f"seed + repeats must be at most 2**63, got {cfg.seed + cfg.repeats}")
     # every file of every sample is read and checked, but only the stage-1
     # grid and landmarks of the first `budget` and the last `holdout` are
     # kept; an empty manifest raises before `count` is read
@@ -247,13 +250,7 @@ def cmd_eval_detect(
     gts = np.stack([lm for _, lm in held_out])
     runs = []
     for rep in range(cfg.repeats):
-        params, _ = train_regressor(
-            train_samples,
-            proj,
-            cfg.regressor_train(seed=cfg.seed + rep),
-            heatmaps=cfg.heatmaps,
-            temperature=cfg.softargmax_temp,
-        )
+        params, _ = train_regressor(train_samples, proj, replace(cfg, seed=cfg.seed + rep))
         preds = np.stack(
             [regressor_forward(params, grid, proj, cfg.softargmax_temp) for grid, _ in held_out]
         )
@@ -297,9 +294,7 @@ def cmd_ablate(
                 ("no_inatt_inatt", replace(cfg, r_ii=0.0)),
             ]
         values = [label for label, _ in variants]
-        projs = [
-            train_projector(corpus, v.projector_train(), out_dim=v.d_proj)[0] for _, v in variants
-        ]
+        projs = [train_projector(corpus, v)[0] for _, v in variants]
         rates = (0.0,)
     errors = _match_sweep(cfg, projs, rates).reshape(len(values), 2 * cfg.pairs, -1)
     rows = [(axis, value, *kind_means(e, cfg.pairs)) for value, e in zip(values, errors)]

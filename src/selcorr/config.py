@@ -2,6 +2,8 @@
 
 Every field can come from a config file line, and from a same-named flag of
 each command that reads it; flags win over the file, the file over defaults.
+The library reads the same record: `lcr` its repellence weights, and the
+projector and detector trainers their keys, each validating it on entry.
 """
 
 from __future__ import annotations
@@ -10,8 +12,6 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .lcr import RepellenceConfig
-from .projector import OptimConfig, TrainConfig
 from .synth import DEFAULT_ANCHORS, DEFAULT_LANDMARKS, SyntheticFaceSpec
 from .tensorio import parse_key_values
 
@@ -61,6 +61,7 @@ class ExperimentConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        """Raise ConfigError naming the first key whose value is out of range."""
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "float" and not math.isfinite(value):
@@ -68,23 +69,38 @@ class ExperimentConfig:
             # larger ints overflow numpy, deque and float conversions downstream
             if f.type == "int" and abs(value) >= 2**63:
                 raise ConfigError(f"{f.name} must be below 2**63 in magnitude")
-        if not 0.0 < self.eta < 1.0:
-            raise ConfigError(f"eta must be in (0, 1), got {self.eta}")
-        if self.kc < 1 or self.heatmaps < 1:
-            raise ConfigError("kc and heatmaps must be >= 1")
-        if self.seed < 0 or self.d_proj < 2:
-            raise ConfigError("seed must be >= 0 and d_proj >= 2")
-        if self.softargmax_temp <= 0.0:
-            raise ConfigError(f"softargmax_temp must be positive, got {self.softargmax_temp}")
-        if not 0.0 <= self.drop_rate < 1.0:
-            raise ConfigError(f"drop rate must be in [0, 1), got {self.drop_rate}")
-        if self.pairs < 0 or self.holdout < 1 or self.repeats < 1:
-            raise ConfigError("pairs must be >= 0; holdout and repeats >= 1")
+        optimizers = ("gd", "momentum")
+        ranges = (
+            ("eta", 0.0 < self.eta < 1.0, "in (0, 1)"),
+            ("kc", self.kc >= 1, ">= 1"),
+            ("tau", self.tau > 0.0, "positive"),
+            ("r_aa", self.r_aa >= 0.0, "non-negative"),
+            ("r_ai", self.r_ai >= 0.0, "non-negative"),
+            ("r_ii", self.r_ii >= 0.0, "non-negative"),
+            ("drop_rate", 0.0 <= self.drop_rate < 1.0, "in [0, 1)"),
+            ("patch", self.patch >= 1, ">= 1"),
+            ("crop", self.crop >= 1 and self.crop % max(self.patch, 1) == 0,
+             "a positive multiple of patch"),
+            ("d_proj", self.d_proj >= 2, ">= 2"),
+            ("proj_lr", self.proj_lr > 0.0, "positive"),
+            ("proj_steps", self.proj_steps >= 0, ">= 0"),
+            ("optimizer", self.optimizer in optimizers, "'gd' or 'momentum'"),
+            ("momentum", 0.0 <= self.momentum < 1.0, "in [0, 1)"),
+            ("heatmaps", self.heatmaps >= 1, ">= 1"),
+            ("softargmax_temp", self.softargmax_temp > 0.0, "positive"),
+            ("reg_lr", self.reg_lr > 0.0, "positive"),
+            ("reg_steps", self.reg_steps >= 0, ">= 0"),
+            ("reg_optimizer", self.reg_optimizer in optimizers, "'gd' or 'momentum'"),
+            ("holdout", self.holdout >= 1, ">= 1"),
+            ("repeats", self.repeats >= 1, ">= 1"),
+            ("pairs", self.pairs >= 0, ">= 0"),
+            ("seed", self.seed >= 0, ">= 0"),
+        )
+        for key, ok, rule in ranges:
+            if not ok:
+                raise ConfigError(f"{key} must be {rule}, got {getattr(self, key)!r}")
         try:
             self.face_spec()
-            self.repellence().validate()
-            self.projector_train().validate()
-            self.regressor_train().validate()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         self._check_array_sizes()
@@ -128,35 +144,6 @@ class ExperimentConfig:
             prototype_seed=self.seed,
             d=self.d,
             d_aux=self.d_aux,
-        )
-
-    def repellence(self) -> RepellenceConfig:
-        return RepellenceConfig(
-            r_att_att=self.r_aa,
-            r_att_inatt=self.r_ai,
-            r_inatt_inatt=self.r_ii,
-            tau=self.tau,
-        )
-
-    def projector_train(self) -> TrainConfig:
-        return TrainConfig(
-            lr=self.proj_lr,
-            steps=self.proj_steps,
-            seed=self.seed,
-            eta=self.eta,
-            kc=self.kc,
-            repel=self.repellence(),
-            optimizer=self.optimizer,
-            momentum=self.momentum,
-        )
-
-    def regressor_train(self, seed: int | None = None) -> OptimConfig:
-        return OptimConfig(
-            lr=self.reg_lr,
-            steps=self.reg_steps,
-            seed=self.seed if seed is None else seed,
-            optimizer=self.reg_optimizer,
-            momentum=self.momentum,
         )
 
 

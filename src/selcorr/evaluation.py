@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .projector import OptimConfig, Projector, descend, project
+from .config import ExperimentConfig
+from .projector import Projector, descend, project
 from .synth import BackboneOutput, EvalPair
 from .tensorio import (
     DenseFeatureMap,
@@ -310,12 +311,12 @@ def regressor_forward(
 def train_regressor(
     samples: list[tuple[FeatureGrid, np.ndarray]],
     proj: Projector,
-    cfg: OptimConfig,
-    heatmaps: int = 50,
-    temperature: float = 0.1,
+    cfg: ExperimentConfig,
 ) -> tuple[list[np.ndarray], list[float]]:
-    """Fit the detector on (first-stage grid, landmarks) samples by gradient
-    descent on mean squared pixel error.
+    """Fit the detector (`heatmaps` maps per landmark, decoded at
+    `softargmax_temp`) on (first-stage grid, landmarks) samples by
+    `reg_steps` steps of `reg_optimizer` at `reg_lr` (and `momentum`) on
+    mean squared pixel error, from a `seed` init; `cfg` is validated first.
 
     Backbone and projector stay frozen, so each sample's padded channels
     are built once; each item copies its windows into one shared im2col
@@ -335,7 +336,7 @@ def train_regressor(
     params = init_regressor(
         targets[0].shape[0],
         in_channels,
-        heatmaps=heatmaps,
+        heatmaps=cfg.heatmaps,
         seed=cfg.seed,
         center=(grid.image_w / 2.0, grid.image_h / 2.0),
     )
@@ -344,9 +345,9 @@ def train_regressor(
 
     def item_losses(params):
         for padded, t in zip(windows, targets):
-            yield _loss_and_grads(params, _im2col(padded, x), cells, t, temperature)
+            yield _loss_and_grads(params, _im2col(padded, x), cells, t, cfg.softargmax_temp)
 
-    return descend(params, item_losses, cfg)
+    return descend(params, item_losses, cfg.reg_lr, cfg.reg_steps, cfg.reg_optimizer, cfg.momentum)
 
 
 def _loss_and_grads(

@@ -20,32 +20,10 @@ multiplicities as `log_counts`; without them they run the dense N x N form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .config import ExperimentConfig
 from .tensorio import NonFiniteError, norm, softmax, sq_dists
-
-
-@dataclass
-class RepellenceConfig:
-    """Pair-type weights and softmax temperature for the repellence loss.
-
-    `cosine` switches the correspondence logits between cosine similarity
-    (features L2-normalized first, the default) and raw dot products.
-    """
-
-    r_att_att: float = 5.0
-    r_att_inatt: float = 5.0
-    r_inatt_inatt: float = 2.0
-    tau: float = 0.07
-    cosine: bool = True
-
-    def validate(self) -> None:
-        if self.tau <= 0.0:
-            raise ValueError(f"temperature must be positive, got {self.tau}")
-        if min(self.r_att_att, self.r_att_inatt, self.r_inatt_inatt) < 0.0:
-            raise ValueError("repellence weights must be non-negative")
 
 
 def token_coords(grid_h: int, grid_w: int) -> np.ndarray:
@@ -64,18 +42,18 @@ def locality_matrix(positions: np.ndarray) -> np.ndarray:
     return np.log1p(np.sqrt(sq_dists(positions, positions)))
 
 
-def repellence_matrix(labels: np.ndarray, cfg: RepellenceConfig) -> np.ndarray:
-    """Pairwise weight by type: both-attentive, mixed, or both-inattentive.
+def repellence_matrix(labels: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:
+    """Pairwise weight by type: both-attentive (`r_aa`), mixed (`r_ai`), or
+    both-inattentive (`r_ii`), as given (`ExperimentConfig.validate` checks them).
 
     `labels` is a boolean vector, True for attentive tokens.
     """
-    cfg.validate()
     labels = np.asarray(labels, dtype=bool)
     if labels.ndim != 1:
         raise ValueError(f"expected boolean label vector, got shape {labels.shape}")
-    out = np.full((labels.size, labels.size), float(cfg.r_att_inatt))
-    out[labels[:, None] & labels[None, :]] = cfg.r_att_att
-    out[~labels[:, None] & ~labels[None, :]] = cfg.r_inatt_inatt
+    out = np.full((labels.size, labels.size), float(cfg.r_ai))
+    out[labels[:, None] & labels[None, :]] = cfg.r_aa
+    out[~labels[:, None] & ~labels[None, :]] = cfg.r_ii
     return out
 
 
@@ -120,7 +98,7 @@ def _unit_rows(projected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return phi / norms, norms
 
 
-def pair_weight(locality: np.ndarray, labels: np.ndarray, cfg: RepellenceConfig) -> np.ndarray:
+def pair_weight(locality: np.ndarray, labels: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:
     """Constant per-image factor of the loss: `locality_matrix` times repellence."""
     return locality * repellence_matrix(labels, cfg)
 

@@ -13,13 +13,14 @@ from __future__ import annotations
 import functools
 import hashlib
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .config import ExperimentConfig
 from .dpc import approximate_inattentive, cluster_tokens
-from .lcr import RepellenceConfig, locality_matrix, loss_and_gradient, pair_weight, token_coords
+from .lcr import locality_matrix, loss_and_gradient, pair_weight, token_coords
 from .partition import cls_similarity, split_tokens
 from .synth import BackboneOutput
 from .tensorio import FeatureGrid, NonFiniteError, norm, read_meta, read_tensor, write_key_values, write_tensor
@@ -64,47 +65,17 @@ class Projector:
         return self.weight.shape[1]
 
 
-@dataclass
-class OptimConfig:
-    """Gradient-descent settings shared by the projector and the detector."""
-
-    lr: float = 1e-3
-    steps: int = 200
-    seed: int = 0
-    optimizer: str = "gd"
-    momentum: float = 0.9
-
-    def validate(self) -> None:
-        if self.lr <= 0.0:
-            raise ValueError(f"learning rate must be positive, got {self.lr}")
-        if self.steps < 0:
-            raise ValueError(f"step count must be >= 0, got {self.steps}")
-        if self.optimizer not in ("gd", "momentum"):
-            raise ValueError(f"optimizer must be 'gd' or 'momentum', got {self.optimizer!r}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum coefficient must be in [0, 1), got {self.momentum}")
-
-
-@dataclass
-class TrainConfig(OptimConfig):
-    """Projector training: the optimiser settings plus the per-image pipeline knobs."""
-
-    eta: float = 0.25
-    kc: int = 4
-    repel: RepellenceConfig = field(default_factory=RepellenceConfig)
-
-    def validate(self) -> None:
-        super().validate()
-        self.repel.validate()
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def descend(
     params: list[np.ndarray],
     item_losses: Callable[[list[np.ndarray]], Iterable[tuple[float, list[np.ndarray]]]],
-    cfg: OptimConfig,
+    lr: float,
+    steps: int,
+    optimizer: str,
+    momentum: float,
 ) -> tuple[list[np.ndarray], list[float]]:
-    """Gradient descent (gd or momentum) on the mean of per-item losses.
+    """`steps` steps of gradient descent (`optimizer` "gd", or "momentum"
+    with coefficient `momentum`) at rate `lr` on the mean of per-item losses.
 
     `item_losses(params)` yields each item's (loss, grads) at `params`, one
     gradient per array. Returns the final arrays and each step's mean loss;
@@ -114,7 +85,7 @@ def descend(
     """
     losses: list[float] = []
     vel = None
-    for step in range(cfg.steps):
+    for step in range(steps):
         total = 0.0
         grads = None
         try:
@@ -128,10 +99,10 @@ def descend(
             raise DivergenceError(step)
         losses.append(mean_loss)
         update = [g / count for g in grads]
-        if cfg.optimizer == "momentum":
-            vel = update if vel is None else [cfg.momentum * v + g for v, g in zip(vel, update)]
+        if optimizer == "momentum":
+            vel = update if vel is None else [momentum * v + g for v, g in zip(vel, update)]
             update = vel
-        params = [p - cfg.lr * u for p, u in zip(params, update)]
+        params = [p - lr * u for p, u in zip(params, update)]
         if not all(np.isfinite(p).all() for p in params):
             raise DivergenceError(step, "parameters")
     return params, losses
@@ -165,9 +136,10 @@ def _grid_locality(grid_h: int, grid_w: int) -> np.ndarray:
 
 
 def prepare_image(
-    output: BackboneOutput, cfg: TrainConfig
+    output: BackboneOutput, cfg: ExperimentConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Everything about one image that does not depend on projector weights.
+    """Everything about one image that does not depend on projector weights,
+    at the config's `eta`, `kc` and repellence weights.
 
     Substitution makes every inattentive token a copy of its cluster
     center's row, so the image has only m = |attentive| + (number of
@@ -186,7 +158,7 @@ def prepare_image(
     rows, member, counts = np.unique(source, return_inverse=True, return_counts=True)
     onehot = np.eye(rows.size)[member]  # (N, m) membership
     locality = _grid_locality(substituted.grid_h, substituted.grid_w)
-    folded = onehot.T @ pair_weight(locality, labels, cfg.repel) @ onehot / counts
+    folded = onehot.T @ pair_weight(locality, labels, cfg) @ onehot / counts
     distinct = substituted.features[rows]
     norm(distinct, axis=1)  # a kept row too large to normalize is a data error, not divergence
     return distinct, folded, np.log(counts)
@@ -200,29 +172,33 @@ def projector_checksum(p: Projector) -> str:
 
 
 def train_projector(
-    corpus: Iterable[BackboneOutput], cfg: TrainConfig, out_dim: int
+    corpus: Iterable[BackboneOutput], cfg: ExperimentConfig
 ) -> tuple[Projector, list[float]]:
-    """Minimize the mean per-image repellence loss over a frozen corpus;
-    returns the projector and each step's mean loss. Only each image's
-    prepared rows are kept, so `corpus` may be a stream that is read once.
+    """Minimize the mean per-image repellence loss (cosine logits at `tau`)
+    over a frozen corpus from a `seed` init: `proj_steps` steps of
+    `optimizer` at `proj_lr` (and `momentum`). Returns the `d_proj`-output
+    projector and each step's mean loss. `cfg` is validated first, and only
+    each image's prepared rows are kept, so `corpus` may be a one-pass stream.
     """
     cfg.validate()
     prepared = [prepare_image(out, cfg) for out in corpus]
     if not prepared:
         raise ValueError("corpus is empty")
-    init = init_projector(prepared[0][0].shape[1], out_dim, cfg.seed)
+    init = init_projector(prepared[0][0].shape[1], cfg.d_proj, cfg.seed)
 
     def item_losses(params):
         # chain rule through the affine map: phi = feats @ w + b
         w, b = params
         for feats, weight, log_counts in prepared:
             loss, g_phi = loss_and_gradient(
-                feats @ w + b, weight, tau=cfg.repel.tau, cosine=cfg.repel.cosine,
-                log_counts=log_counts,
+                feats @ w + b, weight, tau=cfg.tau, log_counts=log_counts
             )
             yield loss, [feats.T @ g_phi, g_phi.sum(axis=0)]
 
-    (w, b), losses = descend([init.weight, init.bias], item_losses, cfg)
+    (w, b), losses = descend(
+        [init.weight, init.bias], item_losses, cfg.proj_lr, cfg.proj_steps, cfg.optimizer,
+        cfg.momentum,
+    )
     return Projector(w, b), losses
 
 

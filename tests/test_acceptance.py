@@ -27,7 +27,6 @@ from selcorr.evaluation import (
     train_regressor,
 )
 from selcorr.lcr import (
-    RepellenceConfig,
     correspondence_matrix,
     locality_matrix,
     loss_and_gradient,
@@ -73,7 +72,7 @@ def trained(cfg, corpus64):
     """Projector fitted on the first 32 samples at the documented defaults."""
     corpus = [o for o, _ in corpus64[:32]]
     start = time.perf_counter()
-    proj, trace = train_projector(corpus, cfg.projector_train(), out_dim=cfg.d_proj)
+    proj, trace = train_projector(corpus, cfg)
     return proj, trace, time.perf_counter() - start
 
 
@@ -91,7 +90,7 @@ def test_criterion_01_gradients_match_finite_differences():
         phi = rng.standard_normal((n, dp))
         labels = np.zeros(n, dtype=bool)
         labels[rng.permutation(n)[: int(rng.integers(1, n))]] = True
-        weight = pair_weight(locality_matrix(token_coords(1, n)), labels, RepellenceConfig())
+        weight = pair_weight(locality_matrix(token_coords(1, n)), labels, ExperimentConfig())
         tau = float(rng.choice([0.07, 0.5]))
         cosine = bool(rng.integers(0, 2))
         _, grad = loss_and_gradient(phi, weight, tau=tau, cosine=cosine)
@@ -117,7 +116,7 @@ def test_criterion_01_gradients_match_finite_differences():
         b = rng.standard_normal(dp) * 0.1
         labels = np.zeros(n, dtype=bool)
         labels[: max(1, n // 3)] = True
-        weight = pair_weight(locality_matrix(token_coords(1, n)), labels, RepellenceConfig())
+        weight = pair_weight(locality_matrix(token_coords(1, n)), labels, ExperimentConfig())
 
         def loss_of(wm, bm):
             return loss_and_gradient(z @ wm + bm, weight)[0]
@@ -226,7 +225,7 @@ def test_criterion_03_correspondence_rows_are_stochastic():
 # criterion 4: loss decomposition against an independent pairwise loop
 
 
-def _loop_loss(phi, positions, labels, repel, tau, cosine):
+def _loop_loss(phi, positions, labels, cfg, tau, cosine):
     """Scalar-math reference: per-row softmax and explicit pair typing."""
     n = phi.shape[0]
     rows = []
@@ -245,26 +244,26 @@ def _loop_loss(phi, positions, labels, repel, tau, cosine):
         for j in range(n):
             f = math.log1p(math.dist(positions[i], positions[j]))
             if labels[i] and labels[j]:
-                lam, key = repel.r_att_att, "aa"
+                lam, key = cfg.r_aa, "aa"
             elif not labels[i] and not labels[j]:
-                lam, key = repel.r_inatt_inatt, "ii"
+                lam, key = cfg.r_ii, "ii"
             else:
-                lam, key = repel.r_att_inatt, "ai"
+                lam, key = cfg.r_ai, "ai"
             totals[key] += f * lam * exps[j] / z
     return totals
 
 
-_WEIGHTS = ("r_att_att", "r_att_inatt", "r_inatt_inatt")
+_WEIGHTS = ("r_aa", "r_ai", "r_ii")
 
 
-def _loss_split(phi, positions, labels, cfg):
+def _loss_split(phi, positions, labels, cfg, cosine):
     """The training core's loss total and its att-att, att-inatt and
     inatt-inatt parts: the loss is linear in the pair weight, so a type's
     part is `loss_and_gradient` with the other two repellence weights at 0."""
     locality = locality_matrix(positions)
 
     def loss(c):
-        return loss_and_gradient(phi, pair_weight(locality, labels, c), c.tau, c.cosine)[0]
+        return loss_and_gradient(phi, pair_weight(locality, labels, c), c.tau, cosine)[0]
 
     only = [replace(cfg, **{k: 0.0 for k in _WEIGHTS if k != keep}) for keep in _WEIGHTS]
     return (loss(cfg), *map(loss, only))
@@ -272,7 +271,7 @@ def _loss_split(phi, positions, labels, cfg):
 
 def test_criterion_04_loss_decomposition():
     rng = np.random.default_rng(404)
-    repel = RepellenceConfig()
+    cfg = ExperimentConfig()
     worst = 0.0
     for gh, gw in ((3, 4), (4, 5), (2, 7)):
         n = gh * gw
@@ -281,8 +280,7 @@ def test_criterion_04_loss_decomposition():
         labels = np.zeros(n, dtype=bool)
         labels[rng.permutation(n)[: n // 3]] = True
         for cosine in (True, False):
-            cfg = replace(repel, cosine=cosine)
-            total, aa, ai, ii = _loss_split(phi, positions, labels, cfg)
+            total, aa, ai, ii = _loss_split(phi, positions, labels, cfg, cosine)
             ref = _loop_loss(phi, positions, labels, cfg, cfg.tau, cosine)
             ref_total = ref["aa"] + ref["ai"] + ref["ii"]
             worst = max(
@@ -305,15 +303,15 @@ def test_criterion_04_loss_decomposition():
             c = 10.0 / 3.0
             cfg_c = replace(
                 cfg,
-                r_att_att=cfg.r_att_att * c,
-                r_att_inatt=cfg.r_att_inatt * c,
-                r_inatt_inatt=cfg.r_inatt_inatt * c,
+                r_aa=cfg.r_aa * c,
+                r_ai=cfg.r_ai * c,
+                r_ii=cfg.r_ii * c,
             )
-            total_c = _loss_split(phi, positions, labels, cfg_c)[0]
+            total_c = _loss_split(phi, positions, labels, cfg_c, cosine)[0]
             worst = max(worst, _max_rel(total_c, c * total))
             # zeroing one pair type removes exactly that term
-            cfg0 = replace(cfg, r_att_att=0.0)
-            total0, aa0, _, _ = _loss_split(phi, positions, labels, cfg0)
+            cfg0 = replace(cfg, r_aa=0.0)
+            total0, aa0, _, _ = _loss_split(phi, positions, labels, cfg0, cosine)
             ref0 = _loop_loss(phi, positions, labels, cfg0, cfg0.tau, cosine)
             assert aa0 == 0.0
             worst = max(worst, _max_rel(total0, ref0["ai"] + ref0["ii"]))
@@ -386,13 +384,7 @@ def test_criterion_07_limited_budget_detection(cfg, corpus64, trained):
     results = {}
     for budget in (1, 5, 10, 20, 50, 100):
         train_n = min(budget, 32 - cfg.holdout)
-        params, _ = train_regressor(
-            corpus[:train_n],
-            proj,
-            cfg.regressor_train(),
-            heatmaps=cfg.heatmaps,
-            temperature=cfg.softargmax_temp,
-        )
+        params, _ = train_regressor(corpus[:train_n], proj, cfg)
         preds = np.stack(
             [regressor_forward(params, grid, proj, cfg.softargmax_temp) for grid, _ in held]
         )

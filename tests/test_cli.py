@@ -454,6 +454,18 @@ def test_overflowing_regressor_update_exits_3(tiny_run, tmp_path, capsys):
     assert not (tmp_path / "det").exists()
 
 
+def test_eval_detect_rejects_repeat_seeds_past_int64(tiny_run, tmp_path, capsys):
+    # the last repeat's seed, 2**63, is out of range; no repeat runs
+    rc = main(["eval-detect", "--manifest", str(tiny_run / "corpus" / "manifest.txt"),
+               "--checkpoint", str(tiny_run / "run" / "checkpoint"), "--budget", "2",
+               "--out", str(tmp_path / "det"), *TINY,
+               "--seed", str(2**63 - 1), "--repeats", "2"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "seed + repeats must be at most 2**63" in err and "Traceback" not in err
+    assert not (tmp_path / "det").exists()
+
+
 @pytest.mark.parametrize(
     "command, flag, value",
     [

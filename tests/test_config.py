@@ -1,3 +1,4 @@
+import re
 from dataclasses import asdict, fields
 
 import pytest
@@ -17,7 +18,7 @@ def test_default_values():
     assert cfg.kc == 4
     assert cfg.tau == 0.07
     assert (cfg.r_aa, cfg.r_ai, cfg.r_ii) == (5.0, 5.0, 2.0)
-    # dot-product logits stay a library option (RepellenceConfig), not a key;
+    # dot-product logits stay a library option (lcr's cosine=), not a key;
     # no command ever resized an image; the generator statistics are synth constants
     assert {"rho_verbatim", "cosine", "resize", *GENERATOR_KEYS}.isdisjoint(
         f.name for f in fields(cfg)
@@ -117,11 +118,36 @@ def test_dump_load_roundtrip(tmp_path):
         {"momentum": "1.5"},
         {"eta": "fast"},  # not a number
         {"d": "7"},  # below the 5 landmarks plus 3 region anchors
+        {"momentum": "-0.1"},
+        {"reg_lr": "0"},
+        {"reg_steps": "-1"},
+        {"r_aa": "-1"},
+        {"r_ai": "-1"},
+        {"r_ii": "-1"},
+        {"softargmax_temp": "0"},
+        {"d_proj": "1"},
+        {"seed": "-1"},
+        {"patch": "0"},
+        {"d_aux": "0"},
     ],
 )
 def test_validation_rejects(overrides):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as info:
         load_config(overrides=overrides)
+    # the message names the key, as in "reg_lr must be positive, got 0.0"
+    (key,) = overrides
+    assert re.search(rf"\b{key}\b", str(info.value))
+
+
+def test_validation_messages():
+    with pytest.raises(ConfigError, match=r"^reg_lr must be positive, got 0\.0$"):
+        load_config(overrides={"reg_lr": "0"})
+    with pytest.raises(ConfigError, match=r"^momentum must be in \[0, 1\), got 1\.0$"):
+        load_config(overrides={"momentum": "1"})
+    with pytest.raises(ConfigError, match=r"^optimizer must be 'gd' or 'momentum', got 'adam'$"):
+        load_config(overrides={"optimizer": "adam"})
+    with pytest.raises(ConfigError, match=r"^crop must be a positive multiple of patch, got 90$"):
+        load_config(overrides={"crop": "90"})
 
 
 @pytest.mark.parametrize(
@@ -163,15 +189,3 @@ def test_face_spec_scales_with_crop():
         assert (x, y) == (fx * 0.5, fy * 0.5)
     assert spec.d == cfg.d and spec.d_aux == cfg.d_aux
     assert spec.prototype_seed == cfg.seed
-
-
-def test_train_config_wiring():
-    cfg = ExperimentConfig(proj_lr=0.5, reg_lr=0.25, seed=3)
-    pt = cfg.projector_train()
-    assert pt.lr == 0.5 and pt.optimizer == "gd" and pt.seed == 3
-    assert pt.repel.tau == cfg.tau
-    rt = cfg.regressor_train()
-    assert rt.lr == 0.25 and rt.optimizer == "momentum" and rt.seed == 3
-    # the regressor gets optimiser settings only, none of the projector's
-    assert [f.name for f in fields(rt)] == ["lr", "steps", "seed", "optimizer", "momentum"]
-    assert cfg.regressor_train(seed=7).seed == 7

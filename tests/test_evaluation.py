@@ -23,7 +23,8 @@ from selcorr.evaluation import (
     write_pgm,
 )
 from selcorr.evaluation import init_regressor
-from selcorr.projector import DivergenceError, OptimConfig, Projector, init_projector
+from selcorr.config import ExperimentConfig
+from selcorr.projector import DivergenceError, Projector, init_projector
 from selcorr.partition import cls_similarity
 from selcorr.synth import EvalPair, SyntheticFaceSpec, generate_backbone_output, make_pair
 from selcorr.tensorio import DenseFeatureMap, FeatureGrid, bilinear_upsample
@@ -397,15 +398,23 @@ def _training_setup(n=3):
     return samples, proj
 
 
+def _regressor_cfg(**values):
+    """A detector config of 2 heatmaps per landmark, trained by plain gd at
+    rate 1e-3 for 200 steps unless `values` says otherwise."""
+    return ExperimentConfig(
+        **{"heatmaps": 2, "reg_lr": 1e-3, "reg_steps": 200, "reg_optimizer": "gd", **values}
+    )
+
+
 def test_train_regressor_zero_steps_and_determinism():
     samples, proj = _training_setup()
-    p0, t0 = train_regressor(samples, proj, OptimConfig(steps=0), heatmaps=2)
+    p0, t0 = train_regressor(samples, proj, _regressor_cfg(reg_steps=0))
     ref = init_regressor(5, 12, heatmaps=2, seed=0, center=(16.0, 16.0))
     assert np.array_equal(p0[0], ref[0])
     assert np.array_equal(p0[2], ref[2])
     assert t0 == []
-    pa, ta = train_regressor(samples, proj, OptimConfig(lr=1e-3, steps=5), heatmaps=2)
-    pb, tb = train_regressor(samples, proj, OptimConfig(lr=1e-3, steps=5), heatmaps=2)
+    pa, ta = train_regressor(samples, proj, _regressor_cfg(reg_lr=1e-3, reg_steps=5))
+    pb, tb = train_regressor(samples, proj, _regressor_cfg(reg_lr=1e-3, reg_steps=5))
     for a, b in zip(pa, pb):
         assert a.tobytes() == b.tobytes()
     assert ta == tb
@@ -414,7 +423,7 @@ def test_train_regressor_zero_steps_and_determinism():
 def test_train_regressor_reduces_loss():
     samples, proj = _training_setup()
     _, trace = train_regressor(
-        samples, proj, OptimConfig(lr=1e-2, steps=30, optimizer="momentum"), heatmaps=2
+        samples, proj, _regressor_cfg(reg_lr=1e-2, reg_steps=30, reg_optimizer="momentum")
     )
     assert trace[-1] < trace[0]
 
@@ -547,7 +556,7 @@ def test_train_regressor_builds_each_samples_windows_once(monkeypatch):
 
     monkeypatch.setattr(evaluation, "_windows", counted)
     samples, proj = _training_setup(3)
-    _, trace = train_regressor(samples, proj, OptimConfig(lr=1e-3, steps=5), heatmaps=2)
+    _, trace = train_regressor(samples, proj, _regressor_cfg(reg_lr=1e-3, reg_steps=5))
     assert len(trace) == 5
     assert calls == [grid for grid, _ in samples]
 
@@ -565,13 +574,13 @@ def test_train_regressor_rejects_mixed_grid_geometry():
     wide = FeatureGrid(grid.grid_h, grid.grid_w + 1, grid.patch,
                        np.zeros((grid.grid_h * (grid.grid_w + 1), grid.channels)))
     with pytest.raises(ValueError, match="differ in grid geometry"):
-        train_regressor([samples[0], (wide, lm)], proj, OptimConfig(steps=1), heatmaps=2)
+        train_regressor([samples[0], (wide, lm)], proj, _regressor_cfg(reg_steps=1))
 
 
 def test_train_regressor_divergence():
     samples, proj = _training_setup(1)
     with pytest.raises(DivergenceError):
-        train_regressor(samples, proj, OptimConfig(lr=1e9, steps=200), heatmaps=2)
+        train_regressor(samples, proj, _regressor_cfg(reg_lr=1e9, reg_steps=200))
 
 
 def test_inter_ocular_trivial_cases():

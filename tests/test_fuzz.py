@@ -178,9 +178,6 @@ def test_loaded_config_builds_everything_or_raises_config_error(values):
     except ConfigError:
         return
     cfg.face_spec()
-    cfg.repellence().validate()
-    cfg.projector_train().validate()
-    cfg.regressor_train().validate()
     init_projector(cfg.d, cfg.d_proj, cfg.seed)
 
 

@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from selcorr.config import ExperimentConfig
 from selcorr.lcr import (
-    RepellenceConfig,
     correspondence_matrix,
     locality_matrix,
     loss_and_gradient,
@@ -27,17 +27,17 @@ def _random_instance(rng, n=None, dp=None):
     return phi, pos, labels
 
 
-_WEIGHTS = ("r_att_att", "r_att_inatt", "r_inatt_inatt")
+_WEIGHTS = ("r_aa", "r_ai", "r_ii")
 
 
-def _loss_split(phi, pos, labels, cfg):
+def _loss_split(phi, pos, labels, cfg, cosine=True):
     """The loss total and its att-att, att-inatt and inatt-inatt parts, each
     from `loss_and_gradient`: the loss is linear in the pair weight, so a
     type's part is the loss with the other two repellence weights at 0."""
     locality = locality_matrix(pos)
 
     def loss(c):
-        return loss_and_gradient(phi, pair_weight(locality, labels, c), c.tau, c.cosine)[0]
+        return loss_and_gradient(phi, pair_weight(locality, labels, c), c.tau, cosine)[0]
 
     only = [replace(cfg, **{k: 0.0 for k in _WEIGHTS if k != keep}) for keep in _WEIGHTS]
     return (loss(cfg), *map(loss, only))
@@ -56,7 +56,7 @@ def test_locality_matrix_hand_value():
 
 
 def test_repellence_matrix_pattern():
-    cfg = RepellenceConfig(r_att_att=5.0, r_att_inatt=4.0, r_inatt_inatt=2.0)
+    cfg = ExperimentConfig(r_aa=5.0, r_ai=4.0, r_ii=2.0)
     r = repellence_matrix(np.array([True, False, True]), cfg)
     expect = [[5.0, 4.0, 5.0], [4.0, 2.0, 4.0], [5.0, 4.0, 5.0]]
     assert r.tolist() == expect
@@ -98,16 +98,16 @@ def test_partials_partition_total():
     rng = np.random.default_rng(14)
     for _ in range(10):
         phi, pos, labels = _random_instance(rng)
-        total, *parts = _loss_split(phi, pos, labels, RepellenceConfig())
+        total, *parts = _loss_split(phi, pos, labels, ExperimentConfig())
         assert abs(total - sum(parts)) <= 1e-12 * max(abs(total), 1.0)
 
 
 def test_loss_is_linear_in_repellence_weights():
     rng = np.random.default_rng(15)
     phi, pos, labels = _random_instance(rng)
-    base = RepellenceConfig(r_att_att=5.0, r_att_inatt=5.0, r_inatt_inatt=2.0)
+    base = ExperimentConfig(r_aa=5.0, r_ai=5.0, r_ii=2.0)
     c = 3.7
-    scaled = RepellenceConfig(r_att_att=5.0 * c, r_att_inatt=5.0 * c, r_inatt_inatt=2.0 * c)
+    scaled = ExperimentConfig(r_aa=5.0 * c, r_ai=5.0 * c, r_ii=2.0 * c)
     l0 = _loss_split(phi, pos, labels, base)[0]
     l1 = _loss_split(phi, pos, labels, scaled)[0]
     assert abs(l1 - c * l0) <= 1e-12 * abs(l1)
@@ -117,10 +117,10 @@ def test_diagonal_never_contributes():
     # the locality factor zeroes self pairs, so total is the off-diagonal sum
     rng = np.random.default_rng(16)
     phi, pos, labels = _random_instance(rng)
-    cfg = RepellenceConfig()
+    cfg = ExperimentConfig()
     total = _loss_split(phi, pos, labels, cfg)[0]
     w = pair_weight(locality_matrix(pos), labels, cfg)
-    terms = w * correspondence_matrix(phi, tau=cfg.tau, cosine=cfg.cosine)
+    terms = w * correspondence_matrix(phi, tau=cfg.tau)
     assert total == pytest.approx(terms[~np.eye(len(labels), dtype=bool)].sum(), rel=1e-12)
 
 
@@ -128,9 +128,9 @@ def test_diagonal_never_contributes():
 def test_gradient_matches_finite_differences(cosine):
     rng = np.random.default_rng(17)
     phi, pos, labels = _random_instance(rng, n=7, dp=3)
-    cfg = RepellenceConfig(tau=0.07, cosine=cosine)
+    cfg = ExperimentConfig(tau=0.07)
     weight = pair_weight(locality_matrix(pos), labels, cfg)
-    grad = loss_and_gradient(phi, weight, tau=cfg.tau, cosine=cfg.cosine)[1]
+    grad = loss_and_gradient(phi, weight, tau=cfg.tau, cosine=cosine)[1]
     h = 1e-5
     fd = np.zeros_like(phi)
     for i in range(phi.shape[0]):
@@ -139,7 +139,8 @@ def test_gradient_matches_finite_differences(cosine):
             p1[i, j] += h
             p2[i, j] -= h
             fd[i, j] = (
-                _loss_split(p1, pos, labels, cfg)[0] - _loss_split(p2, pos, labels, cfg)[0]
+                _loss_split(p1, pos, labels, cfg, cosine)[0]
+                - _loss_split(p2, pos, labels, cfg, cosine)[0]
             ) / (2.0 * h)
     assert np.abs(grad - fd).max() <= 1e-6 * max(np.abs(fd).max(), 1.0)
 
@@ -147,18 +148,14 @@ def test_gradient_matches_finite_differences(cosine):
 def test_loss_and_gradient_consistent_with_composed_sum():
     rng = np.random.default_rng(18)
     phi, pos, labels = _random_instance(rng)
-    cfg = RepellenceConfig()
+    cfg = ExperimentConfig()
     w = pair_weight(locality_matrix(pos), labels, cfg)
-    total, _ = loss_and_gradient(phi, w, tau=cfg.tau, cosine=cfg.cosine)
-    composed = (w * correspondence_matrix(phi, tau=cfg.tau, cosine=cfg.cosine)).sum()
+    total, _ = loss_and_gradient(phi, w, tau=cfg.tau)
+    composed = (w * correspondence_matrix(phi, tau=cfg.tau)).sum()
     assert total == pytest.approx(composed, rel=1e-12)
 
 
 def test_validation_errors():
-    with pytest.raises(ValueError):
-        RepellenceConfig(tau=0.0).validate()
-    with pytest.raises(ValueError):
-        RepellenceConfig(r_att_att=-1.0).validate()
     with pytest.raises(ValueError):
         correspondence_matrix(np.zeros((2, 2)), tau=-1.0)
     with pytest.raises(ValueError):

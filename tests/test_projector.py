@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from selcorr import projector
-from selcorr.config import ExperimentConfig
+from selcorr.config import ConfigError, ExperimentConfig
 from selcorr.dpc import cluster_tokens
-from selcorr.lcr import RepellenceConfig, locality_matrix, loss_and_gradient, token_coords
+from selcorr.evaluation import train_regressor
+from selcorr.lcr import locality_matrix, loss_and_gradient, token_coords
 from selcorr.partition import cls_similarity, split_tokens
 from selcorr.projector import (
-    DivergenceError,
     Projector,
-    TrainConfig,
     descend,
     init_projector,
     load_checkpoint,
@@ -73,7 +72,7 @@ def test_project_is_the_affine_map():
 def test_prepare_image_shapes_and_purity():
     out = _small_corpus(1)[0]
     before = out.main.features.copy()
-    feats, weight, log_counts = prepare_image(out, TrainConfig(eta=0.25, kc=2))
+    feats, weight, log_counts = prepare_image(out, ExperimentConfig(eta=0.25, kc=2))
     n = out.main.n_tokens
     m = 4 + 2  # 4 attentive of 16 tokens at eta 0.25, plus 2 centers
     assert feats.shape == (m, 8)
@@ -86,7 +85,7 @@ def test_prepare_image_shapes_and_purity():
 
 def test_zero_steps_returns_init():
     corpus = _small_corpus()
-    proj, trace = train_projector(corpus, TrainConfig(steps=0, kc=2), out_dim=4)
+    proj, trace = train_projector(corpus, ExperimentConfig(proj_steps=0, kc=2, d_proj=4))
     ref = init_projector(8, 4, seed=0)
     assert np.array_equal(proj.weight, ref.weight)
     assert np.array_equal(proj.bias, ref.bias)
@@ -95,9 +94,9 @@ def test_zero_steps_returns_init():
 
 def test_training_is_deterministic_and_decreases_loss():
     corpus = _small_corpus()
-    cfg = TrainConfig(lr=1e-3, steps=40, kc=2)
-    p1, t1 = train_projector(corpus, cfg, out_dim=4)
-    p2, t2 = train_projector(corpus, cfg, out_dim=4)
+    cfg = ExperimentConfig(proj_lr=1e-3, proj_steps=40, kc=2, d_proj=4)
+    p1, t1 = train_projector(corpus, cfg)
+    p2, t2 = train_projector(corpus, cfg)
     assert p1.weight.tobytes() == p2.weight.tobytes()
     assert p1.bias.tobytes() == p2.bias.tobytes()
     assert t1[-1] < t1[0]
@@ -106,8 +105,8 @@ def test_training_is_deterministic_and_decreases_loss():
 
 def test_momentum_optimizer_runs():
     corpus = _small_corpus()
-    cfg = TrainConfig(lr=1e-4, steps=20, kc=2, optimizer="momentum")
-    _, trace = train_projector(corpus, cfg, out_dim=4)
+    cfg = ExperimentConfig(proj_lr=1e-4, proj_steps=20, kc=2, optimizer="momentum", d_proj=4)
+    _, trace = train_projector(corpus, cfg)
     assert trace[-1] < trace[0]
 
 
@@ -116,8 +115,10 @@ def test_training_equals_a_hand_written_loop(optimizer):
     """Three steps of `train_projector`, bit for bit, against the update
     written out over `loss_and_gradient`."""
     corpus = _small_corpus()
-    cfg = TrainConfig(lr=1e-3, steps=3, kc=2, optimizer=optimizer, momentum=0.9)
-    proj, trace = train_projector(corpus, cfg, out_dim=4)
+    cfg = ExperimentConfig(
+        proj_lr=1e-3, proj_steps=3, kc=2, optimizer=optimizer, momentum=0.9, d_proj=4
+    )
+    proj, trace = train_projector(corpus, cfg)
 
     prepared = [prepare_image(o, cfg) for o in corpus]
     init = init_projector(8, 4, seed=0)
@@ -127,7 +128,7 @@ def test_training_equals_a_hand_written_loop(optimizer):
     for _ in range(3):
         grad_w, grad_b, total = np.zeros_like(w), np.zeros_like(b), 0.0
         for f, pw, lc in prepared:
-            loss, g_phi = loss_and_gradient(f @ w + b, pw, tau=cfg.repel.tau, log_counts=lc)
+            loss, g_phi = loss_and_gradient(f @ w + b, pw, tau=cfg.tau, log_counts=lc)
             grad_w += f.T @ g_phi
             grad_b += g_phi.sum(axis=0)
             total += loss
@@ -145,20 +146,11 @@ def test_training_equals_a_hand_written_loop(optimizer):
     assert proj.bias.tobytes() == b.tobytes()
 
 
-def test_training_divergence():
-    # the cosine softmax saturates, so a runaway step size only diverges on
-    # raw dot-product logits, and only once the first step overflows Z Z^T:
-    # at 1e50 those logits saturate too and the loss stalls
-    cfg = TrainConfig(lr=1e200, steps=20, kc=2, repel=RepellenceConfig(cosine=False))
-    with pytest.raises(DivergenceError):
-        train_projector(_small_corpus(), cfg, out_dim=4)
-
-
 def test_corpus_gradient_matches_finite_differences():
     """The W/b gradient assembled inside the training loop, re-derived by
     central differences on the mean corpus loss."""
     corpus = _small_corpus()
-    cfg = TrainConfig(kc=2)
+    cfg = ExperimentConfig(kc=2)
     prepared = [prepare_image(o, cfg) for o in corpus]
     proj = init_projector(8, 4, seed=0)
     w, b = proj.weight, proj.bias
@@ -167,7 +159,7 @@ def test_corpus_gradient_matches_finite_differences():
         return float(
             np.mean(
                 [
-                    loss_and_gradient(f @ wm + bv, pw, tau=cfg.repel.tau, log_counts=lc)[0]
+                    loss_and_gradient(f @ wm + bv, pw, tau=cfg.tau, log_counts=lc)[0]
                     for f, pw, lc in prepared
                 ]
             )
@@ -176,7 +168,7 @@ def test_corpus_gradient_matches_finite_differences():
     grad_w = np.zeros_like(w)
     grad_b = np.zeros_like(b)
     for f, pw, lc in prepared:
-        _, g_phi = loss_and_gradient(f @ w + b, pw, tau=cfg.repel.tau, log_counts=lc)
+        _, g_phi = loss_and_gradient(f @ w + b, pw, tau=cfg.tau, log_counts=lc)
         grad_w += f.T @ g_phi
         grad_b += g_phi.sum(axis=0)
     grad_w /= len(prepared)
@@ -196,7 +188,7 @@ def test_corpus_gradient_matches_finite_differences():
     assert grad_b[1] == pytest.approx(fd, rel=1e-4, abs=1e-7)
 
 
-def _dense_oracle(out, cfg, w, b):
+def _dense_oracle(out, cfg, cosine, w, b):
     """Loss and W/b gradient of one image on all N substituted tokens, in
     plain numpy: the token split and the clustering come from the library,
     the substitution, the pair weight, the loss and its gradient do not."""
@@ -209,21 +201,20 @@ def _dense_oracle(out, cfg, w, b):
 
     rows, cols = np.divmod(np.arange(out.main.n_tokens), out.main.grid_w)
     dist = np.hypot(rows[:, None] - rows[None, :], cols[:, None] - cols[None, :])
-    r = cfg.repel
-    repel = np.where(labels[:, None] & labels[None, :], r.r_att_att,
-                     np.where(~labels[:, None] & ~labels[None, :], r.r_inatt_inatt, r.r_att_inatt))
+    repel = np.where(labels[:, None] & labels[None, :], cfg.r_aa,
+                     np.where(~labels[:, None] & ~labels[None, :], cfg.r_ii, cfg.r_ai))
     weight = np.log(dist + 1.0) * repel
 
     phi = feats @ w + b
     norms = np.sqrt((phi**2).sum(axis=1, keepdims=True))
-    z = phi / norms if r.cosine else phi
-    logits = z @ z.T / r.tau
+    z = phi / norms if cosine else phi
+    logits = z @ z.T / cfg.tau
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     p = e / e.sum(axis=1, keepdims=True)
     row = (weight * p).sum(axis=1, keepdims=True)
     g = p * (weight - row)
-    gz = (g + g.T) @ z / r.tau
-    g_phi = (gz - (gz * z).sum(axis=1, keepdims=True) * z) / norms if r.cosine else gz
+    gz = (g + g.T) @ z / cfg.tau
+    g_phi = (gz - (gz * z).sum(axis=1, keepdims=True) * z) / norms if cosine else gz
     return row.sum(), feats.T @ g_phi, g_phi.sum(axis=0)
 
 
@@ -231,7 +222,7 @@ def _dense_oracle(out, cfg, w, b):
 @pytest.mark.parametrize("kc", [1, 2, 12])  # 12: every inattentive token is a center
 def test_distinct_row_loss_equals_the_dense_loss(cosine, kc):
     corpus = _small_corpus(3)
-    cfg = TrainConfig(kc=kc, repel=RepellenceConfig(cosine=cosine))
+    cfg = ExperimentConfig(kc=kc)
     # small enough weights that the dot-product softmax is not saturated:
     # there both gradients are rounding noise and agree in no digit
     rng = np.random.default_rng(5)
@@ -242,9 +233,9 @@ def test_distinct_row_loss_equals_the_dense_loss(cosine, kc):
         if kc == 12:
             assert np.all(log_counts == 0.0)
         loss, g_phi = loss_and_gradient(
-            feats @ w + b, weight, tau=cfg.repel.tau, cosine=cosine, log_counts=log_counts
+            feats @ w + b, weight, tau=cfg.tau, cosine=cosine, log_counts=log_counts
         )
-        want_loss, want_w, want_b = _dense_oracle(out, cfg, w, b)
+        want_loss, want_w, want_b = _dense_oracle(out, cfg, cosine, w, b)
         assert loss == pytest.approx(want_loss, rel=1e-12)
         np.testing.assert_allclose(feats.T @ g_phi, want_w, rtol=1e-12, atol=1e-12 * np.abs(want_w).max())
         np.testing.assert_allclose(g_phi.sum(axis=0), want_b, rtol=1e-12, atol=1e-12 * np.abs(want_b).max())
@@ -263,7 +254,7 @@ def test_training_runs_the_loss_on_distinct_rows_only(monkeypatch):
     cfg = ExperimentConfig()
     corpus = [generate_backbone_output(cfg.face_spec(), seed=i) for i in range(2)]
     assert corpus[0].main.n_tokens == 144
-    train_projector(corpus, replace(cfg.projector_train(), steps=2), out_dim=cfg.d_proj)
+    train_projector(corpus, replace(cfg, proj_steps=2))
     assert seen == [((40, cfg.d_proj), (40, 40), (40,))] * 4
 
 
@@ -274,15 +265,15 @@ def test_training_keeps_no_backbone_output_once_prepared(monkeypatch):
         refs.append(weakref.ref(output))
         return prepare_image(output, cfg)
 
-    def checking(params, item_losses, cfg):
+    def checking(params, item_losses, *settings):
         assert len(refs) == 3 and all(ref() is None for ref in refs)
-        return descend(params, item_losses, cfg)
+        return descend(params, item_losses, *settings)
 
     monkeypatch.setattr(projector, "prepare_image", recording)
     monkeypatch.setattr(projector, "descend", checking)
     spec = SyntheticFaceSpec()
     stream = (generate_backbone_output(spec, seed=i) for i in range(3))
-    proj, trace = train_projector(stream, TrainConfig(steps=2, kc=2), out_dim=4)
+    proj, trace = train_projector(stream, ExperimentConfig(proj_steps=2, kc=2, d_proj=4))
     assert len(trace) == 2 and proj.in_dim == spec.d
 
 
@@ -295,7 +286,7 @@ def test_training_builds_the_locality_matrix_once(monkeypatch):
 
     monkeypatch.setattr(projector, "locality_matrix", counting)
     projector._grid_locality.cache_clear()
-    train_projector(_small_corpus(4), TrainConfig(steps=2, kc=2), out_dim=4)
+    train_projector(_small_corpus(4), ExperimentConfig(proj_steps=2, kc=2, d_proj=4))
     assert len(calls) == 1
     shared = projector._grid_locality(4, 4)
     assert shared.tobytes() == locality_matrix(token_coords(4, 4)).tobytes()
@@ -303,22 +294,28 @@ def test_training_builds_the_locality_matrix_once(monkeypatch):
         shared[0, 0] = 1.0
 
 
+@pytest.mark.parametrize(
+    "key, value", [("proj_lr", 0.0), ("r_ai", -1.0), ("reg_steps", -1), ("momentum", 1.0)]
+)
+def test_trainers_validate_the_config_before_reading_a_sample(key, value):
+    def unread():
+        raise AssertionError("a sample was read")
+        yield
+
+    cfg = ExperimentConfig(**{key: value})
+    with pytest.raises(ConfigError, match=f"^{key} must be "):
+        train_projector(unread(), cfg)
+    with pytest.raises(ConfigError, match=f"^{key} must be "):
+        train_regressor(unread(), None, cfg)
+
+
 def test_empty_corpus_rejected():
     with pytest.raises(ValueError):
-        train_projector([], TrainConfig(), out_dim=4)
-
-
-def test_train_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(lr=0.0).validate()
-    with pytest.raises(ValueError):
-        TrainConfig(steps=-1).validate()
-    with pytest.raises(ValueError):
-        TrainConfig(optimizer="adam").validate()
+        train_projector([], ExperimentConfig(d_proj=4))
 
 
 def test_checkpoint_roundtrip(tmp_path):
-    proj, _ = train_projector(_small_corpus(), TrainConfig(steps=3, kc=2), out_dim=4)
+    proj, _ = train_projector(_small_corpus(), ExperimentConfig(proj_steps=3, kc=2, d_proj=4))
     digest = save_checkpoint(tmp_path / "ck", proj, seed=0, steps=3)
     assert digest == projector_checksum(proj)
     back = load_checkpoint(tmp_path / "ck")
@@ -344,7 +341,7 @@ def _edit_meta(old, new):
     ids=["in_dim", "no_out_dim", "sha256", "nan_weight"],
 )
 def test_checkpoint_is_checked_on_load(tmp_path, tamper):
-    proj, _ = train_projector(_small_corpus(), TrainConfig(steps=1, kc=2), out_dim=4)
+    proj, _ = train_projector(_small_corpus(), ExperimentConfig(proj_steps=1, kc=2, d_proj=4))
     ck = tmp_path / "ck"
     save_checkpoint(ck, proj, seed=0, steps=1)
     tamper(ck)
