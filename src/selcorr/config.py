@@ -25,6 +25,14 @@ class ConfigError(ValueError):
 # after work has begun, so `validate` rejects it as a usage error
 MAX_ARRAY_BYTES = 2**40
 
+# the default landmark/anchor layout is drawn on a LAYOUT_CROP-pixel image and
+# scales with the crop; its largest coordinate, 80, stays inside the image
+# (at most crop - 1) from MIN_CROP = 6 up
+LAYOUT_CROP = 96
+MIN_CROP = math.ceil(
+    LAYOUT_CROP / (LAYOUT_CROP - max(max(p) for p in DEFAULT_LANDMARKS + DEFAULT_ANCHORS))
+)
+
 
 @dataclass
 class ExperimentConfig:
@@ -81,6 +89,7 @@ class ExperimentConfig:
             ("patch", self.patch >= 1, ">= 1"),
             ("crop", self.crop >= 1 and self.crop % max(self.patch, 1) == 0,
              "a positive multiple of patch"),
+            ("crop", self.crop >= MIN_CROP, f">= {MIN_CROP} to hold the landmark layout"),
             ("d_proj", self.d_proj >= 2, ">= 2"),
             ("proj_lr", self.proj_lr > 0.0, "positive"),
             ("proj_steps", self.proj_steps >= 0, ">= 0"),
@@ -132,10 +141,10 @@ class ExperimentConfig:
     def face_spec(self) -> SyntheticFaceSpec:
         """Base face geometry at the configured crop and channel counts.
 
-        The default landmark/anchor layout is defined on a 96-pixel crop
-        and scales with it.
+        The default landmark/anchor layout is defined on a LAYOUT_CROP-pixel
+        crop and scales with it.
         """
-        s = self.crop / 96.0
+        s = self.crop / LAYOUT_CROP
         return SyntheticFaceSpec(
             landmarks_px=tuple((x * s, y * s) for x, y in DEFAULT_LANDMARKS),
             region_anchors_px=tuple((x * s, y * s) for x, y in DEFAULT_ANCHORS),

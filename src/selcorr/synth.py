@@ -100,11 +100,16 @@ class SyntheticFaceSpec:
             raise ValueError("noise scales must be non-negative")
         if self.d_aux < 1:
             raise ValueError("d_aux must be >= 1")
-        # the positional signatures need one channel per landmark and anchor
-        if self.d < self.n_landmarks + self.n_regions:
+        # the positional signatures take one channel per landmark and anchor,
+        # and the appearance means, drawn orthogonal to them, one more channel
+        # per group and region; below that the means lose rank, and at the
+        # positional count alone they are rounding noise
+        positional = self.n_landmarks + self.n_regions
+        appearance = self.n_groups + self.n_regions
+        if self.d < positional + appearance:
             raise ValueError(
-                f"d = {self.d} is below the {self.n_landmarks + self.n_regions} "
-                "landmarks plus region anchors"
+                f"d = {self.d} is below {positional + appearance}: {positional} positional "
+                f"channels plus {appearance} appearance means (groups and regions)"
             )
 
     @property

@@ -26,7 +26,7 @@ from selcorr.tensorio import (
     write_tensor,
 )
 
-# small geometry so every command finishes in well under a second
+# the tests' small world, so every command finishes in well under a second
 TINY_CONFIG = Path(__file__).resolve().parent / "configs" / "tiny.txt"
 TINY = ["--config", str(TINY_CONFIG)]
 
@@ -49,10 +49,12 @@ def test_gen_writes_corpus(tmp_path):
     names = read_manifest(out / "manifest.txt")
     assert [n.name for n in names] == [f"sample_{i:04d}" for i in range(4)]
     output, landmarks = read_sample(out / "sample_0000")
-    assert output.main.features.shape == (16, 8)  # 32/8 grid, d channels
+    tiny = load_config(TINY_CONFIG)
+    tokens = (tiny.crop // tiny.patch) ** 2
+    assert output.main.features.shape == (tokens, tiny.d)
     assert landmarks.shape == (5, 2)
     cfg = load_config(out / "config.txt")
-    assert cfg.crop == 32 and cfg.d == 8 and cfg.pairs == 2
+    assert cfg.crop == tiny.crop and cfg.d == tiny.d and cfg.pairs == tiny.pairs
 
 
 def test_pipeline_and_rerun_determinism(tmp_path):
@@ -180,7 +182,7 @@ def test_huge_checkpoint_weight_is_a_data_error(tiny_run, tmp_path, capsys, comm
 
 def test_drop_rate_sweep_equals_one_protocol_per_rate():
     cfg = load_config(TINY_CONFIG)
-    projs = [None, init_projector(8, 4, seed=0)]
+    projs = [None, init_projector(cfg.d, cfg.d_proj, seed=0)]
     swept = _match_sweep(cfg, projs, DROP_SWEEP)
     assert swept.shape == (len(projs), len(DROP_SWEEP), 2 * cfg.pairs, 5)
     for proj, proj_swept in zip(projs, swept):
@@ -425,9 +427,9 @@ def test_overflowing_projector_update_exits_3(tiny_run, tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("lr", ["4.1e151", "1e300", "1e306"])
+@pytest.mark.parametrize("lr", ["6.9e151", "1e300", "1e306"])
 def test_overflowing_feature_norm_exits_3(tiny_run, tmp_path, capsys, lr):
-    # on this corpus a rate past about 4.06e151 leaves finite weights after
+    # on this corpus a rate past about 6.82e151 leaves finite weights after
     # step 0 whose projected rows have norms that overflow at step 1; left
     # alone, those rows scale to zeros and the cosine loss goes flat. At
     # 1e306 the projected values themselves overflow to inf, which is the
@@ -477,9 +479,11 @@ def test_eval_detect_rejects_repeat_seeds_past_int64(tiny_run, tmp_path, capsys)
         ("train-projector", "--tau", "inf"),
         ("eval-match", "--seed", "-1"),
         ("gen", "--d", "0"),
-        # below the 5 landmarks plus 3 region anchors of the default layout
+        # below the 14 channels of the default layout: 8 positional (5 landmarks
+        # plus 3 region anchors) and 6 appearance means (3 groups and 3 regions)
         ("gen", "--d", "4"),
         ("eval-match", "--d", "7"),
+        ("gen", "--d", "13"),
         ("train-projector", "--d-proj", "1"),
         # 401 digits: past 2**63, float division, deque and np.sqrt overflow on these
         pytest.param("gen", "--crop", "8" * 401, id="gen---crop-401-digits"),
@@ -714,11 +718,12 @@ def test_each_command_takes_only_the_config_flags_it_reads(tmp_path, capsys, mon
 
 def test_flags_a_command_ignores_exit_1(tmp_path, capsys):
     out = str(tmp_path / "out")
+    tiny = load_config(TINY_CONFIG)
+    grid = ["--crop", str(tiny.crop), "--d", str(tiny.d), "--d-aux", str(tiny.d_aux)]
     for argv in (
-        ["ablate", "--axis", "drop_rate", "--kc", "3", "--proj-steps", "7", "--crop", "32",
-         "--d", "8", "--d-aux", "4", "--pairs", "1", "--out", out],
-        ["eval-match", "--eta", "0.3", "--crop", "32", "--d", "8", "--d-aux", "4",
+        ["ablate", "--axis", "drop_rate", "--kc", "3", "--proj-steps", "7", *grid,
          "--pairs", "1", "--out", out],
+        ["eval-match", "--eta", "0.3", *grid, "--pairs", "1", "--out", out],
         ["gen", "--heatmaps", "7", "--reg-lr", "5", "--count", "1", "--out", out],
     ):
         with pytest.raises(SystemExit) as exc:

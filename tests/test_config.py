@@ -117,7 +117,7 @@ def test_dump_load_roundtrip(tmp_path):
         {"reg_optimizer": "adagrad"},
         {"momentum": "1.5"},
         {"eta": "fast"},  # not a number
-        {"d": "7"},  # below the 5 landmarks plus 3 region anchors
+        {"d": "7"},  # below the 14 channels of the default layout
         {"momentum": "-0.1"},
         {"reg_lr": "0"},
         {"reg_steps": "-1"},
@@ -148,6 +148,10 @@ def test_validation_messages():
         load_config(overrides={"optimizer": "adam"})
     with pytest.raises(ConfigError, match=r"^crop must be a positive multiple of patch, got 90$"):
         load_config(overrides={"crop": "90"})
+    # the layout's largest coordinate, 80 of 96, lands on the last pixel at crop 6
+    with pytest.raises(ConfigError, match=r"^crop must be >= 6 to hold the landmark layout, got 4$"):
+        load_config(overrides={"crop": "4", "patch": "4"})
+    load_config(overrides={"crop": "6", "patch": "6"})
 
 
 @pytest.mark.parametrize(

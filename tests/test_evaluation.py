@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,20 +24,15 @@ from selcorr.evaluation import (
     write_pgm,
 )
 from selcorr.evaluation import init_regressor
-from selcorr.config import ExperimentConfig
+from selcorr.config import ExperimentConfig, load_config
 from selcorr.projector import DivergenceError, Projector, init_projector
 from selcorr.partition import cls_similarity
-from selcorr.synth import EvalPair, SyntheticFaceSpec, generate_backbone_output, make_pair
+from selcorr.synth import EvalPair, generate_backbone_output, make_pair
 from selcorr.tensorio import DenseFeatureMap, FeatureGrid, bilinear_upsample
 
-SMALL = dict(
-    landmarks_px=((6.0, 6.0), (20.0, 6.0), (13.0, 13.0), (8.0, 24.0), (20.0, 24.0)),
-    region_anchors_px=((16.0, 3.0), (4.0, 22.0), (28.0, 22.0)),
-    image_size=32,
-    patch=8,
-    d=8,
-    d_aux=4,
-)
+TINY_CONFIG = Path(__file__).resolve().parent / "configs" / "tiny.txt"
+TINY = load_config(TINY_CONFIG)
+TINY_CENTER = (TINY.crop / 2, TINY.crop / 2)
 
 
 def _dense(values):
@@ -122,7 +118,7 @@ def test_similarity_map_zero_norm_rules():
 
 
 def test_match_pair_and_summary():
-    spec = SyntheticFaceSpec(**SMALL)
+    spec = TINY.face_spec()
     pair = make_pair(spec, "same", 0)
     errors = match_pair(pair, pair_similarity(pair, None))
     assert errors.shape == (5,) and (errors >= 0.0).all()
@@ -149,8 +145,8 @@ def test_pair_similarity_near_dense_oracle_and_errors_bit_for_bit(features, drop
     """The token-level stack within COSINE_BOUND of similarity_map of both
     upsampled maps, and match_pair's errors bit for bit against the oracle
     argmax of those maps."""
-    spec = SyntheticFaceSpec(**{**SMALL, "image_size": 48})
-    proj = None if features == "raw" else init_projector(8, 4, seed=1)
+    spec = load_config(TINY_CONFIG, overrides={"crop": "48"}).face_spec()
+    proj = None if features == "raw" else init_projector(TINY.d, TINY.d_proj, seed=1)
     for kind, seed in [("same", 0), ("different", 1), ("same", 2)]:
         pair = make_pair(spec, kind, seed)
         mask = None
@@ -190,10 +186,10 @@ def test_similarity_stack_never_upsamples(monkeypatch, n_queries):
     monkeypatch.setattr(evaluation, "upsample_features", dense)
     monkeypatch.setattr(tensorio, "bilinear_taps", counting)
     monkeypatch.setattr(evaluation, "bilinear_taps", counting)
-    pair = make_pair(SyntheticFaceSpec(**SMALL), "same", 0)
-    queries = np.random.default_rng(n_queries).uniform(-2.0, 34.0, size=(n_queries, 2))
+    pair = make_pair(TINY.face_spec(), "same", 0)
+    queries = np.random.default_rng(n_queries).uniform(-2.0, TINY.crop + 2.0, size=(n_queries, 2))
     stack = similarity_stack(pair.ref.main, pair.test.main, queries)
-    assert stack.shape == (n_queries, 32, 32) and len(calls) == 2
+    assert stack.shape == (n_queries, TINY.crop, TINY.crop) and len(calls) == 2
     pair = replace(pair, ref_landmarks=queries, test_landmarks=queries)
     assert pair_similarity(pair, None).tobytes() == stack.tobytes() and len(calls) == 4
 
@@ -389,8 +385,8 @@ def test_regressor_geometry_and_param_checks():
 
 
 def _training_setup(n=3):
-    spec = SyntheticFaceSpec(**SMALL)
-    proj = init_projector(8, 4, seed=0)
+    spec = TINY.face_spec()
+    proj = init_projector(TINY.d, TINY.d_proj, seed=0)
     samples = []
     for i in range(n):
         out = generate_backbone_output(spec, seed=i)
@@ -409,7 +405,7 @@ def _regressor_cfg(**values):
 def test_train_regressor_zero_steps_and_determinism():
     samples, proj = _training_setup()
     p0, t0 = train_regressor(samples, proj, _regressor_cfg(reg_steps=0))
-    ref = init_regressor(5, 12, heatmaps=2, seed=0, center=(16.0, 16.0))
+    ref = init_regressor(5, TINY.d + TINY.d_proj, heatmaps=2, seed=0, center=TINY_CENTER)
     assert np.array_equal(p0[0], ref[0])
     assert np.array_equal(p0[2], ref[2])
     assert t0 == []
@@ -523,7 +519,9 @@ def test_train_regressor_gradient_matches_finite_differences():
     grid, lm = samples[0]
     _, x = _im2col_rows(grid, proj)
     cells = _cells(grid.grid_h, grid.grid_w, grid.patch)
-    conv, head_w, head_b = init_regressor(5, 12, heatmaps=2, seed=1, center=(16.0, 16.0))
+    conv, head_w, head_b = init_regressor(
+        5, TINY.d + TINY.d_proj, heatmaps=2, seed=1, center=TINY_CENTER
+    )
     _, grads = _loss_and_grads([conv, head_w, head_b], x, cells, lm, 0.1)
     h = 1e-6
 
@@ -661,12 +659,11 @@ def test_write_pgm(tmp_path):
 
 
 def test_token_grid_channels():
-    spec = SyntheticFaceSpec(**SMALL)
-    out = generate_backbone_output(spec, seed=0)
-    proj = init_projector(8, 4, seed=0)
+    out = generate_backbone_output(TINY.face_spec(), seed=0)
+    proj = init_projector(TINY.d, TINY.d_proj, seed=0)
     projected = token_grid(out, proj)
-    assert projected.channels == 4
-    assert (projected.image_h, projected.image_w) == (32, 32)
+    assert projected.channels == TINY.d_proj
+    assert (projected.image_h, projected.image_w) == (TINY.crop, TINY.crop)
     raw = token_grid(out, None)
-    assert raw is out.main and raw.channels == 8
-    assert (raw.image_h, raw.image_w) == (32, 32)
+    assert raw is out.main and raw.channels == TINY.d
+    assert (raw.image_h, raw.image_w) == (TINY.crop, TINY.crop)

@@ -21,11 +21,14 @@ from hypothesis import strategies as st
 from selcorr.cli import main
 from selcorr.config import ConfigError, ExperimentConfig, load_config
 from selcorr.projector import init_projector
-from selcorr.synth import SyntheticFaceSpec, generate_backbone_output, read_sample, write_sample
+from selcorr.synth import generate_backbone_output, read_sample, write_sample
 from selcorr.tensorio import parse_key_values, write_key_values
 
 # reproducible in CI: a fixed example sequence and no example database
 FUZZ = settings(derandomize=True, database=None, deadline=None)
+
+# the tests' small world: every sample and command here is built on it
+TINY_CONFIG = Path(__file__).resolve().parent / "configs" / "tiny.txt"
 
 SAMPLE_FILES = ("meta.txt", "landmarks.csv", "main.scet", "aux.scet", "qcls.scet", "keys.scet")
 TEXT_FILES = ("meta.txt", "landmarks.csv")
@@ -71,13 +74,7 @@ def test_written_key_values_parse_back(items):
 
 @pytest.fixture(scope="module")
 def sample_dir(tmp_path_factory):
-    spec = SyntheticFaceSpec(
-        landmarks_px=((6.0, 6.0), (20.0, 6.0), (13.0, 13.0), (8.0, 24.0), (20.0, 24.0)),
-        region_anchors_px=((16.0, 3.0), (4.0, 22.0), (28.0, 22.0)),
-        image_size=32,
-        d=8,
-        d_aux=4,
-    )
+    spec = load_config(TINY_CONFIG).face_spec()
     directory = tmp_path_factory.mktemp("fuzz") / "sample"
     write_sample(directory, generate_backbone_output(spec, seed=0), np.asarray(spec.landmarks_px))
     return directory
@@ -181,9 +178,9 @@ def test_loaded_config_builds_everything_or_raises_config_error(values):
     init_projector(cfg.d, cfg.d_proj, cfg.seed)
 
 
-# a 3-sample, 32-pixel corpus and a checkpoint trained on it, small enough
-# that each command runs in tens of milliseconds
-CLI_FLAGS = ["--config", str(Path(__file__).resolve().parent / "configs" / "fuzz.txt")]
+# a 3-sample corpus and a checkpoint trained on it, small enough that each
+# command runs in tens of milliseconds
+CLI_FLAGS = ["--config", str(TINY_CONFIG)]
 CHECKPOINT_FILES = ("meta.txt", "weight.scet", "bias.scet")
 CORPUS_FILES = (
     "corpus/manifest.txt",

@@ -1,11 +1,12 @@
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from selcorr import projector
-from selcorr.config import ConfigError, ExperimentConfig
+from selcorr.config import ConfigError, ExperimentConfig, load_config
 from selcorr.dpc import cluster_tokens
 from selcorr.evaluation import train_regressor
 from selcorr.lcr import locality_matrix, loss_and_gradient, token_coords
@@ -24,19 +25,12 @@ from selcorr.projector import (
 from selcorr.synth import SyntheticFaceSpec, generate_backbone_output
 from selcorr.tensorio import FeatureGrid, write_tensor
 
-# a 4x4-token world small enough for finite differences
-SMALL = dict(
-    landmarks_px=((6.0, 6.0), (20.0, 6.0), (13.0, 13.0), (8.0, 24.0), (20.0, 24.0)),
-    region_anchors_px=((16.0, 3.0), (4.0, 22.0), (28.0, 22.0)),
-    image_size=32,
-    patch=8,
-    d=8,
-    d_aux=4,
-)
+# the tests' 4x4-token world, small enough for finite differences
+TINY = load_config(Path(__file__).resolve().parent / "configs" / "tiny.txt")
 
 
 def _small_corpus(n=2):
-    spec = SyntheticFaceSpec(**SMALL)
+    spec = TINY.face_spec()
     return [generate_backbone_output(spec, seed=i) for i in range(n)]
 
 
@@ -75,7 +69,7 @@ def test_prepare_image_shapes_and_purity():
     feats, weight, log_counts = prepare_image(out, ExperimentConfig(eta=0.25, kc=2))
     n = out.main.n_tokens
     m = 4 + 2  # 4 attentive of 16 tokens at eta 0.25, plus 2 centers
-    assert feats.shape == (m, 8)
+    assert feats.shape == (m, TINY.d)
     assert weight.shape == (m, m)
     assert log_counts.shape == (m,)
     assert np.exp(log_counts).sum() == pytest.approx(n, abs=1e-12)
@@ -85,8 +79,8 @@ def test_prepare_image_shapes_and_purity():
 
 def test_zero_steps_returns_init():
     corpus = _small_corpus()
-    proj, trace = train_projector(corpus, ExperimentConfig(proj_steps=0, kc=2, d_proj=4))
-    ref = init_projector(8, 4, seed=0)
+    proj, trace = train_projector(corpus, replace(TINY, proj_steps=0, kc=2))
+    ref = init_projector(TINY.d, TINY.d_proj, seed=0)
     assert np.array_equal(proj.weight, ref.weight)
     assert np.array_equal(proj.bias, ref.bias)
     assert trace == []
@@ -94,7 +88,7 @@ def test_zero_steps_returns_init():
 
 def test_training_is_deterministic_and_decreases_loss():
     corpus = _small_corpus()
-    cfg = ExperimentConfig(proj_lr=1e-3, proj_steps=40, kc=2, d_proj=4)
+    cfg = replace(TINY, proj_lr=1e-3, proj_steps=40, kc=2)
     p1, t1 = train_projector(corpus, cfg)
     p2, t2 = train_projector(corpus, cfg)
     assert p1.weight.tobytes() == p2.weight.tobytes()
@@ -105,7 +99,7 @@ def test_training_is_deterministic_and_decreases_loss():
 
 def test_momentum_optimizer_runs():
     corpus = _small_corpus()
-    cfg = ExperimentConfig(proj_lr=1e-4, proj_steps=20, kc=2, optimizer="momentum", d_proj=4)
+    cfg = replace(TINY, proj_lr=1e-4, proj_steps=20, kc=2, optimizer="momentum")
     _, trace = train_projector(corpus, cfg)
     assert trace[-1] < trace[0]
 
@@ -115,13 +109,11 @@ def test_training_equals_a_hand_written_loop(optimizer):
     """Three steps of `train_projector`, bit for bit, against the update
     written out over `loss_and_gradient`."""
     corpus = _small_corpus()
-    cfg = ExperimentConfig(
-        proj_lr=1e-3, proj_steps=3, kc=2, optimizer=optimizer, momentum=0.9, d_proj=4
-    )
+    cfg = replace(TINY, proj_lr=1e-3, proj_steps=3, kc=2, optimizer=optimizer, momentum=0.9)
     proj, trace = train_projector(corpus, cfg)
 
     prepared = [prepare_image(o, cfg) for o in corpus]
-    init = init_projector(8, 4, seed=0)
+    init = init_projector(TINY.d, TINY.d_proj, seed=0)
     w, b = init.weight.copy(), init.bias.copy()
     vel_w, vel_b = np.zeros_like(w), np.zeros_like(b)
     losses = []
@@ -152,7 +144,7 @@ def test_corpus_gradient_matches_finite_differences():
     corpus = _small_corpus()
     cfg = ExperimentConfig(kc=2)
     prepared = [prepare_image(o, cfg) for o in corpus]
-    proj = init_projector(8, 4, seed=0)
+    proj = init_projector(TINY.d, TINY.d_proj, seed=0)
     w, b = proj.weight, proj.bias
 
     def corpus_loss(wm, bv):
@@ -224,9 +216,12 @@ def test_distinct_row_loss_equals_the_dense_loss(cosine, kc):
     corpus = _small_corpus(3)
     cfg = ExperimentConfig(kc=kc)
     # small enough weights that the dot-product softmax is not saturated:
-    # there both gradients are rounding noise and agree in no digit
+    # there both gradients are rounding noise and agree in no digit. At 0.1
+    # each row's logits span at most 15; at 0.3 they span up to 139, and at
+    # kc=1 the gradients agree in three digits
     rng = np.random.default_rng(5)
-    w, b = 0.3 * rng.standard_normal((8, 4)), 0.3 * rng.standard_normal(4)
+    w = 0.1 * rng.standard_normal((TINY.d, TINY.d_proj))
+    b = 0.1 * rng.standard_normal(TINY.d_proj)
     for out in corpus:
         feats, weight, log_counts = prepare_image(out, cfg)
         assert feats.shape[0] == 4 + kc
@@ -286,10 +281,11 @@ def test_training_builds_the_locality_matrix_once(monkeypatch):
 
     monkeypatch.setattr(projector, "locality_matrix", counting)
     projector._grid_locality.cache_clear()
-    train_projector(_small_corpus(4), ExperimentConfig(proj_steps=2, kc=2, d_proj=4))
+    train_projector(_small_corpus(4), replace(TINY, proj_steps=2, kc=2))
     assert len(calls) == 1
-    shared = projector._grid_locality(4, 4)
-    assert shared.tobytes() == locality_matrix(token_coords(4, 4)).tobytes()
+    g = TINY.face_spec().grid_size
+    shared = projector._grid_locality(g, g)
+    assert shared.tobytes() == locality_matrix(token_coords(g, g)).tobytes()
     with pytest.raises(ValueError):
         shared[0, 0] = 1.0
 
@@ -315,7 +311,7 @@ def test_empty_corpus_rejected():
 
 
 def test_checkpoint_roundtrip(tmp_path):
-    proj, _ = train_projector(_small_corpus(), ExperimentConfig(proj_steps=3, kc=2, d_proj=4))
+    proj, _ = train_projector(_small_corpus(), replace(TINY, proj_steps=3, kc=2))
     digest = save_checkpoint(tmp_path / "ck", proj, seed=0, steps=3)
     assert digest == projector_checksum(proj)
     back = load_checkpoint(tmp_path / "ck")
@@ -323,7 +319,7 @@ def test_checkpoint_roundtrip(tmp_path):
     assert np.array_equal(back.bias, proj.bias)
     meta = (tmp_path / "ck" / "meta.txt").read_text()
     assert f"sha256={digest}" in meta
-    assert "in_dim=8" in meta and "out_dim=4" in meta
+    assert f"in_dim={TINY.d}" in meta and f"out_dim={TINY.d_proj}" in meta
 
 
 def _edit_meta(old, new):
@@ -333,15 +329,15 @@ def _edit_meta(old, new):
 @pytest.mark.parametrize(
     "tamper",
     [
-        _edit_meta("in_dim=8", "in_dim=9"),
-        _edit_meta("out_dim=4\n", ""),
+        _edit_meta(f"in_dim={TINY.d}", f"in_dim={TINY.d + 1}"),
+        _edit_meta(f"out_dim={TINY.d_proj}\n", ""),
         _edit_meta("sha256=", "sha256=0"),
-        lambda ck: write_tensor(ck / "weight.scet", np.full((8, 4), np.nan)),
+        lambda ck: write_tensor(ck / "weight.scet", np.full((TINY.d, TINY.d_proj), np.nan)),
     ],
     ids=["in_dim", "no_out_dim", "sha256", "nan_weight"],
 )
 def test_checkpoint_is_checked_on_load(tmp_path, tamper):
-    proj, _ = train_projector(_small_corpus(), ExperimentConfig(proj_steps=1, kc=2, d_proj=4))
+    proj, _ = train_projector(_small_corpus(), replace(TINY, proj_steps=1, kc=2))
     ck = tmp_path / "ck"
     save_checkpoint(ck, proj, seed=0, steps=1)
     tamper(ck)

@@ -1,11 +1,13 @@
 import hashlib
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from selcorr import synth
+from selcorr.config import load_config
 from selcorr.synth import (
     DEFAULT_LANDMARKS,
     SyntheticFaceSpec,
@@ -88,13 +90,33 @@ def test_spec_validation():
             SyntheticFaceSpec(patch=patch)
     with pytest.raises(ValueError):
         SyntheticFaceSpec(sigma_bg=-0.1)
-    # the positional signatures need a channel per landmark and anchor (5 + 3)
-    with pytest.raises(ValueError, match="d = 7 is below the 8 landmarks plus region anchors"):
-        SyntheticFaceSpec(d=7)
-    SyntheticFaceSpec(d=8)
+    # a channel per landmark and anchor (5 + 3) for the positional signatures,
+    # and one per appearance mean (3 groups + 3 regions)
+    with pytest.raises(ValueError, match=r"^d = 13 is below 14: 8 positional channels plus "
+                                         r"6 appearance means \(groups and regions\)$"):
+        SyntheticFaceSpec(d=13)
+    SyntheticFaceSpec(d=14)
     with pytest.raises(ValueError):
         SyntheticFaceSpec(landmarks_px=((30.0, 36.0), (200.0, 36.0), (48.0, 56.0),
                                         (34.0, 72.0), (62.0, 72.0)))
+
+
+@pytest.mark.parametrize("world", ["default", "tiny"])
+def test_appearance_means_have_full_rank_at_the_smallest_d(world):
+    """At the smallest d the spec accepts, the group and region appearance
+    means are independent and orthogonal to the positional signatures, not
+    set by rounding."""
+    if world == "default":
+        spec = SyntheticFaceSpec()
+    else:
+        spec = load_config(Path(__file__).resolve().parent / "configs" / "tiny.txt").face_spec()
+    d = spec.n_landmarks + 2 * spec.n_regions + spec.n_groups
+    with pytest.raises(ValueError, match=f"^d = {d - 1} is below {d}: "):
+        replace(spec, d=d - 1)
+    proto = synth._prototypes(replace(spec, d=d))
+    means = np.vstack([np.unique(proto["lm_mean"], axis=0), proto["region_mean"]])
+    assert np.linalg.matrix_rank(means) == spec.n_groups + spec.n_regions
+    assert np.abs(means @ proto["pos_embed"]).max() < 1e-12
 
 
 def test_tps_zero_displacements_is_identity():
