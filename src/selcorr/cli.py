@@ -27,8 +27,6 @@ from .evaluation import (
     match_pair,
     pair_similarity,
     regressor_forward,
-    similarity_stack,
-    token_grid,
     train_regressor,
     write_pgm,
 )
@@ -282,6 +280,9 @@ def cmd_ablate(
         if manifest is None:
             raise ConfigError(f"axis {axis} requires --manifest")
         corpus = [output for output, _ in read_corpus(manifest)]
+        width = corpus[0].main.channels  # matching's pairs are generated at d
+        if width != cfg.d:
+            raise ConfigError(f"d = {cfg.d}, but the corpus has {width} channels")
         if axis == "eta":
             variants = [(v, replace(cfg, eta=v)) for v in ETA_SWEEP]
         elif axis == "kc":
@@ -308,12 +309,11 @@ def cmd_ablate(
 def cmd_export_simmap(
     cfg: ExperimentConfig, out: Path, checkpoint: Path | None, landmark: int, kind: str
 ) -> int:
-    if not 0 <= landmark < len(cfg.face_spec().landmarks_px):
+    base = cfg.face_spec()
+    if not 0 <= landmark < len(base.landmarks_px):
         raise ConfigError(f"landmark index {landmark} out of range")
-    pair = make_pair(cfg.face_spec(), kind, cfg.seed)
-    proj = _projector(checkpoint)
-    query = pair.ref_landmarks[landmark : landmark + 1]
-    sims = similarity_stack(token_grid(pair.ref, proj), token_grid(pair.test, proj), query)[0]
+    pair = make_pair(base, kind, cfg.seed)
+    sims = pair_similarity(pair, _projector(checkpoint))[landmark]
     out.parent.mkdir(parents=True, exist_ok=True)
     write_pgm(out, sims)
     print(f"wrote {out}")

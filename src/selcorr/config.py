@@ -109,13 +109,14 @@ class ExperimentConfig:
             if not ok:
                 raise ConfigError(f"{key} must be {rule}, got {getattr(self, key)!r}")
         try:
-            self.face_spec()
+            spec = self.face_spec()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        self._check_array_sizes()
+        self._check_array_sizes(spec)
 
-    def _check_array_sizes(self) -> None:
-        """Bound `crop` and `heatmaps` by the largest arrays they imply.
+    def _check_array_sizes(self, spec: SyntheticFaceSpec) -> None:
+        """Bound `crop` and `heatmaps` by the largest arrays they imply on
+        `spec`, the config's `face_spec()`.
 
         A (crop, crop) map per landmark or channel bounds the token grids,
         their row blends and the similarity stacks, and the projector's
@@ -123,7 +124,6 @@ class ExperimentConfig:
         (landmarks * heatmaps, 3, 3, d + d_proj) and each sample's heatmaps
         (landmarks * heatmaps, tokens).
         """
-        spec = self.face_spec()
         tokens = spec.grid_size**2
         per_pixel = max(spec.n_landmarks, self.d, self.d_aux, self.d_proj)
         sizes = {

@@ -1,8 +1,8 @@
 """Density-peak clustering of inattentive tokens and center substitution.
 
 Centers are the top score = density * separation tokens; every other
-clustered token is then represented by its nearest center, and the main
-feature grid can substitute member rows with their center's row.
+clustered token is then represented by its nearest center, and
+substitution maps each member row of the main grid to its center's row.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensorio import FeatureGrid, NonFiniteError, sq_dists, top_k
+from .tensorio import NonFiniteError, sq_dists, top_k
 
 
 @dataclass
@@ -74,19 +74,18 @@ def select_centers(rho: np.ndarray, delta: np.ndarray, kc: int) -> np.ndarray:
     return top_k(rho * delta, min(kc, rho.shape[0]))
 
 
-def assign_members(features: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Row index of each token's nearest center in feature space.
+def assign_members(sq: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Row index of each token's nearest center, read from the (M, M)
+    pairwise squared distances `sq` that `cluster_tokens` builds.
 
     Ties go to the lower center index; centers always map to themselves.
     """
-    features = np.asarray(features, dtype=np.float64)
     centers = np.unique(np.asarray(centers, dtype=np.intp))  # ascending, for the tie rule
     if centers.size == 0:
         raise ValueError("centers must be non-empty")
-    if centers[0] < 0 or centers[-1] >= features.shape[0]:
+    if centers[0] < 0 or centers[-1] >= sq.shape[0]:
         raise ValueError("center index out of range")
-    d2 = sq_dists(features, features[centers])
-    member_center = centers[np.argmin(d2, axis=1)]  # argmin ties -> first, centers ascending
+    member_center = centers[np.argmin(sq[:, centers], axis=1)]  # argmin ties -> first
     member_center[centers] = centers
     return member_center
 
@@ -95,7 +94,7 @@ def cluster_tokens(features: np.ndarray, kc: int, verbatim: bool = False) -> Clu
     """Full pipeline: density -> separation -> center selection -> membership.
 
     `features` is (M, d) with M >= 1 and every value finite. The M x M
-    squared distances are built once, for density and separation.
+    squared distances are built once, for density, separation and membership.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] < 1:
@@ -106,17 +105,17 @@ def cluster_tokens(features: np.ndarray, kc: int, verbatim: bool = False) -> Clu
     rho = _density(sq, verbatim)
     delta = _peak_distance(sq, rho)
     centers = select_centers(rho, delta, kc)
-    return ClusterAssignment(rho, delta, rho * delta, centers, assign_members(features, centers))
+    return ClusterAssignment(rho, delta, rho * delta, centers, assign_members(sq, centers))
 
 
 def approximate_inattentive(
-    grid: FeatureGrid, inattentive: np.ndarray, member_center: np.ndarray
-) -> FeatureGrid:
-    """Replace each inattentive token's main-grid feature with its center's.
-
-    `member_center` indexes `inattentive`, as `cluster_tokens` on the
-    inattentive rows returns it. Attentive rows and geometry are untouched.
+    n_tokens: int, inattentive: np.ndarray, member_center: np.ndarray
+) -> np.ndarray:
+    """(n_tokens,) source row of each token after center substitution: its
+    own index, or for an inattentive token its center's, so `features[source]`
+    is the substituted grid. `member_center` indexes `inattentive`, as
+    `cluster_tokens` on the inattentive rows returns it.
     """
-    out = grid.features.copy()
-    out[inattentive] = grid.features[inattentive[member_center]]
-    return FeatureGrid(grid.grid_h, grid.grid_w, grid.patch, out)
+    source = np.arange(n_tokens)
+    source[inattentive] = inattentive[member_center]
+    return source

@@ -29,6 +29,7 @@ from .tensorio import (
     FeatureGrid,
     bilinear_taps,
     bilinear_upsample,
+    cell_centers,
     norm,
     top_k,
 )
@@ -196,8 +197,8 @@ def soft_argmax(heatmap: np.ndarray, temperature: float = 0.1) -> tuple[float, f
         raise ValueError(f"expected (H, W) heatmap, got {heatmap.shape}")
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
-    ys, xs = np.mgrid[0 : heatmap.shape[0], 0 : heatmap.shape[1]]
-    cells = np.stack([xs.ravel(), ys.ravel(), np.ones(xs.size)])
+    x, y = (cell_centers(*heatmap.shape, 1) - 0.5).T  # array index units
+    cells = np.stack([x, y, np.ones(x.size)])
     _, _, coords = _expect(heatmap.reshape(1, -1) / temperature, cells)
     return float(coords[0, 0]), float(coords[0, 1])
 
@@ -226,10 +227,9 @@ def _cells(grid_h: int, grid_w: int, patch: int) -> np.ndarray:
     offset. Fractional units keep the head's inputs O(1) so the conv
     block, not the head, absorbs most of the fit.
     """
-    ys, xs = np.mgrid[0:grid_h, 0:grid_w]
-    xs_n = ((xs + 0.5) * patch - 0.5) / (grid_w * patch) - 0.5
-    ys_n = ((ys + 0.5) * patch - 0.5) / (grid_h * patch) - 0.5
-    return np.stack([xs_n.ravel(), ys_n.ravel(), np.ones(xs.size)])
+    x, y = (cell_centers(grid_h, grid_w, patch) - 0.5).T  # pixel index units
+    # stacked rows are C-contiguous, as the detector's GEMMs want
+    return np.stack([x / (grid_w * patch) - 0.5, y / (grid_h * patch) - 0.5, np.ones(x.size)])
 
 
 def init_regressor(

@@ -143,23 +143,22 @@ def prepare_image(
 
     Substitution makes every inattentive token a copy of its cluster
     center's row, so the image has only m = |attentive| + (number of
-    centers) distinct rows. Returns those rows of the substituted token
-    matrix (m, d), the pair weight folded onto them (m, m) and their log
-    multiplicities (m,): `loss_and_gradient` on these is the loss on all
-    N tokens (see `lcr`).
+    centers) distinct rows, the entries of `approximate_inattentive`'s
+    source index. Returns those first-stage rows (m, d), the pair weight
+    folded onto them (m, m) and their log multiplicities (m,):
+    `loss_and_gradient` on these is the loss on all N tokens (see `lcr`).
     """
+    grid = output.main
     part = split_tokens(cls_similarity(output.q_cls, output.keys), cfg.eta)
     assignment = cluster_tokens(output.aux.features[part.inattentive], cfg.kc)
-    substituted = approximate_inattentive(output.main, part.inattentive, assignment.member_center)
-    labels = np.zeros(substituted.n_tokens, dtype=bool)
-    labels[part.attentive] = True
-    source = np.arange(substituted.n_tokens)
-    source[part.inattentive] = part.inattentive[assignment.member_center]
+    source = approximate_inattentive(grid.n_tokens, part.inattentive, assignment.member_center)
     rows, member, counts = np.unique(source, return_inverse=True, return_counts=True)
+    labels = np.zeros(grid.n_tokens, dtype=bool)
+    labels[part.attentive] = True
     onehot = np.eye(rows.size)[member]  # (N, m) membership
-    locality = _grid_locality(substituted.grid_h, substituted.grid_w)
+    locality = _grid_locality(grid.grid_h, grid.grid_w)
     folded = onehot.T @ pair_weight(locality, labels, cfg) @ onehot / counts
-    distinct = substituted.features[rows]
+    distinct = grid.features[rows]
     norm(distinct, axis=1)  # a kept row too large to normalize is a data error, not divergence
     return distinct, folded, np.log(counts)
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from .tensorio import (
     FeatureGrid,
+    cell_centers,
     read_manifest,
     read_meta,
     read_tensor,
@@ -240,15 +241,8 @@ def _identity_offsets(spec: SyntheticFaceSpec) -> tuple[np.ndarray, np.ndarray]:
     return lm, region
 
 
-def _cell_centers(spec: SyntheticFaceSpec) -> np.ndarray:
-    g = spec.grid_size
-    rows, cols = np.divmod(np.arange(g * g), g)
-    return np.stack([(cols + 0.5) * spec.patch, (rows + 0.5) * spec.patch], axis=1)
-
-
-def _region_of_cells(spec: SyntheticFaceSpec) -> np.ndarray:
-    """Nearest region anchor per patch cell (by cell-center pixel), ties to lower index."""
-    centers = _cell_centers(spec)
+def _region_of_cells(spec: SyntheticFaceSpec, centers: np.ndarray) -> np.ndarray:
+    """Nearest region anchor per patch cell (by its `cell_centers` pixel), ties to lower index."""
     anchors = np.asarray(spec.region_anchors_px)
     return np.argmin(sq_dists(centers, anchors), axis=1)
 
@@ -283,7 +277,8 @@ def generate_backbone_output(spec: SyntheticFaceSpec, seed: int) -> BackboneOutp
     rng = np.random.default_rng([_NOISE_TAG, spec.identity_seed, seed])
     g = spec.grid_size
     n = g * g
-    region = _region_of_cells(spec)
+    centers = cell_centers(g, g, spec.patch)
+    region = _region_of_cells(spec, centers)
     cells = landmark_cells(spec)
 
     sigma = np.full(n, spec.sigma_bg)
@@ -300,7 +295,7 @@ def generate_backbone_output(spec: SyntheticFaceSpec, seed: int) -> BackboneOutp
 
     # positional signature rides on the noise amplitude so sigma=0 keeps
     # tokens exactly prototype-valued
-    code = _position_code(spec, _cell_centers(spec))
+    code = _position_code(spec, centers)
     main += POS_GAMMA * sigma[:, None] * (code @ proto["pos_embed"].T)
 
     q = proto["q_cls"]

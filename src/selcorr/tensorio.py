@@ -3,10 +3,10 @@ numeric primitives every other module shares.
 
 Formats: `.scet` binary tensors (float64 in memory; float32 is allowed on
 disk and round-trips bit-exactly), key=value text, CSV and manifests.
-Primitives: squared distances and norms (both raise `NonFiniteError` on
-overflow), the last-axis softmax, the stable top-k, and bilinear
-upsampling of token grids, whole or as its row-blended grid and column
-taps. Imports nothing from the rest of the package.
+Primitives: token-cell centers, squared distances and norms (both raise
+`NonFiniteError` on overflow), the last-axis softmax, the stable top-k,
+and bilinear upsampling of token grids, whole or as its row-blended grid
+and column taps. Imports nothing from the rest of the package.
 """
 
 from __future__ import annotations
@@ -209,6 +209,12 @@ def _grid_coords(target: int, cells: int) -> np.ndarray:
     scale = target / cells
     coords = (np.arange(target) + 0.5) / scale - 0.5
     return np.clip(coords, 0.0, cells - 1.0)
+
+
+def cell_centers(grid_h: int, grid_w: int, patch: int) -> np.ndarray:
+    """(grid_h * grid_w, 2) pixel (x, y) of each token cell's center, in scanline order."""
+    rows, cols = np.divmod(np.arange(grid_h * grid_w), grid_w)
+    return np.stack([(cols + 0.5) * patch, (rows + 0.5) * patch], axis=1)
 
 
 def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -13,9 +13,15 @@ import pytest
 from selcorr import cli
 from selcorr.cli import DROP_SWEEP, _match_sweep, main
 from selcorr.config import ExperimentConfig, load_config
-from selcorr.evaluation import kind_means, train_regressor
+from selcorr.evaluation import kind_means, pair_similarity, train_regressor, write_pgm
 from selcorr.partition import cls_similarity, split_tokens
-from selcorr.projector import Projector, init_projector, projector_checksum, train_projector
+from selcorr.projector import (
+    Projector,
+    init_projector,
+    load_checkpoint,
+    projector_checksum,
+    train_projector,
+)
 from selcorr.synth import BackboneOutput, make_pair, read_sample
 from selcorr.tensorio import (
     FeatureGrid,
@@ -747,6 +753,44 @@ def test_export_simmap_rejects_the_landmark_before_any_pair(tmp_path, capsys, mo
         err = capsys.readouterr().err
         assert f"landmark index {landmark} out of range" in err and "Traceback" not in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "use_checkpoint, kind, landmark", [(True, "same", 1), (False, "different", 3)]
+)
+def test_export_simmap_writes_the_library_map(tiny_run, tmp_path, use_checkpoint, kind, landmark):
+    # the map is the matching protocol's own: one `pair_similarity` layer
+    cfg = load_config(TINY_CONFIG)
+    checkpoint = tiny_run / "run" / "checkpoint"
+    proj = load_checkpoint(checkpoint) if use_checkpoint else None
+    expected = tmp_path / "expected.pgm"
+    write_pgm(expected, pair_similarity(make_pair(cfg.face_spec(), kind, cfg.seed), proj)[landmark])
+    out = tmp_path / "sim.pgm"
+    extra = ["--checkpoint", str(checkpoint)] if use_checkpoint else []
+    assert main(["export-simmap", *extra, "--kind", kind, "--landmark", str(landmark),
+                 "--out", str(out), *TINY]) == 0
+    assert out.read_bytes() == expected.read_bytes()
+
+
+def test_ablate_checks_the_corpus_width_before_training(tmp_path, capsys, monkeypatch):
+    # a corpus generated at d=14, ablated at the default d: matching would
+    # fail on the first pair, after every variant had trained
+    def no_training(*args, **kwargs):
+        raise AssertionError("a projector was trained")
+
+    monkeypatch.setattr(cli, "train_projector", no_training)
+    corpus = tmp_path / "corpus"
+    assert main(["gen", "--count", "4", "--crop", "32", "--d", "14", "--d-aux", "4",
+                 "--out", str(corpus)]) == 0
+    default_d = ExperimentConfig().d
+    for axis in ("eta", "kc", "repellence"):
+        out = tmp_path / axis
+        rc = main(["ablate", "--axis", axis, "--manifest", str(corpus / "manifest.txt"),
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"d = {default_d}, but the corpus has 14 channels" in err
+        assert "Traceback" not in err and not out.exists()
 
 
 def test_gen_config_passes_back_to_every_command(tmp_path):

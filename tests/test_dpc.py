@@ -102,7 +102,7 @@ def test_cluster_tokens_builds_the_distances_once(monkeypatch):
 
     monkeypatch.setattr(dpc, "sq_dists", counting)
     asg = cluster_tokens(feats, cfg.kc)
-    assert shapes.count((m, m)) == 1
+    assert shapes == [(m, m)]  # membership reads the same matrix
     rho, delta, *_ = brute_force(feats.tolist(), cfg.kc)
     assert np.abs(asg.rho - rho).max() <= 1e-12
     assert np.abs(asg.delta - delta).max() <= 1e-12
@@ -152,13 +152,13 @@ def test_select_centers():
 
 def test_assign_members_tie_prefers_lower_center():
     feats = np.array([[0.0], [2.0], [1.0]])  # index 2 equidistant from both centers
-    assert assign_members(feats, np.array([0, 1])).tolist() == [0, 1, 0]
+    assert assign_members(sq_dists(feats, feats), np.array([0, 1])).tolist() == [0, 1, 0]
 
 
 def test_assign_members_maps_centers_to_themselves():
     rng = np.random.default_rng(9)
     feats = rng.standard_normal((8, 2))
-    member_center = assign_members(feats, np.array([5, 1]))  # any order
+    member_center = assign_members(sq_dists(feats, feats), np.array([5, 1]))  # any order
     assert set(member_center.tolist()) == {1, 5}
     assert member_center[1] == 1 and member_center[5] == 5
 
@@ -171,12 +171,18 @@ def test_substitution_on_noise_free_grid():
     out = generate_backbone_output(spec, seed=0)
     part = split_tokens(cls_similarity(out.q_cls, out.keys), 0.25)
     asg = cluster_tokens(out.aux.features[part.inattentive], kc=spec.n_regions)
-    sub = approximate_inattentive(out.main, part.inattentive, asg.member_center)
-    distinct = np.unique(sub.features[part.inattentive], axis=0)
+    source = approximate_inattentive(out.main.n_tokens, part.inattentive, asg.member_center)
+    assert source.shape == (out.main.n_tokens,) and source.dtype.kind == "i"
+    # every attentive token and every center is its own source
+    assert np.array_equal(source[part.attentive], part.attentive)
+    centers = part.inattentive[asg.centers]
+    assert np.array_equal(source[centers], centers)
+    # each inattentive token's source is the center it was assigned
+    assert np.array_equal(source[part.inattentive], part.inattentive[asg.member_center])
+    substituted = out.main.features[source]
+    distinct = np.unique(substituted[part.inattentive], axis=0)
     assert distinct.shape[0] == spec.n_regions
-    assert np.array_equal(sub.features[part.attentive], out.main.features[part.attentive])
-    # input grid is never mutated
-    assert not np.shares_memory(sub.features, out.main.features)
+    assert np.array_equal(substituted[part.attentive], out.main.features[part.attentive])
 
 
 def test_density_input_validation():
