@@ -60,12 +60,16 @@ KC_SWEEP = (1, 2, 4, 8)
 # Past ~0.96 the drop starts consuming top-scoring landmark cells, so the
 # matching curve stays flat to a knee and then degrades sharply.
 DROP_SWEEP = (0.0, 0.25, 0.5, 0.75, 0.875, 0.9375, 0.97, 0.99)
-GRID_KEYS = {"crop", "patch", "d", "d_aux", "seed"}
+# the world of the synthetic faces: a corpus's `config.txt` records the one
+# it was drawn from, and every command that reads a corpus runs on that one
+WORLD_KEYS = ("crop", "patch", "d", "d_aux")
+GRID_KEYS = {*WORLD_KEYS, "seed"}
 PROJECTOR_KEYS = {"eta", "kc", "tau", "r_aa", "r_ai", "r_ii", "d_proj", "proj_lr", "proj_steps",
                   "optimizer", "momentum", "seed"}
 # the config keys each command form reads, the only ones it takes as flags.
 # No ablate axis reads drop_rate (each sweeps or fixes it), drop_rate trains
-# no projector, and eta and kc sweep their own key
+# no projector, eta and kc sweep their own key, and the forms that read a
+# corpus take its world from it; `seed` then seeds only the projector inits
 READS = {
     "gen": GRID_KEYS,
     "train-projector": PROJECTOR_KEYS,
@@ -73,9 +77,9 @@ READS = {
     "eval-detect": {"heatmaps", "softargmax_temp", "reg_lr", "reg_steps", "reg_optimizer",
                     "momentum", "holdout", "repeats", "seed"},
     "ablate --axis drop_rate": GRID_KEYS | {"pairs"},
-    "ablate --axis eta": GRID_KEYS | {"pairs"} | (PROJECTOR_KEYS - {"eta"}),
-    "ablate --axis kc": GRID_KEYS | {"pairs"} | (PROJECTOR_KEYS - {"kc"}),
-    "ablate --axis repellence": GRID_KEYS | {"pairs"} | PROJECTOR_KEYS,
+    "ablate --axis eta": {"pairs"} | (PROJECTOR_KEYS - {"eta"}),
+    "ablate --axis kc": {"pairs"} | (PROJECTOR_KEYS - {"kc"}),
+    "ablate --axis repellence": {"pairs"} | PROJECTOR_KEYS,
     "export-simmap": GRID_KEYS,
 }
 
@@ -147,9 +151,21 @@ def _projector(checkpoint: Path | None) -> Projector | None:
     return None if checkpoint is None else load_checkpoint(checkpoint)
 
 
-def _require_pairs(cfg: ExperimentConfig) -> None:
-    if cfg.pairs < 1:
-        raise ConfigError("matching needs pairs >= 1")
+def _on_corpus(cfg: ExperimentConfig, manifest: Path) -> tuple[ExperimentConfig, int]:
+    """`cfg` on the world of the corpus that `manifest` lists, and the seed
+    that drew that world, both from the corpus's `config.txt`.
+
+    A missing or invalid `config.txt` is a data error naming it; `cfg`'s own
+    keys out of range on that world are a usage error.
+    """
+    path = manifest.parent / "config.txt"
+    try:
+        world = load_config(path)
+    except ConfigError as exc:
+        raise ValueError(f"corpus world {path}: {exc}") from None
+    cfg = replace(cfg, **{key: getattr(world, key) for key in WORLD_KEYS})
+    cfg.validate()
+    return cfg, world.seed
 
 
 def _match_sweep(cfg: ExperimentConfig, projs: list[Projector | None], drop_rates) -> np.ndarray:
@@ -161,7 +177,6 @@ def _match_sweep(cfg: ExperimentConfig, projs: list[Projector | None], drop_rate
     featurized once per projector. Along axis 2 the first cfg.pairs rows are
     the same-identity pairs, the rest the different-identity pairs.
     """
-    _require_pairs(cfg)
     base = cfg.face_spec()
     seeds = pair_seeds(cfg.seed, 2 * cfg.pairs)
     errors = np.empty((len(projs), len(drop_rates), 2 * cfg.pairs, len(base.landmarks_px)))
@@ -197,7 +212,8 @@ def cmd_gen(cfg: ExperimentConfig, count: int, out: Path) -> int:
 
 
 def cmd_train_projector(cfg: ExperimentConfig, manifest: Path, out: Path) -> int:
-    corpus = (output for output, _ in read_corpus(manifest))
+    cfg, _ = _on_corpus(cfg, manifest)
+    corpus = (output for output, _ in read_corpus(manifest, cfg.face_spec()))
     proj, losses = train_projector(corpus, cfg)
     out.mkdir(parents=True, exist_ok=True)
     digest = save_checkpoint(out / "checkpoint", proj, seed=cfg.seed, steps=cfg.proj_steps)
@@ -229,10 +245,13 @@ def cmd_eval_detect(
     # repeat r trains from seed + r, which `train_regressor` validates as a seed
     if cfg.seed + cfg.repeats > 2**63:
         raise ConfigError(f"seed + repeats must be at most 2**63, got {cfg.seed + cfg.repeats}")
+    cfg, _ = _on_corpus(cfg, manifest)
     # every file of every sample is read and checked, but only the stage-1
     # grid and landmarks of the first `budget` and the last `holdout` are
     # kept; an empty manifest raises before `count` is read
-    samples = ((output.main, landmarks) for output, landmarks in read_corpus(manifest))
+    samples = (
+        (output.main, landmarks) for output, landmarks in read_corpus(manifest, cfg.face_spec())
+    )
     train_samples, held_out = [], deque(maxlen=cfg.holdout)
     for count, sample in enumerate(samples, start=1):
         if count <= budget:
@@ -269,7 +288,6 @@ def cmd_ablate(
     cfg: ExperimentConfig, axis: str, manifest: Path | None, checkpoint: Path | None, out: Path
 ) -> int:
     # usage checks come before any variant is trained
-    _require_pairs(cfg)
     if axis == "drop_rate" and manifest is not None:
         raise ConfigError("axis drop_rate generates its own pairs and takes no --manifest")
     if axis != "drop_rate" and checkpoint is not None:
@@ -279,10 +297,9 @@ def cmd_ablate(
     else:
         if manifest is None:
             raise ConfigError(f"axis {axis} requires --manifest")
-        corpus = [output for output, _ in read_corpus(manifest)]
-        width = corpus[0].main.channels  # matching's pairs are generated at d
-        if width != cfg.d:
-            raise ConfigError(f"d = {cfg.d}, but the corpus has {width} channels")
+        # the variants train on the corpus, and are scored on pairs of its world
+        cfg, world_seed = _on_corpus(cfg, manifest)
+        corpus = [output for output, _ in read_corpus(manifest, cfg.face_spec())]
         if axis == "eta":
             variants = [(v, replace(cfg, eta=v)) for v in ETA_SWEEP]
         elif axis == "kc":
@@ -297,6 +314,7 @@ def cmd_ablate(
         values = [label for label, _ in variants]
         projs = [train_projector(corpus, v)[0] for _, v in variants]
         rates = (0.0,)
+        cfg = replace(cfg, seed=world_seed)
     errors = _match_sweep(cfg, projs, rates).reshape(len(values), 2 * cfg.pairs, -1)
     rows = [(axis, value, *kind_means(e, cfg.pairs)) for value, e in zip(values, errors)]
     out.mkdir(parents=True, exist_ok=True)

@@ -102,7 +102,7 @@ class ExperimentConfig:
             ("reg_optimizer", self.reg_optimizer in optimizers, "'gd' or 'momentum'"),
             ("holdout", self.holdout >= 1, ">= 1"),
             ("repeats", self.repeats >= 1, ">= 1"),
-            ("pairs", self.pairs >= 0, ">= 0"),
+            ("pairs", self.pairs >= 1, ">= 1"),
             ("seed", self.seed >= 0, ">= 0"),
         )
         for key, ok, rule in ranges:

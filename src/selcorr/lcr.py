@@ -26,14 +26,6 @@ from .config import ExperimentConfig
 from .tensorio import NonFiniteError, norm, softmax, sq_dists
 
 
-def token_coords(grid_h: int, grid_w: int) -> np.ndarray:
-    """(N, 2) array of (row, col) cell coordinates in row-major token order."""
-    if grid_h < 1 or grid_w < 1:
-        raise ValueError(f"bad grid {grid_h}x{grid_w}")
-    rows, cols = np.divmod(np.arange(grid_h * grid_w), grid_w)
-    return np.stack([rows, cols], axis=1).astype(np.float64)
-
-
 def locality_matrix(positions: np.ndarray) -> np.ndarray:
     """F[i, j] = log(||pos_i - pos_j|| + 1) in patch-grid units; zero diagonal."""
     positions = np.asarray(positions, dtype=np.float64)

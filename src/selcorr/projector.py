@@ -20,10 +20,19 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .dpc import approximate_inattentive, cluster_tokens
-from .lcr import locality_matrix, loss_and_gradient, pair_weight, token_coords
+from .lcr import locality_matrix, loss_and_gradient, pair_weight
 from .partition import cls_similarity, split_tokens
 from .synth import BackboneOutput
-from .tensorio import FeatureGrid, NonFiniteError, norm, read_meta, read_tensor, write_key_values, write_tensor
+from .tensorio import (
+    FeatureGrid,
+    NonFiniteError,
+    cell_centers,
+    norm,
+    read_meta,
+    read_tensor,
+    write_key_values,
+    write_tensor,
+)
 
 _INIT_TAG = 31
 
@@ -129,8 +138,9 @@ def project(p: Projector, grid: FeatureGrid) -> FeatureGrid:
 
 @functools.lru_cache(maxsize=4)
 def _grid_locality(grid_h: int, grid_w: int) -> np.ndarray:
-    """`lcr.locality_matrix` of a token grid, shared read-only by every image on it."""
-    locality = locality_matrix(token_coords(grid_h, grid_w))
+    """`lcr.locality_matrix` of a token grid in cell units (the centres of
+    1-pixel cells), shared read-only by every image on it."""
+    locality = locality_matrix(cell_centers(grid_h, grid_w, 1))
     locality.flags.writeable = False
     return locality
 

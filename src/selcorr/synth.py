@@ -23,11 +23,9 @@ from .tensorio import (
     FeatureGrid,
     cell_centers,
     read_manifest,
-    read_meta,
     read_tensor,
     sq_dists,
     write_csv,
-    write_key_values,
     write_tensor,
 )
 
@@ -423,7 +421,11 @@ LANDMARK_HEADER = ("landmark_index", "x_px", "y_px")
 
 
 def write_sample(directory: str | Path, output: BackboneOutput, landmarks: np.ndarray) -> None:
-    """Persist one image's tensors plus its landmark table into `directory`."""
+    """Persist one image's tensors plus its landmark table into `directory`.
+
+    The grid geometry is not stored: it is the corpus's world, recorded
+    once in the corpus's `config.txt`.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     write_tensor(directory / "main.scet", output.main.features)
@@ -432,33 +434,40 @@ def write_sample(directory: str | Path, output: BackboneOutput, landmarks: np.nd
     write_tensor(directory / "keys.scet", output.keys)
     rows = [(i, x, y) for i, (x, y) in enumerate(np.asarray(landmarks, dtype=np.float64))]
     write_csv(directory / "landmarks.csv", [LANDMARK_HEADER, *rows])
-    grid = output.main
-    meta = {"grid_h": grid.grid_h, "grid_w": grid.grid_w, "patch": grid.patch}
-    write_key_values(directory / "meta.txt", meta)
 
 
-def read_sample(directory: str | Path) -> tuple[BackboneOutput, np.ndarray]:
-    """Inverse of `write_sample`.
+def read_sample(
+    directory: str | Path, spec: SyntheticFaceSpec
+) -> tuple[BackboneOutput, np.ndarray]:
+    """Inverse of `write_sample` for a sample of the world `spec`.
 
-    Malformed metadata, tensors or landmark tables raise ValueError naming
-    the file: every tensor value must be finite, and the table needs the
-    `write_sample` header, one `index,x,y` row per landmark numbered from
-    0, and finite coordinates inside the image.
+    Malformed tensors or landmark tables, and a sample off the world, raise
+    ValueError naming the file or the sample: every tensor value must be
+    finite, the grids must hold `spec.grid_size`**2 tokens of `d` and
+    `d_aux` channels, and the table needs the `write_sample` header, one
+    `index,x,y` row per landmark of `spec` numbered from 0, and finite
+    coordinates inside the image.
     """
     directory = Path(directory)
-    meta_path = directory / "meta.txt"
-    meta = read_meta(meta_path)
-    gh, gw, patch = (_meta_int(meta, key, meta_path) for key in ("grid_h", "grid_w", "patch"))
     main, aux, q_cls, keys = (
         _read_finite(directory / f"{name}.scet") for name in ("main", "aux", "qcls", "keys")
     )
+    g = spec.grid_size
     try:
         output = BackboneOutput(
-            FeatureGrid(gh, gw, patch, main), FeatureGrid(gh, gw, patch, aux), q_cls, keys
+            FeatureGrid(g, g, spec.patch, main), FeatureGrid(g, g, spec.patch, aux), q_cls, keys
         )
     except ValueError as exc:
         raise ValueError(f"sample {directory}: {exc}") from None
-    return output, _read_landmarks(directory / "landmarks.csv", output.main)
+    landmarks = _read_landmarks(directory / "landmarks.csv", output.main)
+    for key, value, want in (
+        ("d", output.main.channels, spec.d),
+        ("d_aux", output.aux.channels, spec.d_aux),
+        ("landmarks", landmarks.shape[0], spec.n_landmarks),
+    ):
+        if value != want:
+            raise ValueError(f"sample {directory}: {key}={value}, but the world has {key}={want}")
+    return output, landmarks
 
 
 def _read_finite(path: Path) -> np.ndarray:
@@ -493,47 +502,17 @@ def _read_landmarks(path: Path, grid: FeatureGrid) -> np.ndarray:
     return np.asarray(pts)
 
 
-def read_corpus(manifest: str | Path) -> Iterator[tuple[BackboneOutput, np.ndarray]]:
-    """Every sample the manifest lists, read one at a time when iteration
-    reaches it, each checked to agree with the first on landmark count, grid
-    geometry and channel counts.
+def read_corpus(
+    manifest: str | Path, spec: SyntheticFaceSpec
+) -> Iterator[tuple[BackboneOutput, np.ndarray]]:
+    """Every sample the manifest lists, read and checked against the world
+    `spec` (see `read_sample`) one at a time, when iteration reaches it, so
+    memory is bounded by what the caller keeps.
 
-    An empty manifest or a disagreeing sample raises ValueError naming it.
-    Only the first sample's shape is kept, so memory is bounded by what the
-    caller keeps.
+    An empty manifest raises ValueError naming it.
     """
-    want = None
-    for directory in read_manifest(manifest):
-        sample = read_sample(directory)
-        got = _sample_shape(*sample)
-        want = want or got
-        for key, value in got.items():
-            if value != want[key]:
-                raise ValueError(
-                    f"sample {directory}: {key}={value}, "
-                    f"but the first sample has {key}={want[key]}"
-                )
-        yield sample
-    if want is None:
+    directories = read_manifest(manifest)
+    if not directories:
         raise ValueError(f"manifest {manifest} lists no samples")
-
-
-def _sample_shape(output: BackboneOutput, landmarks: np.ndarray) -> dict[str, int]:
-    grid = output.main
-    return {
-        "landmarks": landmarks.shape[0],
-        "grid_h": grid.grid_h,
-        "grid_w": grid.grid_w,
-        "patch": grid.patch,
-        "d": grid.channels,
-        "d_aux": output.aux.channels,
-    }
-
-
-def _meta_int(meta: dict[str, str], key: str, path: Path) -> int:
-    if key not in meta:
-        raise ValueError(f"{path}: missing {key}")
-    try:
-        return int(meta[key])
-    except ValueError:
-        raise ValueError(f"{path}: {key}={meta[key]!r} is not an integer") from None
+    for directory in directories:
+        yield read_sample(directory, spec)

@@ -32,7 +32,6 @@ from selcorr.lcr import (
     loss_and_gradient,
     pair_weight,
     repellence_matrix,
-    token_coords,
 )
 from selcorr.partition import cls_similarity, split_tokens
 from selcorr.projector import init_projector, train_projector
@@ -43,6 +42,12 @@ from selcorr.tensorio import read_tensor, write_tensor
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
     print(f"criterion {num} ({name}): {'PASS' if ok else 'FAIL'} [{detail}]")
     assert ok, f"criterion {num} ({name}): {detail}"
+
+
+def _grid_cells(grid_h: int, grid_w: int) -> np.ndarray:
+    """(row, col) of each token cell in row-major order, the loss's positions."""
+    rows, cols = np.divmod(np.arange(grid_h * grid_w), grid_w)
+    return np.stack([rows, cols], axis=1).astype(np.float64)
 
 
 def _max_rel(a: np.ndarray, b: np.ndarray) -> float:
@@ -90,7 +95,7 @@ def test_criterion_01_gradients_match_finite_differences():
         phi = rng.standard_normal((n, dp))
         labels = np.zeros(n, dtype=bool)
         labels[rng.permutation(n)[: int(rng.integers(1, n))]] = True
-        weight = pair_weight(locality_matrix(token_coords(1, n)), labels, ExperimentConfig())
+        weight = pair_weight(locality_matrix(_grid_cells(1, n)), labels, ExperimentConfig())
         tau = float(rng.choice([0.07, 0.5]))
         cosine = bool(rng.integers(0, 2))
         _, grad = loss_and_gradient(phi, weight, tau=tau, cosine=cosine)
@@ -116,7 +121,7 @@ def test_criterion_01_gradients_match_finite_differences():
         b = rng.standard_normal(dp) * 0.1
         labels = np.zeros(n, dtype=bool)
         labels[: max(1, n // 3)] = True
-        weight = pair_weight(locality_matrix(token_coords(1, n)), labels, ExperimentConfig())
+        weight = pair_weight(locality_matrix(_grid_cells(1, n)), labels, ExperimentConfig())
 
         def loss_of(wm, bm):
             return loss_and_gradient(z @ wm + bm, weight)[0]
@@ -275,7 +280,7 @@ def test_criterion_04_loss_decomposition():
     worst = 0.0
     for gh, gw in ((3, 4), (4, 5), (2, 7)):
         n = gh * gw
-        positions = token_coords(gh, gw)
+        positions = _grid_cells(gh, gw)
         phi = rng.standard_normal((n, 5))
         labels = np.zeros(n, dtype=bool)
         labels[rng.permutation(n)[: n // 3]] = True

@@ -4,13 +4,13 @@ import gc
 import hashlib
 import shutil
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from selcorr import cli
+from selcorr import cli, projector
 from selcorr.cli import DROP_SWEEP, _match_sweep, main
 from selcorr.config import ExperimentConfig, load_config
 from selcorr.evaluation import kind_means, pair_similarity, train_regressor, write_pgm
@@ -35,6 +35,7 @@ from selcorr.tensorio import (
 # the tests' small world, so every command finishes in well under a second
 TINY_CONFIG = Path(__file__).resolve().parent / "configs" / "tiny.txt"
 TINY = ["--config", str(TINY_CONFIG)]
+TINY_SPEC = load_config(TINY_CONFIG).face_spec()
 
 
 def _gen(out: Path, count: int = 6) -> None:
@@ -54,7 +55,9 @@ def test_gen_writes_corpus(tmp_path):
     _gen(out, count=4)
     names = read_manifest(out / "manifest.txt")
     assert [n.name for n in names] == [f"sample_{i:04d}" for i in range(4)]
-    output, landmarks = read_sample(out / "sample_0000")
+    # the corpus's world is recorded once, in its config.txt
+    assert not list(out.glob("sample_*/meta.txt"))
+    output, landmarks = read_sample(out / "sample_0000", TINY_SPEC)
     tiny = load_config(TINY_CONFIG)
     tokens = (tiny.crop // tiny.patch) ** 2
     assert output.main.features.shape == (tokens, tiny.d)
@@ -126,7 +129,7 @@ def test_zero_pairs_is_a_usage_error(tmp_path, capsys, monkeypatch):
     rc = main(["ablate", "--axis", "drop_rate", "--out", str(tmp_path / "a"), *TINY,
                "--pairs", "0"])
     assert rc == 1
-    assert capsys.readouterr().err.count("pairs >= 1") == 2
+    assert capsys.readouterr().err.count("pairs must be >= 1, got 0") == 2
     assert not (tmp_path / "m").exists() and not (tmp_path / "a").exists()
 
     # retraining axes reject the pair count before loading or training:
@@ -139,7 +142,7 @@ def test_zero_pairs_is_a_usage_error(tmp_path, capsys, monkeypatch):
         rc = main(["ablate", "--axis", axis, "--manifest", str(tmp_path / "none.txt"),
                    "--out", str(tmp_path / "a"), *TINY, "--pairs", "0"])
         assert rc == 1
-    assert capsys.readouterr().err.count("pairs >= 1") == 3
+    assert capsys.readouterr().err.count("pairs must be >= 1, got 0") == 3
 
 
 def test_tampered_checkpoint_is_a_data_error(tmp_path, capsys):
@@ -301,7 +304,7 @@ def test_huge_sample_value_is_a_data_error(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     _gen(corpus, count=3)
     sample = corpus / "sample_0001"
-    output, _ = read_sample(sample)
+    output, _ = read_sample(sample, TINY_SPEC)
     inattentive = split_tokens(cls_similarity(output.q_cls, output.keys), 0.25).inattentive
     aux = read_tensor(sample / "aux.scet")
     aux[inattentive[0], 0] = 1e160
@@ -324,7 +327,7 @@ def test_huge_main_value_is_a_data_error(tiny_run, tmp_path, capsys, command):
     corpus = tmp_path / "corpus"
     shutil.copytree(tiny_run / "corpus", corpus)
     sample = corpus / "sample_0001"
-    output, _ = read_sample(sample)
+    output, _ = read_sample(sample, TINY_SPEC)
     attentive = split_tokens(cls_similarity(output.q_cls, output.keys), 0.25).attentive
     main_feats = read_tensor(sample / "main.scet")
     main_feats[attentive[0], 0] = 1e300
@@ -361,23 +364,6 @@ def test_eval_detect_checks_the_tensors_it_drops(tiny_run, tmp_path, capsys, ten
     err = capsys.readouterr().err
     assert f"{path}: non-finite values" in err and "Traceback" not in err
     assert not (tmp_path / "det").exists()
-
-
-def test_sample_meta_without_grid_h_is_a_data_error(tmp_path, capsys):
-    corpus = tmp_path / "corpus"
-    _gen(corpus, count=3)
-    meta = corpus / "sample_0002" / "meta.txt"
-    meta.write_text("grid_w=4\npatch=8\n")
-    rc = main(["train-projector", "--manifest", str(corpus / "manifest.txt"),
-               "--out", str(tmp_path / "out"), *TINY])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert str(meta) in err and "grid_h" in err
-    meta.write_text("grid_h=four\ngrid_w=4\npatch=8\n")
-    rc = main(["train-projector", "--manifest", str(corpus / "manifest.txt"),
-               "--out", str(tmp_path / "out"), *TINY])
-    assert rc == 2
-    assert str(meta) in capsys.readouterr().err
 
 
 def test_detect_csv_cells_are_plain_floats(tmp_path):
@@ -587,32 +573,106 @@ def test_bad_landmarks_are_a_data_error(tmp_path, capsys):
     assert not (tmp_path / "det").exists() and not (tmp_path / "run2").exists()
 
 
-def test_inconsistent_corpus_is_a_data_error(tmp_path, capsys):
-    corpus, run = tmp_path / "corpus", tmp_path / "run"
-    _gen(corpus)
-    manifest = corpus / "manifest.txt"
-    assert main(["train-projector", "--manifest", str(manifest), "--out", str(run), *TINY]) == 0
-    detect = ["eval-detect", "--manifest", str(manifest), "--checkpoint", str(run / "checkpoint"),
-              "--budget", "2", "--out", str(tmp_path / "det"), *TINY]
-    # a sample with four landmarks where the others have five
-    table = corpus / "sample_0003" / "landmarks.csv"
-    table.write_text("".join(line + "\n" for line in table.read_text().splitlines()[:-1]))
-    capsys.readouterr()
-    assert main(detect) == 2
-    err = capsys.readouterr().err
-    assert f"sample {corpus / 'sample_0003'}: landmarks=4" in err and "Traceback" not in err
-    # a sample on another grid: 48-pixel images, 6x6 tokens
-    other = tmp_path / "other"
-    assert main(["gen", "--count", "1", "--out", str(other), *TINY, "--crop", "48"]) == 0
-    manifest.write_text("sample_0000\n../other/sample_0000\n")
-    assert main(detect) == 2
-    assert "grid_h=6, but the first sample has grid_h=4" in capsys.readouterr().err
+def _no_training(monkeypatch) -> None:
+    """Make any descent step or detector training fail the test."""
+    def no_training(*args, **kwargs):
+        raise AssertionError("training ran")
+
+    monkeypatch.setattr(projector, "descend", no_training)
+    monkeypatch.setattr(cli, "train_regressor", no_training)
+
+
+def _corpus_forms(manifest: Path, checkpoint: Path, out: Path) -> list[list[str]]:
+    """Every command form that reads a corpus, with its inputs and `--out`."""
+    return [
+        ["train-projector", "--manifest", str(manifest), "--out", str(out), *TINY],
+        ["eval-detect", "--manifest", str(manifest), "--checkpoint", str(checkpoint),
+         "--budget", "2", "--out", str(out), *TINY],
+        *(["ablate", "--axis", axis, "--manifest", str(manifest), "--out", str(out), *TINY]
+          for axis in ("eta", "kc", "repellence")),
+    ]
+
+
+def test_inconsistent_corpus_is_a_data_error(tiny_run, tmp_path, capsys, monkeypatch):
+    # each sample is checked against the corpus's world, tiny.txt's, before
+    # any training; a sample off it exits 2 naming the sample
+    _no_training(monkeypatch)
+    checkpoint, out = tiny_run / "run" / "checkpoint", tmp_path / "out"
+    tiny = load_config(TINY_CONFIG)
+    tokens = TINY_SPEC.grid_size**2
+    for name, edit, message in (
+        ("main.scet", lambda v: v[:-1], f"expected ({tokens}, d) features, got "
+         f"({tokens - 1}, {tiny.d})"),
+        ("main.scet", lambda v: v[:, :-1], f"d={tiny.d - 1}, but the world has d={tiny.d}"),
+        ("aux.scet", lambda v: v[:, :-1],
+         f"d_aux={tiny.d_aux - 1}, but the world has d_aux={tiny.d_aux}"),
+        ("landmarks.csv", None, "landmarks=4, but the world has landmarks=5"),
+    ):
+        corpus = tmp_path / "corpus"
+        shutil.rmtree(corpus, ignore_errors=True)
+        shutil.copytree(tiny_run / "corpus", corpus)
+        path = corpus / "sample_0003" / name
+        if edit is None:
+            path.write_text("".join(line + "\n" for line in path.read_text().splitlines()[:-1]))
+        else:
+            write_tensor(path, edit(read_tensor(path)))
+        capsys.readouterr()
+        for argv in _corpus_forms(corpus / "manifest.txt", checkpoint, out):
+            assert main(argv) == 2, (name, argv[:3])
+            err = capsys.readouterr().err
+            assert f"sample {corpus / 'sample_0003'}: {message}" in err, (name, argv[:3])
+            assert "Traceback" not in err and not out.exists()
     # an empty manifest
+    manifest = corpus / "manifest.txt"
     manifest.write_text("\n")
-    for argv in (detect, ["train-projector", "--manifest", str(manifest),
-                          "--out", str(tmp_path / "run2"), *TINY]):
+    for argv in _corpus_forms(manifest, checkpoint, out):
         assert main(argv) == 2
         assert f"manifest {manifest} lists no samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config",
+    [None, "cosine=true\n", "crop=30\n", "crop=32\npatch\n"],
+    ids=["missing", "retired-key", "out-of-range", "unparseable"],
+)
+def test_corpus_without_a_valid_world_is_a_data_error(tiny_run, tmp_path, capsys, monkeypatch,
+                                                      config):
+    # a corpus's config.txt is the record of its world: missing, with a
+    # retired key, out of range or unparseable, it exits 2 naming the file
+    _no_training(monkeypatch)
+    corpus, out = tmp_path / "corpus", tmp_path / "out"
+    shutil.copytree(tiny_run / "corpus", corpus)
+    path = corpus / "config.txt"
+    if config is None:
+        path.unlink()
+    else:
+        path.write_text(config)
+    capsys.readouterr()
+    for argv in _corpus_forms(corpus / "manifest.txt", tiny_run / "run" / "checkpoint", out):
+        assert main(argv) == 2, argv[:3]
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err, argv[:3]
+        assert not out.exists()
+
+
+def test_eval_detect_bounds_heatmaps_on_the_corpus_world(tmp_path, capsys, monkeypatch):
+    # 10**8 heatmaps fit tiny.txt's world, but not a corpus of 96-pixel,
+    # 64-channel samples: a usage error before any sample is read
+    def no_reading(*args, **kwargs):
+        raise AssertionError("the corpus was read")
+
+    corpus = tmp_path / "corpus"
+    assert main(["gen", "--count", "1", "--out", str(corpus), *TINY,
+                 "--crop", "96", "--d", "64"]) == 0
+    monkeypatch.setattr(cli, "read_corpus", no_reading)
+    capsys.readouterr()
+    rc = main(["eval-detect", "--manifest", str(corpus / "manifest.txt"),
+               "--checkpoint", str(tmp_path / "ck"), "--out", str(tmp_path / "det"), *TINY,
+               "--heatmaps", str(10**8)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "heatmaps = 100000000 implies a" in err and "Traceback" not in err
+    assert not (tmp_path / "det").exists()
 
 
 def test_ablate_rejects_flags_it_would_ignore(tmp_path, capsys, monkeypatch):
@@ -660,15 +720,12 @@ READ_KEYS = {
     "eval-detect": {"heatmaps", "softargmax_temp", "reg_lr", "reg_steps", "reg_optimizer",
                     "momentum", "holdout", "repeats", "seed"},
     "ablate --axis drop_rate": {"crop", "patch", "d", "d_aux", "seed", "pairs"},
-    "ablate --axis eta": {"crop", "patch", "d", "d_aux", "seed", "pairs", "kc", "tau", "r_aa",
-                          "r_ai", "r_ii", "d_proj", "proj_lr", "proj_steps", "optimizer",
-                          "momentum"},
-    "ablate --axis kc": {"crop", "patch", "d", "d_aux", "seed", "pairs", "eta", "tau", "r_aa",
-                         "r_ai", "r_ii", "d_proj", "proj_lr", "proj_steps", "optimizer",
-                         "momentum"},
-    "ablate --axis repellence": {"crop", "patch", "d", "d_aux", "seed", "pairs", "eta", "kc",
-                                 "tau", "r_aa", "r_ai", "r_ii", "d_proj", "proj_lr",
-                                 "proj_steps", "optimizer", "momentum"},
+    "ablate --axis eta": {"seed", "pairs", "kc", "tau", "r_aa", "r_ai", "r_ii", "d_proj",
+                          "proj_lr", "proj_steps", "optimizer", "momentum"},
+    "ablate --axis kc": {"seed", "pairs", "eta", "tau", "r_aa", "r_ai", "r_ii", "d_proj",
+                         "proj_lr", "proj_steps", "optimizer", "momentum"},
+    "ablate --axis repellence": {"seed", "pairs", "eta", "kc", "tau", "r_aa", "r_ai", "r_ii",
+                                 "d_proj", "proj_lr", "proj_steps", "optimizer", "momentum"},
     "export-simmap": {"crop", "patch", "d", "d_aux", "seed"},
 }
 # a valid value away from the default for every key
@@ -772,25 +829,27 @@ def test_export_simmap_writes_the_library_map(tiny_run, tmp_path, use_checkpoint
     assert out.read_bytes() == expected.read_bytes()
 
 
-def test_ablate_checks_the_corpus_width_before_training(tmp_path, capsys, monkeypatch):
-    # a corpus generated at d=14, ablated at the default d: matching would
-    # fail on the first pair, after every variant had trained
-    def no_training(*args, **kwargs):
-        raise AssertionError("a projector was trained")
-
-    monkeypatch.setattr(cli, "train_projector", no_training)
-    corpus = tmp_path / "corpus"
-    assert main(["gen", "--count", "4", "--crop", "32", "--d", "14", "--d-aux", "4",
-                 "--out", str(corpus)]) == 0
-    default_d = ExperimentConfig().d
-    for axis in ("eta", "kc", "repellence"):
-        out = tmp_path / axis
-        rc = main(["ablate", "--axis", axis, "--manifest", str(corpus / "manifest.txt"),
-                   "--out", str(out)])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert f"d = {default_d}, but the corpus has 14 channels" in err
-        assert "Traceback" not in err and not out.exists()
+def test_ablate_takes_its_world_from_the_corpus(tmp_path):
+    # a corpus drawn at seed 3, ablated at seed 0: every variant trains from
+    # seed 0's init and is scored on pairs of the corpus's seed-3 world
+    corpus, out = tmp_path / "corpus", tmp_path / "ab"
+    assert main(["gen", "--count", "3", "--out", str(corpus), *TINY, "--seed", "3"]) == 0
+    manifest = corpus / "manifest.txt"
+    assert main(["ablate", "--axis", "kc", "--manifest", str(manifest), "--out", str(out),
+                 *TINY, "--seed", "0"]) == 0
+    tiny = load_config(TINY_CONFIG)
+    samples = [read_sample(directory, TINY_SPEC)[0] for directory in read_manifest(manifest)]
+    world = replace(tiny, seed=3)
+    rows = [
+        ("kc", kc, *kind_means(_match_sweep(world, [proj], (0.0,))[0, 0], tiny.pairs))
+        for kc in cli.KC_SWEEP
+        for proj in [train_projector(samples, replace(tiny, kc=kc, seed=0))[0]]
+    ]
+    write_csv(tmp_path / "want.csv", [("axis", "value", "same_mean_px", "diff_mean_px"), *rows])
+    assert (out / "ablate_kc.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    # the corpus's crop, d and d_aux, not the defaults, with no --config
+    assert main(["ablate", "--axis", "eta", "--manifest", str(manifest), "--out", str(out),
+                 "--proj-steps", "1", "--d-proj", str(tiny.d_proj), "--pairs", "1"]) == 0
 
 
 def test_gen_config_passes_back_to_every_command(tmp_path):

@@ -30,8 +30,8 @@ FUZZ = settings(derandomize=True, database=None, deadline=None)
 # the tests' small world: every sample and command here is built on it
 TINY_CONFIG = Path(__file__).resolve().parent / "configs" / "tiny.txt"
 
-SAMPLE_FILES = ("meta.txt", "landmarks.csv", "main.scet", "aux.scet", "qcls.scet", "keys.scet")
-TEXT_FILES = ("meta.txt", "landmarks.csv")
+SAMPLE_FILES = ("landmarks.csv", "main.scet", "aux.scet", "qcls.scet", "keys.scet")
+TEXT_FILES = ("landmarks.csv",)
 # the characters these formats are made of, plus a few that break them
 FORMAT_CHARS = "0123456789.,-+_eEnaifxy=# \t"
 text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=60)
@@ -72,11 +72,15 @@ def test_written_key_values_parse_back(items):
             assert parsed[key] == str(value).strip()
 
 
+# the world of every sample here
+TINY_SPEC = load_config(TINY_CONFIG).face_spec()
+
+
 @pytest.fixture(scope="module")
 def sample_dir(tmp_path_factory):
-    spec = load_config(TINY_CONFIG).face_spec()
     directory = tmp_path_factory.mktemp("fuzz") / "sample"
-    write_sample(directory, generate_backbone_output(spec, seed=0), np.asarray(spec.landmarks_px))
+    output = generate_backbone_output(TINY_SPEC, seed=0)
+    write_sample(directory, output, np.asarray(TINY_SPEC.landmarks_px))
     return directory
 
 
@@ -137,7 +141,7 @@ def test_read_sample_returns_a_sample_or_raises_value_error(sample_dir, edits):
         for mutate, name, *args in edits:
             mutate(directory / name, *args)
         try:
-            output, landmarks = read_sample(directory)
+            output, landmarks = read_sample(directory, TINY_SPEC)
         except ValueError:
             return
     assert landmarks.ndim == 2 and landmarks.shape[1] == 2 and landmarks.shape[0] >= 1
@@ -184,6 +188,7 @@ CLI_FLAGS = ["--config", str(TINY_CONFIG)]
 CHECKPOINT_FILES = ("meta.txt", "weight.scet", "bias.scet")
 CORPUS_FILES = (
     "corpus/manifest.txt",
+    "corpus/config.txt",
     *(f"corpus/sample_{i:04d}/{name}" for i in range(3) for name in SAMPLE_FILES),
     *(f"run/checkpoint/{name}" for name in CHECKPOINT_FILES),
 )

@@ -11,7 +11,6 @@ from selcorr.lcr import (
     loss_and_gradient,
     pair_weight,
     repellence_matrix,
-    token_coords,
 )
 from selcorr.tensorio import NonFiniteError
 
@@ -41,11 +40,6 @@ def _loss_split(phi, pos, labels, cfg, cosine=True):
 
     only = [replace(cfg, **{k: 0.0 for k in _WEIGHTS if k != keep}) for keep in _WEIGHTS]
     return (loss(cfg), *map(loss, only))
-
-
-def test_token_coords():
-    coords = token_coords(2, 3)
-    assert coords.tolist() == [[0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [1, 2]]
 
 
 def test_locality_matrix_hand_value():

@@ -9,7 +9,7 @@ from selcorr import projector
 from selcorr.config import ConfigError, ExperimentConfig, load_config
 from selcorr.dpc import cluster_tokens
 from selcorr.evaluation import train_regressor
-from selcorr.lcr import locality_matrix, loss_and_gradient, token_coords
+from selcorr.lcr import locality_matrix, loss_and_gradient
 from selcorr.partition import cls_similarity, split_tokens
 from selcorr.projector import (
     Projector,
@@ -285,7 +285,9 @@ def test_training_builds_the_locality_matrix_once(monkeypatch):
     assert len(calls) == 1
     g = TINY.face_spec().grid_size
     shared = projector._grid_locality(g, g)
-    assert shared.tobytes() == locality_matrix(token_coords(g, g)).tobytes()
+    rows, cols = np.divmod(np.arange(g * g), g)
+    cells = np.stack([rows, cols], axis=1).astype(np.float64)
+    assert shared.tobytes() == locality_matrix(cells).tobytes()
     with pytest.raises(ValueError):
         shared[0, 0] = 1.0
 

@@ -276,7 +276,11 @@ def test_sample_roundtrip(tmp_path):
     out = generate_backbone_output(spec, seed=3)
     lm = np.asarray(spec.landmarks_px)
     write_sample(tmp_path / "s", out, lm)
-    back, lm_back = read_sample(tmp_path / "s")
+    # the grid geometry is the corpus's world, recorded in its config.txt
+    assert sorted(p.name for p in (tmp_path / "s").iterdir()) == [
+        "aux.scet", "keys.scet", "landmarks.csv", "main.scet", "qcls.scet"
+    ]
+    back, lm_back = read_sample(tmp_path / "s", WORLD)
     assert np.array_equal(back.main.features, out.main.features)
     assert np.array_equal(back.aux.features, out.aux.features)
     assert np.array_equal(back.q_cls, out.q_cls)
@@ -285,8 +289,12 @@ def test_sample_roundtrip(tmp_path):
     assert (back.main.grid_h, back.main.grid_w, back.main.patch) == (12, 12, 8)
 
 
+# the world the samples below are drawn from and read back on
+WORLD = SyntheticFaceSpec()
+
+
 def _written_sample(directory, spec=None):
-    spec = spec or sample_spec(SyntheticFaceSpec(), 0, 3)
+    spec = spec or sample_spec(WORLD, 0, 3)
     write_sample(directory, generate_backbone_output(spec, seed=3), np.asarray(spec.landmarks_px))
     return directory
 
@@ -316,13 +324,16 @@ def test_read_sample_rejects_bad_landmarks(tmp_path, table):
     directory = _written_sample(tmp_path / "s")
     (directory / "landmarks.csv").write_text(table)
     with pytest.raises(ValueError, match="landmarks.csv"):
-        read_sample(directory)
+        read_sample(directory, WORLD)
 
 
 def test_read_sample_accepts_the_image_corners(tmp_path):
     directory = _written_sample(tmp_path / "s")
-    (directory / "landmarks.csv").write_text("landmark_index,x_px,y_px\n0,0.0,0.0\n1,95.0,95.0\n")
-    assert read_sample(directory)[1].tolist() == [[0.0, 0.0], [95.0, 95.0]]
+    table = directory / "landmarks.csv"
+    lines = table.read_text().splitlines()
+    lines[1:3] = ["0,0.0,0.0", "1,95.0,95.0"]
+    table.write_text("".join(line + "\n" for line in lines))
+    assert read_sample(directory, WORLD)[1].tolist()[:2] == [[0.0, 0.0], [95.0, 95.0]]
 
 
 @pytest.mark.parametrize("name", ["main", "aux", "qcls", "keys"])
@@ -334,56 +345,60 @@ def test_read_sample_rejects_non_finite_tensor_values(tmp_path, name, value):
     tensor.flat[-1] = value
     write_tensor(path, tensor)
     with pytest.raises(ValueError, match=f"{name}.scet: non-finite values"):
-        read_sample(directory)
+        read_sample(directory, WORLD)
+
+
+# the default layout on 64-pixel images: an 8x8 token grid against WORLD's 12x12
+SMALL = SyntheticFaceSpec(
+    landmarks_px=tuple((x * 2 / 3, y * 2 / 3) for x, y in WORLD.landmarks_px),
+    region_anchors_px=tuple((x * 2 / 3, y * 2 / 3) for x, y in WORLD.region_anchors_px),
+    image_size=64,
+)
 
 
 def test_read_sample_names_the_sample_on_a_token_count_mismatch(tmp_path):
     directory = _written_sample(tmp_path / "s")
-    (directory / "meta.txt").write_text("grid_h=11\ngrid_w=12\npatch=8\n")
-    with pytest.raises(ValueError, match=str(directory)):
-        read_sample(directory)
+    with pytest.raises(ValueError, match=f"sample {directory}: expected \\(64, d\\) features"):
+        read_sample(directory, SMALL)
 
 
 def test_read_corpus_checks_consistency(tmp_path):
-    spec = SyntheticFaceSpec()
-    _written_sample(tmp_path / "a", spec)
-    _written_sample(tmp_path / "b", spec)
+    # each sample is checked against the world the reader is given
+    _written_sample(tmp_path / "a")
+    _written_sample(tmp_path / "b")
     manifest = tmp_path / "manifest.txt"
     manifest.write_text("a\nb\n")
-    assert len(list(read_corpus(manifest))) == 2
-    # four landmarks, against the first sample's five
-    four = SyntheticFaceSpec(landmarks_px=spec.landmarks_px[:4], landmark_groups=(0, 0, 1, 2))
-    _written_sample(tmp_path / "b", four)
-    with pytest.raises(ValueError, match=f"sample {tmp_path / 'b'}: landmarks=4"):
-        list(read_corpus(manifest))
-    # the same five landmarks on 64-pixel images: an 8x8 grid against 12x12
-    small = SyntheticFaceSpec(
-        landmarks_px=tuple((x * 2 / 3, y * 2 / 3) for x, y in spec.landmarks_px),
-        region_anchors_px=tuple((x * 2 / 3, y * 2 / 3) for x, y in spec.region_anchors_px),
-        image_size=64,
-    )
-    _written_sample(tmp_path / "b", small)
-    with pytest.raises(ValueError, match=f"sample {tmp_path / 'b'}: grid_h=8, .* grid_h=12"):
-        list(read_corpus(manifest))
+    assert len(list(read_corpus(manifest, WORLD))) == 2
+    for spec, message in (
+        # four landmarks, against the world's five
+        (replace(WORLD, landmarks_px=WORLD.landmarks_px[:4], landmark_groups=(0, 0, 1, 2)),
+         "landmarks=4, but the world has landmarks=5"),
+        (SMALL, "expected \\(144, d\\) features, got \\(64, 32\\)"),
+        (replace(WORLD, d=20), "d=20, but the world has d=32"),
+        (replace(WORLD, d_aux=8), "d_aux=8, but the world has d_aux=16"),
+    ):
+        _written_sample(tmp_path / "b", spec)
+        with pytest.raises(ValueError, match=f"sample {tmp_path / 'b'}: {message}"):
+            list(read_corpus(manifest, WORLD))
     manifest.write_text("\n")
     with pytest.raises(ValueError, match=f"manifest {manifest} lists no samples"):
-        list(read_corpus(manifest))
+        list(read_corpus(manifest, WORLD))
 
 
 def test_read_corpus_reads_one_sample_at_a_time(tmp_path, monkeypatch):
     for name in "abc":
         _written_sample(tmp_path / name)
-    (tmp_path / "c" / "meta.txt").write_text("grid_h=12\n")  # no grid_w
+    (tmp_path / "c" / "landmarks.csv").write_text("")  # no header
     manifest = tmp_path / "manifest.txt"
     manifest.write_text("a\nb\nc\n")
     read = []
 
-    def counted(directory):
+    def counted(directory, spec):
         read.append(directory)
-        return read_sample(directory)
+        return read_sample(directory, spec)
 
     monkeypatch.setattr(synth, "read_sample", counted)
-    samples = read_corpus(manifest)
+    samples = read_corpus(manifest, WORLD)
     assert read == []
     next(samples)
     assert read == [tmp_path / "a"]

@@ -9,6 +9,7 @@ from selcorr.tensorio import (
     NonFiniteError,
     ScetError,
     bilinear_upsample,
+    cell_centers,
     norm,
     read_manifest,
     read_meta,
@@ -200,6 +201,17 @@ def test_manifest_roundtrip(tmp_path):
 def test_manifest_skips_blank_lines(tmp_path):
     (tmp_path / "m.txt").write_text("one\n\n  \ntwo\n")
     assert read_manifest(tmp_path / "m.txt") == [tmp_path / "one", tmp_path / "two"]
+
+
+def test_cell_centers():
+    # pixel (x, y) of each cell's centre in row-major token order; at patch 1
+    # they are the (col, row) cell coordinates plus one half
+    assert cell_centers(2, 3, 8).tolist() == [
+        [4.0, 4.0], [12.0, 4.0], [20.0, 4.0], [4.0, 12.0], [12.0, 12.0], [20.0, 12.0]
+    ]
+    assert cell_centers(2, 3, 1).tolist() == [
+        [0.5, 0.5], [1.5, 0.5], [2.5, 0.5], [0.5, 1.5], [1.5, 1.5], [2.5, 1.5]
+    ]
 
 
 def test_sq_dists_hand_values():
