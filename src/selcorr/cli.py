@@ -4,7 +4,9 @@ Commands: gen, train-projector, eval-match, eval-detect, ablate,
 export-simmap. Every hyperparameter of the method and every grid size is a
 config key that a `--config` file may set; a command takes flags only for
 the keys it reads (`READS`). The synthetic world's statistics are constants
-of `synth`. Reruns with identical seeds produce byte-identical outputs.
+of `synth`. Reruns with identical seeds produce byte-identical outputs at a
+fixed BLAS thread count: `eval-detect`'s GEMMs may round differently on
+another (`OPENBLAS_NUM_THREADS`, `OMP_NUM_THREADS`, `MKL_NUM_THREADS`).
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical divergence.
 """
@@ -365,6 +367,11 @@ def main(argv: list[str] | None = None) -> int:
     except DivergenceError as exc:
         print(f"selcorr: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
+    except MemoryError as exc:
+        # sizes within the config's bounds can still ask for more than the machine has
+        detail = " ".join(str(exc).split()) or "allocation failed"
+        print(f"selcorr: out of memory: {detail}", file=sys.stderr)
+        return EXIT_USAGE
     except (OSError, ValueError) as exc:
         print(f"selcorr: {exc}", file=sys.stderr)
         return EXIT_DATA

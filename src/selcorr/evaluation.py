@@ -6,13 +6,18 @@ dot products and squared norm are two-tap column blends of that small
 grid's, so no per-pixel test map is built. The cosines agree with those of
 the upsampled maps (`similarity_map`) to within 1e-14 on the matching
 protocol's pairs. Each reference query feature is blended at its one pixel.
-Detection runs a 3x3 conv over concatenated first/second-stage channels
-as one GEMM of channel-last kernel rows with a sample's im2col rows,
+Detection runs a 3x3 conv over concatenated first/second-stage channels,
 decodes each heatmap with a soft-argmax, and maps the decoded coordinates
-through a small per-landmark linear head. Its backward pass is derived by
-hand: the soft-argmax's is a rank-3 product with the cells' (x, y, 1)
-rows, the conv's a second GEMM. The tests check both against explicit
-loops.
+through a small per-landmark linear head. The second stage is an affine
+image of the first, [z, z W + b] = [z, 1] A, so the conv runs on the
+vanilla first-stage map: its kernel is folded through A (once per
+training step) into channel-last rows over d + 1 channels, and the conv is
+one GEMM of those rows with a sample's im2col rows of [z, 1], 9 (d + 1)
+columns instead of 9 (d + d_proj). The backward pass is derived by hand:
+the soft-argmax's is a rank-3 product with the cells' (x, y, 1) rows, the
+conv's a second GEMM, and the step's mean kernel gradient is lifted back
+through A once. The tests check both against explicit loops over both
+stages' channels.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig
-from .projector import Projector, descend, project
+from .projector import Projector, descend, mean_of, project
 from .synth import BackboneOutput, EvalPair
 from .tensorio import (
     DenseFeatureMap,
@@ -262,18 +267,40 @@ def init_regressor(
 
 
 def _windows(grid: FeatureGrid, proj: Projector) -> np.ndarray:
-    """(H + 2, W + 2, C) zero-padded channels of the first-stage grid
-    followed by its projection's."""
+    """(H + 2, W + 2, d + 1) zero-padded channels of the first-stage grid
+    followed by a constant 1, which `_lift(proj)` maps to the channels of
+    both stages."""
     both = np.concatenate([grid.features, project(proj, grid).features], axis=1)
     norm(both, axis=1)  # a feature too large to normalize is a data error here too
-    x = both.reshape(grid.grid_h, grid.grid_w, both.shape[1])
-    return np.pad(x, ((1, 1), (1, 1), (0, 0)))
+    d = grid.channels
+    padded = np.zeros((grid.grid_h + 2, grid.grid_w + 2, d + 1))
+    padded[1:-1, 1:-1, :d] = grid.features.reshape(grid.grid_h, grid.grid_w, d)
+    padded[1:-1, 1:-1, d] = 1.0
+    return padded
+
+
+def _lift(proj: Projector) -> np.ndarray:
+    """The (d + 1, d + d_proj) matrix A = [[I, W], [0, b]], so that
+    [z, 1] @ A = [z, z @ W + b]: a cell's `_windows` channels to its
+    channels of both stages, the ones a `conv` kernel is laid out for."""
+    d = proj.in_dim
+    lift = np.zeros((d + 1, d + proj.out_dim))
+    lift[np.arange(d), np.arange(d)] = 1.0
+    lift[:d, d:] = proj.weight
+    lift[d, d:] = proj.bias
+    return lift
+
+
+def _fold(conv: np.ndarray, lift: np.ndarray) -> np.ndarray:
+    """(O, 9 * (d + 1)) kernel rows K' = conv A^T: the conv over both
+    stages' channels, as one over `_windows`' channels."""
+    return (conv.reshape(-1, lift.shape[1]) @ lift.T).reshape(len(conv), -1)
 
 
 def _im2col(padded: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Copy each cell's 3x3 window of `_windows`' `padded` into its row of
     the (H * W, 9 * C) `out`, ordered (row offset, column offset, channel)
-    like a `conv` kernel, and return `out`."""
+    like a `_fold`ed kernel, and return `out`."""
     h, w, c = padded.shape[0] - 2, padded.shape[1] - 2, padded.shape[2]
     win = np.lib.stride_tricks.sliding_window_view(padded, (3, 3), axis=(0, 1))
     np.copyto(out.reshape(h, w, 3, 3, c), win.transpose(0, 1, 3, 4, 2))
@@ -283,10 +310,11 @@ def _im2col(padded: np.ndarray, out: np.ndarray) -> np.ndarray:
 def _forward(params: list[np.ndarray], x: np.ndarray, cells: np.ndarray, temperature: float):
     """The weights e and sums s of each heatmap's softmax, the decoded
     (landmarks, 2 * heatmaps) coordinates and the (landmarks, 2) predictions
-    from one sample's `_im2col` rows `x`."""
-    conv, head_w, head_b = params
+    from one sample's `_im2col` rows `x`, with `params` `[kernel, head_w,
+    head_b]` and `kernel` the `_fold`ed conv."""
+    kernel, head_w, head_b = params
     # 3x3 conv, stride 1: (O, 9C) kernel rows times (N, 9C) window rows
-    logits = conv.reshape(len(conv), -1) @ x.T
+    logits = kernel @ x.T
     logits /= temperature
     e, s, expect = _expect(logits, cells)
     coords = expect.reshape(head_w.shape[:2])
@@ -299,13 +327,14 @@ def regressor_forward(
 ) -> np.ndarray:
     """Predicted (x, y) pixel coordinates for every landmark, shape (L, 2),
     from a first-stage grid and its projection by `proj`."""
+    conv, head_w, head_b = params
     padded = _windows(grid, proj)
-    in_channels = params[0].shape[3]
-    if padded.shape[2] != in_channels:
-        raise ValueError(f"{padded.shape[2]} input channels, regressor expects {in_channels}")
-    x = _im2col(padded, np.empty((grid.grid_h * grid.grid_w, 9 * in_channels)))
+    in_channels = grid.channels + proj.out_dim
+    if in_channels != conv.shape[3]:
+        raise ValueError(f"{in_channels} input channels, regressor expects {conv.shape[3]}")
+    x = _im2col(padded, np.empty((grid.grid_h * grid.grid_w, 9 * padded.shape[2])))
     cells = _cells(grid.grid_h, grid.grid_w, grid.patch)
-    return _forward(params, x, cells, temperature)[3]
+    return _forward([_fold(conv, _lift(proj)), head_w, head_b], x, cells, temperature)[3]
 
 
 def train_regressor(
@@ -318,10 +347,13 @@ def train_regressor(
     `reg_steps` steps of `reg_optimizer` at `reg_lr` (and `momentum`) on
     mean squared pixel error, from a `seed` init; `cfg` is validated first.
 
-    Backbone and projector stay frozen, so each sample's padded channels
-    are built once; each item copies its windows into one shared im2col
-    buffer, and only the `init_regressor` arrays move. They are returned
-    with each step's mean loss. The samples must share one grid geometry.
+    Backbone and projector stay frozen, so each sample's padded
+    [first stage, 1] channels are built once, and each step folds the
+    projector into the conv once (`_fold`). Each item copies its windows
+    into one shared im2col buffer, and the mean of the items' folded conv
+    gradients is lifted back through `_lift` once per step. Only the
+    `init_regressor` arrays move. They are returned with each step's mean
+    loss. The samples must share one grid geometry.
     """
     cfg.validate()
     if not samples:
@@ -332,22 +364,28 @@ def train_regressor(
         raise ValueError("training samples differ in grid geometry")
     windows = [_windows(g, proj) for g, _ in samples]
     targets = [np.asarray(lm, dtype=np.float64) for _, lm in samples]
-    in_channels = windows[0].shape[2]
+    lift = _lift(proj)
     params = init_regressor(
         targets[0].shape[0],
-        in_channels,
+        lift.shape[1],
         heatmaps=cfg.heatmaps,
         seed=cfg.seed,
         center=(grid.image_w / 2.0, grid.image_h / 2.0),
     )
     cells = _cells(grid.grid_h, grid.grid_w, grid.patch)
-    x = np.empty((grid.grid_h * grid.grid_w, 9 * in_channels))
+    x = np.empty((grid.grid_h * grid.grid_w, 9 * len(lift)))
 
-    def item_losses(params):
-        for padded, t in zip(windows, targets):
-            yield _loss_and_grads(params, _im2col(padded, x), cells, t, cfg.softargmax_temp)
+    def loss_and_grads(params):
+        conv, head_w, head_b = params
+        folded = [_fold(conv, lift), head_w, head_b]
+        loss, (d_kernel, d_head_w, d_head_b) = mean_of(
+            _loss_and_grads(folded, _im2col(padded, x), cells, t, cfg.softargmax_temp)
+            for padded, t in zip(windows, targets)
+        )
+        d_conv = (d_kernel.reshape(-1, len(lift)) @ lift).reshape(conv.shape)
+        return loss, [d_conv, d_head_w, d_head_b]
 
-    return descend(params, item_losses, cfg.reg_lr, cfg.reg_steps, cfg.reg_optimizer, cfg.momentum)
+    return descend(params, loss_and_grads, cfg.reg_lr, cfg.reg_steps, cfg.reg_optimizer, cfg.momentum)
 
 
 def _loss_and_grads(
@@ -357,9 +395,11 @@ def _loss_and_grads(
     target: np.ndarray,
     temperature: float,
 ):
-    """One sample's squared-error loss and fresh `[conv, head_w, head_b]`
-    gradients from its `_im2col` rows `x`."""
-    conv, head_w, _ = params
+    """One sample's squared-error loss and fresh `[kernel, head_w, head_b]`
+    gradients from its `_im2col` rows `x`, with `params` as `_forward`'s:
+    the kernel's is the (O, 9 * (d + 1)) d_heat x, still to be lifted
+    back to the conv's channels through `_lift`."""
+    kernel, head_w, _ = params
     e, s, coords, preds = _forward(params, x, cells, temperature)
     resid = preds - target
     loss = float((resid**2).mean())
@@ -370,14 +410,13 @@ def _loss_and_grads(
     # so d_heat = e * (dx x + dy y - (dx E[x] + dy E[y])) / (s T): a rank-3
     # product of per-map coefficients with the cells' (x, y, 1) rows
     expect = coords.reshape(-1, 2)
-    a = np.empty((len(conv), 3))
+    a = np.empty((len(kernel), 3))
     a[:, :2] = d_coords
     a[:, 2] = -(d_coords * expect).sum(axis=1)
     a /= s * temperature
-    d_heat = a @ cells
-    d_heat *= e
-    d_conv = (d_heat @ x).reshape(conv.shape)
-    return loss, [d_conv, d_head_w, d_preds]
+    d_heat = e  # in place: the weights are not read again
+    d_heat *= a @ cells
+    return loss, [d_heat @ x, d_head_w, d_preds]
 
 
 def inter_ocular_error(

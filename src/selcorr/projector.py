@@ -1,5 +1,5 @@
-"""Per-token affine projector, its training, and the descent loop that
-both trainers (this one and the detection regressor's) share.
+"""Per-token affine projector, its training, and the item mean and descent
+loop that both trainers (this one and the detection regressor's) share.
 
 The backbone is frozen, so each image's partition, clustering and
 substitution are computed once and reused every step; only the projector
@@ -74,44 +74,71 @@ class Projector:
         return self.weight.shape[1]
 
 
+def mean_of(
+    items: Iterable[tuple[float, list[np.ndarray]]],
+) -> tuple[float, list[np.ndarray]]:
+    """The mean loss and mean gradients of (loss, grads) items, at least one.
+
+    Both are summed in item order, the gradients in place: the first item's
+    arrays become the sums and then the means, so each item must bring
+    fresh arrays.
+    """
+    total = 0.0
+    grads = None
+    for count, (loss, item_grads) in enumerate(items, start=1):
+        total += loss
+        if grads is None:
+            grads = item_grads
+        else:
+            for acc, g in zip(grads, item_grads):
+                acc += g
+    for g in grads:
+        g /= count
+    return total / count, grads
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def descend(
     params: list[np.ndarray],
-    item_losses: Callable[[list[np.ndarray]], Iterable[tuple[float, list[np.ndarray]]]],
+    loss_and_grads: Callable[[list[np.ndarray]], tuple[float, list[np.ndarray]]],
     lr: float,
     steps: int,
     optimizer: str,
     momentum: float,
 ) -> tuple[list[np.ndarray], list[float]]:
     """`steps` steps of gradient descent (`optimizer` "gd", or "momentum"
-    with coefficient `momentum`) at rate `lr` on the mean of per-item losses.
+    with coefficient `momentum`) at rate `lr` on a mean loss.
 
-    `item_losses(params)` yields each item's (loss, grads) at `params`, one
-    gradient per array. Returns the final arrays and each step's mean loss;
-    a non-finite mean loss, a `NonFiniteError` from `item_losses` or a
+    `loss_and_grads(params)` returns the step's mean loss and mean
+    gradients at `params` (`mean_of` averages items so), one fresh gradient
+    per array, which `descend` may overwrite. It updates a copy of `params`
+    in place, and the momentum too, so the arrays it is given are left as
+    they are. Returns the final arrays and each step's mean loss;
+    a non-finite mean loss, a `NonFiniteError` from `loss_and_grads` or a
     non-finite array after an update raises `DivergenceError`. Overflow and
     invalid-value warnings are silenced here, since those checks report them.
     """
+    params = [p.copy() for p in params]
     losses: list[float] = []
     vel = None
     for step in range(steps):
-        total = 0.0
-        grads = None
         try:
-            for count, (loss, item_grads) in enumerate(item_losses(params), start=1):
-                total += loss
-                grads = item_grads if grads is None else [a + g for a, g in zip(grads, item_grads)]
+            mean_loss, update = loss_and_grads(params)
         except NonFiniteError:
             raise DivergenceError(step, "features") from None
-        mean_loss = total / count
         if not np.isfinite(mean_loss):
             raise DivergenceError(step)
         losses.append(mean_loss)
-        update = [g / count for g in grads]
         if optimizer == "momentum":
-            vel = update if vel is None else [momentum * v + g for v, g in zip(vel, update)]
+            if vel is None:
+                vel = update
+            else:
+                for v, g in zip(vel, update):
+                    v *= momentum
+                    v += g
             update = vel
-        params = [p - lr * u for p, u in zip(params, update)]
+        for p, u in zip(params, update):
+            p -= lr * u
         if not all(np.isfinite(p).all() for p in params):
             raise DivergenceError(step, "parameters")
     return params, losses
@@ -195,17 +222,16 @@ def train_projector(
         raise ValueError("corpus is empty")
     init = init_projector(prepared[0][0].shape[1], cfg.d_proj, cfg.seed)
 
-    def item_losses(params):
+    def image_loss(w, b, feats, weight, log_counts):
         # chain rule through the affine map: phi = feats @ w + b
-        w, b = params
-        for feats, weight, log_counts in prepared:
-            loss, g_phi = loss_and_gradient(
-                feats @ w + b, weight, tau=cfg.tau, log_counts=log_counts
-            )
-            yield loss, [feats.T @ g_phi, g_phi.sum(axis=0)]
+        loss, g_phi = loss_and_gradient(feats @ w + b, weight, tau=cfg.tau, log_counts=log_counts)
+        return loss, [feats.T @ g_phi, g_phi.sum(axis=0)]
+
+    def loss_and_grads(params):
+        return mean_of(image_loss(*params, *image) for image in prepared)
 
     (w, b), losses = descend(
-        [init.weight, init.bias], item_losses, cfg.proj_lr, cfg.proj_steps, cfg.optimizer,
+        [init.weight, init.bias], loss_and_grads, cfg.proj_lr, cfg.proj_steps, cfg.optimizer,
         cfg.momentum,
     )
     return Projector(w, b), losses

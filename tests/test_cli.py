@@ -407,6 +407,27 @@ def tiny_run(tmp_path_factory):
     return root
 
 
+@pytest.mark.parametrize("error", [
+    MemoryError("Unable to allocate 161. GiB for an array with shape\n(10000000, 3, 3, 48)"),
+    MemoryError(),
+])
+def test_out_of_memory_is_a_usage_error(tiny_run, tmp_path, capsys, monkeypatch, error):
+    # sizes within config.MAX_ARRAY_BYTES can still ask for more than the
+    # machine has; the trainer fails as numpy would, so nothing large is allocated
+    def too_large(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "train_regressor", too_large)
+    out = tmp_path / "det"
+    rc = main(["eval-detect", "--manifest", str(tiny_run / "corpus" / "manifest.txt"),
+               "--checkpoint", str(tiny_run / "run" / "checkpoint"), "--budget", "2",
+               "--out", str(out), *TINY])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("selcorr: out of memory: ") and err.count("\n") == 1
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_overflowing_projector_update_exits_3(tiny_run, tmp_path, capsys):
     # under cosine logits no finite loss can flag this: the update itself overflows
     rc = main(["train-projector", "--manifest", str(tiny_run / "corpus" / "manifest.txt"),

@@ -432,32 +432,62 @@ def _im2col_rows(grid, proj):
     return padded, _im2col(padded, out)
 
 
+def _both_stages_padded(grid, proj):
+    """Oracle: the zero-padded (H + 2, W + 2, d + d_proj) first-stage
+    channels followed by x @ W + b, the channels a conv kernel is laid out for."""
+    both = np.concatenate([grid.features, grid.features @ proj.weight + proj.bias], axis=1)
+    return np.pad(both.reshape(grid.grid_h, grid.grid_w, -1), ((1, 1), (1, 1), (0, 0)))
+
+
+def _conv_loss_and_grads(conv, head_w, head_b, grid, proj, target, temp):
+    """`_loss_and_grads` of a conv over both stages' channels: folded
+    through `_lift(proj)` before, and its kernel gradient lifted back after,
+    as one training step does."""
+    from selcorr.evaluation import _cells, _fold, _lift, _loss_and_grads
+
+    lift = _lift(proj)
+    _, x = _im2col_rows(grid, proj)
+    cells = _cells(grid.grid_h, grid.grid_w, grid.patch)
+    loss, (d_kernel, d_head_w, d_head_b) = _loss_and_grads(
+        [_fold(conv, lift), head_w, head_b], x, cells, target, temp
+    )
+    return loss, [(d_kernel.reshape(-1, len(lift)) @ lift).reshape(conv.shape), d_head_w, d_head_b]
+
+
 def test_im2col_rows_are_channel_last_windows():
+    from selcorr.evaluation import _lift
+
     rng = np.random.default_rng(38)
     gh, gw = 3, 5
     feats = rng.standard_normal((gh * gw, 2))
     proj = Projector(rng.standard_normal((2, 3)), rng.standard_normal(3))
-    padded, x = _im2col_rows(FeatureGrid(gh, gw, 8, feats), proj)
-    both = np.concatenate([feats, feats @ proj.weight + proj.bias], axis=1).reshape(gh, gw, 5)
-    assert x.shape == (gh * gw, 9 * 5)
+    grid = FeatureGrid(gh, gw, 8, feats)
+    _, x = _im2col_rows(grid, proj)
+    ones = np.concatenate([feats, np.ones((gh * gw, 1))], axis=1).reshape(gh, gw, 3)
+    both = _both_stages_padded(grid, proj)
+    assert x.shape == (gh * gw, 9 * 3)
+    lifted = (x.reshape(-1, 3) @ _lift(proj)).reshape(gh * gw, 9 * 5)
     for i in range(gh):
         for j in range(gw):
-            window = np.zeros((3, 3, 5))
+            window = np.zeros((3, 3, 3))
             for u in range(3):
                 for v in range(3):
                     ii, jj = i + u - 1, j + v - 1
                     if 0 <= ii < gh and 0 <= jj < gw:
-                        window[u, v] = both[ii, jj]
+                        window[u, v] = ones[ii, jj]
             assert np.array_equal(x[i * gw + j], window.ravel())
+            # lifted, the row is the cell's window of both stages' channels
+            np.testing.assert_allclose(
+                lifted[i * gw + j], both[i:i + 3, j:j + 3].ravel(), rtol=1e-14, atol=1e-14
+            )
 
 
 def test_train_regressor_gradients_match_loop_backward():
-    """`_loss_and_grads` on a non-square 3x5 grid with random parameters
-    against an explicit-loop backward: each map's softmax gradient
+    """`_loss_and_grads` on a non-square 3x5 grid with random parameters,
+    folded and lifted back, against an explicit-loop backward over both
+    stages' channels: each map's softmax gradient
     p * (dx (x - E[x]) + dy (y - E[y])) / T, then the conv gradient summed
     window by window."""
-    from selcorr.evaluation import _cells, _loss_and_grads
-
     rng = np.random.default_rng(39)
     n_lm, heatmaps, patch, temp = 2, 2, 8, 0.7
     gh, gw, n_maps = 3, 5, n_lm * heatmaps
@@ -467,10 +497,8 @@ def test_train_regressor_gradients_match_loop_backward():
     head_w = rng.standard_normal((n_lm, 2 * heatmaps, 2))
     head_b = rng.standard_normal((n_lm, 2))
     target = rng.standard_normal((n_lm, 2)) * 10.0
-    padded, x = _im2col_rows(grid, proj)
-    loss, grads = _loss_and_grads(
-        [conv, head_w, head_b], x, _cells(gh, gw, patch), target, temp
-    )
+    padded = _both_stages_padded(grid, proj)
+    loss, grads = _conv_loss_and_grads(conv, head_w, head_b, grid, proj, target, temp)
 
     xs = [((j + 0.5) * patch - 0.5) / (gw * patch) - 0.5 for j in range(gw)]
     ys = [((i + 0.5) * patch - 0.5) / (gh * patch) - 0.5 for i in range(gh)]
@@ -513,20 +541,16 @@ def test_train_regressor_gradients_match_loop_backward():
 
 
 def test_train_regressor_gradient_matches_finite_differences():
-    from selcorr.evaluation import _cells, _loss_and_grads
-
     samples, proj = _training_setup(1)
     grid, lm = samples[0]
-    _, x = _im2col_rows(grid, proj)
-    cells = _cells(grid.grid_h, grid.grid_w, grid.patch)
     conv, head_w, head_b = init_regressor(
         5, TINY.d + TINY.d_proj, heatmaps=2, seed=1, center=TINY_CENTER
     )
-    _, grads = _loss_and_grads([conv, head_w, head_b], x, cells, lm, 0.1)
+    _, grads = _conv_loss_and_grads(conv, head_w, head_b, grid, proj, lm, 0.1)
     h = 1e-6
 
     def loss_with(conv=conv, head_w=head_w):
-        return _loss_and_grads([conv, head_w, head_b], x, cells, lm, 0.1)[0]
+        return _conv_loss_and_grads(conv, head_w, head_b, grid, proj, lm, 0.1)[0]
 
     # (map, row offset, column offset, channel)
     for idx in [(0, 0, 0, 0), (3, 1, 2, 5), (9, 2, 1, 11)]:
@@ -540,6 +564,27 @@ def test_train_regressor_gradient_matches_finite_differences():
     w2[1, 2, 0] -= h
     fd = (loss_with(head_w=w1) - loss_with(head_w=w2)) / (2.0 * h)
     assert grads[1][1, 2, 0] == pytest.approx(fd, rel=1e-5)
+
+
+def test_train_regressor_steps_on_the_mean_item_gradient(monkeypatch):
+    # a step's loss and gradients are the means of the items' at the
+    # current parameters, the conv's over both stages' channels
+    samples, proj = _training_setup(3)
+    cfg = _regressor_cfg(reg_steps=1)
+    seen = []
+
+    def one_call(params, loss_and_grads, *settings):
+        seen.append(([p.copy() for p in params], loss_and_grads(params)))
+        return params, []
+
+    monkeypatch.setattr(evaluation, "descend", one_call)
+    train_regressor(samples, proj, cfg)
+    [(params, (loss, grads))] = seen
+    items = [_conv_loss_and_grads(*params, g, proj, t, cfg.softargmax_temp) for g, t in samples]
+    assert loss == pytest.approx(np.mean([item_loss for item_loss, _ in items]), rel=1e-12)
+    for k, got in enumerate(grads):
+        want = np.mean([item_grads[k] for _, item_grads in items], axis=0)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12 * np.abs(want).max())
 
 
 def test_train_regressor_builds_each_samples_windows_once(monkeypatch):

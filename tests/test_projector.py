@@ -138,6 +138,31 @@ def test_training_equals_a_hand_written_loop(optimizer):
     assert proj.bias.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("optimizer", ["gd", "momentum"])
+def test_descend_leaves_the_arrays_it_is_given_unchanged(optimizer):
+    params = [np.array([1.0, -2.0]), np.array([[0.5, 3.0]])]
+    given = [p.copy() for p in params]
+
+    def loss_and_grads(ps):
+        return float(sum((p * p).sum() for p in ps)), [2.0 * p for p in ps]
+
+    out, losses = descend(params, loss_and_grads, 0.1, 3, optimizer, 0.9)
+    assert all(p.tobytes() == g.tobytes() for p, g in zip(params, given))
+    assert len(losses) == 3 and not any(o is p for o, p in zip(out, params))
+    assert out[0].tobytes() != given[0].tobytes()
+
+
+def test_mean_of_sums_items_in_order():
+    rng = np.random.default_rng(5)
+    items = [(float(rng.standard_normal()), [rng.standard_normal(3), rng.standard_normal((2, 2))])
+             for _ in range(4)]
+    want_loss = (((0.0 + items[0][0]) + items[1][0]) + items[2][0] + items[3][0]) / 4
+    want = [(((a + b) + c) + d) / 4 for a, b, c, d in zip(*(grads for _, grads in items))]
+    loss, grads = projector.mean_of([(loss, [g.copy() for g in gs]) for loss, gs in items])
+    assert loss == want_loss
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(grads, want))
+
+
 def test_corpus_gradient_matches_finite_differences():
     """The W/b gradient assembled inside the training loop, re-derived by
     central differences on the mean corpus loss."""

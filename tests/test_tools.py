@@ -2,6 +2,7 @@
 command's work is run."""
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -53,6 +54,27 @@ def test_output_digests_rejects_a_tree_without_src(tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         digests.main(["--tree", str(tmp_path)])
     assert exc.value.code == 2
+
+
+def test_output_digests_runs_every_command_on_one_blas_thread(tmp_path, monkeypatch):
+    # eval-detect's bytes depend on the BLAS thread count, so the digests pin it
+    digests = _load("output_digests")
+    envs = []
+
+    def recorded(argv, env, **kwargs):
+        envs.append(env)
+        return subprocess.CompletedProcess(argv, 0 if len(envs) < 3 else 1, "", "")
+
+    monkeypatch.setattr(digests.subprocess, "run", recorded)
+    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(name, "2")
+    with pytest.raises(SystemExit):
+        digests.run(ROOT, [0], tmp_path)
+    assert len(envs) == 3
+    for env in envs:
+        assert env["PYTHONPATH"] == str(ROOT / "src")
+        assert [env[name] for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                       "MKL_NUM_THREADS")] == ["1", "1", "1"]
 
 
 def test_perfbench_command_lines_parse_under_the_cli(tmp_path, monkeypatch):

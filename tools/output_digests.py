@@ -17,6 +17,8 @@ with `--drop-rate 0.5`; `eval-detect` by default, with `--reg-optimizer gd
 held-out samples meet); `ablate --axis kc`, `--axis eta` and `--axis
 repellence`, and `--axis drop_rate` raw and with the checkpoint;
 `export-simmap` with the checkpoint, and raw with `--kind different`.
+Every command runs on one BLAS thread, so the digests do not depend on
+the machine's core count.
 Matching runs at PAIRS (50) pairs per kind, except the first seed's three
 `eval-match` runs, which run FIRST_SEED_PAIRS (500, the default). Both are
 fixed so that two runs always hash the same matrix. A command that exits
@@ -36,6 +38,8 @@ from pathlib import Path
 PLACEHOLDER = "<out>"
 PAIRS = "50"
 FIRST_SEED_PAIRS = "500"
+# one BLAS thread: the detector's GEMMs may round differently on another count
+BLAS_THREADS = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
 def _matrix(root: Path, match_pairs: str) -> list[tuple[str, list[str]]]:
@@ -85,7 +89,7 @@ def _sha256(data: bytes) -> str:
 
 def run(tree: Path, seeds: list[int], work: Path) -> list[str]:
     # the tree's src alone, so a caller's PYTHONPATH can never supply the package
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), **BLAS_THREADS)
     lines = []
     for n, seed in enumerate(seeds):
         root = work / f"seed{seed}"
