@@ -153,21 +153,14 @@ def _projector(checkpoint: Path | None) -> Projector | None:
     return None if checkpoint is None else load_checkpoint(checkpoint)
 
 
-def _on_corpus(cfg: ExperimentConfig, manifest: Path) -> tuple[ExperimentConfig, int]:
-    """`cfg` on the world of the corpus that `manifest` lists, and the seed
-    that drew that world, both from the corpus's `config.txt`.
-
-    A missing or invalid `config.txt` is a data error naming it; `cfg`'s own
-    keys out of range on that world are a usage error.
-    """
+def _corpus_world(manifest: Path) -> ExperimentConfig:
+    """The world of the corpus that `manifest` lists, from its `config.txt`;
+    missing or invalid, a data error naming it."""
     path = manifest.parent / "config.txt"
     try:
-        world = load_config(path)
+        return load_config(path)
     except ConfigError as exc:
         raise ValueError(f"corpus world {path}: {exc}") from None
-    cfg = replace(cfg, **{key: getattr(world, key) for key in WORLD_KEYS})
-    cfg.validate()
-    return cfg, world.seed
 
 
 def _match_sweep(cfg: ExperimentConfig, projs: list[Projector | None], drop_rates) -> np.ndarray:
@@ -214,7 +207,6 @@ def cmd_gen(cfg: ExperimentConfig, count: int, out: Path) -> int:
 
 
 def cmd_train_projector(cfg: ExperimentConfig, manifest: Path, out: Path) -> int:
-    cfg, _ = _on_corpus(cfg, manifest)
     corpus = (output for output, _ in read_corpus(manifest, cfg.face_spec()))
     proj, losses = train_projector(corpus, cfg)
     out.mkdir(parents=True, exist_ok=True)
@@ -244,10 +236,10 @@ def cmd_eval_detect(
 ) -> int:
     if budget < 1:
         raise ConfigError("budget must be >= 1")
-    # repeat r trains from seed + r, which `train_regressor` validates as a seed
+    # repeat r trains from seed + r, a config that would reject a seed past
+    # int64 only after the earlier repeats ran
     if cfg.seed + cfg.repeats > 2**63:
         raise ConfigError(f"seed + repeats must be at most 2**63, got {cfg.seed + cfg.repeats}")
-    cfg, _ = _on_corpus(cfg, manifest)
     # every file of every sample is read and checked, but only the stage-1
     # grid and landmarks of the first `budget` and the last `holdout` are
     # kept; an empty manifest raises before `count` is read
@@ -287,7 +279,8 @@ def cmd_eval_detect(
 
 
 def cmd_ablate(
-    cfg: ExperimentConfig, axis: str, manifest: Path | None, checkpoint: Path | None, out: Path
+    cfg: ExperimentConfig, axis: str, manifest: Path | None, checkpoint: Path | None,
+    out: Path, world_seed: int | None,
 ) -> int:
     # usage checks come before any variant is trained
     if axis == "drop_rate" and manifest is not None:
@@ -300,7 +293,6 @@ def cmd_ablate(
         if manifest is None:
             raise ConfigError(f"axis {axis} requires --manifest")
         # the variants train on the corpus, and are scored on pairs of its world
-        cfg, world_seed = _on_corpus(cfg, manifest)
         corpus = [output for output, _ in read_corpus(manifest, cfg.face_spec())]
         if axis == "eta":
             variants = [(v, replace(cfg, eta=v)) for v in ETA_SWEEP]
@@ -348,6 +340,13 @@ def main(argv: list[str] | None = None) -> int:
     if flags.keys() - READS[form]:
         parser.error(f"{form} ignores {', '.join(sorted(flags.keys() - READS[form]))}")
     try:
+        # a form that reads a corpus runs on its world, so its one config is
+        # defaults < --config < the corpus's world keys < flags
+        world_seed = None
+        if getattr(args, "manifest", None) is not None and form != "ablate --axis drop_rate":
+            world = _corpus_world(args.manifest)
+            flags = {key: str(getattr(world, key)) for key in WORLD_KEYS} | flags
+            world_seed = world.seed
         cfg = load_config(args.config, flags)
         if args.command == "gen":
             return cmd_gen(cfg, args.count, args.out)
@@ -358,7 +357,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "eval-detect":
             return cmd_eval_detect(cfg, args.manifest, args.checkpoint, args.budget, args.out)
         if args.command == "ablate":
-            return cmd_ablate(cfg, args.axis, args.manifest, args.checkpoint, args.out)
+            return cmd_ablate(cfg, args.axis, args.manifest, args.checkpoint, args.out, world_seed)
         if args.command == "export-simmap":
             return cmd_export_simmap(cfg, args.out, args.checkpoint, args.landmark, args.kind)
     except ConfigError as exc:

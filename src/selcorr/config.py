@@ -3,7 +3,9 @@
 Every field can come from a config file line, and from a same-named flag of
 each command that reads it; flags win over the file, the file over defaults.
 The library reads the same record: `lcr` its repellence weights, and the
-projector and detector trainers their keys, each validating it on entry.
+projector and detector trainers their keys. A record checks its own ranges
+when it is built, so every config that exists, whether `load_config` or
+`dataclasses.replace` built it, is in range.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ class ConfigError(ValueError):
 
 # the largest float64 array a configuration may imply, 1 TiB: numpy would
 # fail on a larger one (out of memory, or past its own size limit) only
-# after work has begun, so `validate` rejects it as a usage error
+# after work has begun, so a config that implies one is a usage error
 MAX_ARRAY_BYTES = 2**40
 
 # the default landmark/anchor layout is drawn on a LAYOUT_CROP-pixel image and
@@ -34,7 +36,7 @@ MIN_CROP = math.ceil(
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     # token split, clustering, repellence loss
     eta: float = 0.25
@@ -68,7 +70,7 @@ class ExperimentConfig:
     # randomness
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         """Raise ConfigError naming the first key whose value is out of range."""
         for f in fields(self):
             value = getattr(self, f.name)
@@ -90,6 +92,8 @@ class ExperimentConfig:
             ("crop", self.crop >= 1 and self.crop % max(self.patch, 1) == 0,
              "a positive multiple of patch"),
             ("crop", self.crop >= MIN_CROP, f">= {MIN_CROP} to hold the landmark layout"),
+            # one token cannot be split into attentive and inattentive ones
+            ("crop", self.crop >= 2 * self.patch, ">= 2 * patch"),
             ("d_proj", self.d_proj >= 2, ">= 2"),
             ("proj_lr", self.proj_lr > 0.0, "positive"),
             ("proj_steps", self.proj_steps >= 0, ">= 0"),
@@ -159,7 +163,7 @@ class ExperimentConfig:
 def load_config(
     path: str | Path | None = None, overrides: dict[str, str] | None = None
 ) -> ExperimentConfig:
-    """Defaults, then the config file, then explicit overrides; validated."""
+    """Defaults, then the config file, then explicit overrides."""
     values: dict[str, str] = {}
     if path is not None:
         # read outside the try: a file that does not decode is a data error, not usage
@@ -179,7 +183,5 @@ def load_config(
             kwargs[key] = ftype(raw.strip())
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {exc}") from exc
-    cfg = ExperimentConfig(**kwargs)
-    cfg.validate()
-    return cfg
+    return ExperimentConfig(**kwargs)
 

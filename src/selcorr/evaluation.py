@@ -345,7 +345,7 @@ def train_regressor(
     """Fit the detector (`heatmaps` maps per landmark, decoded at
     `softargmax_temp`) on (first-stage grid, landmarks) samples by
     `reg_steps` steps of `reg_optimizer` at `reg_lr` (and `momentum`) on
-    mean squared pixel error, from a `seed` init; `cfg` is validated first.
+    mean squared pixel error, from a `seed` init.
 
     Backbone and projector stay frozen, so each sample's padded
     [first stage, 1] channels are built once, and each step folds the
@@ -355,7 +355,6 @@ def train_regressor(
     `init_regressor` arrays move. They are returned with each step's mean
     loss. The samples must share one grid geometry.
     """
-    cfg.validate()
     if not samples:
         raise ValueError("no training samples")
     grid = samples[0][0]

@@ -36,7 +36,7 @@ def locality_matrix(positions: np.ndarray) -> np.ndarray:
 
 def repellence_matrix(labels: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:
     """Pairwise weight by type: both-attentive (`r_aa`), mixed (`r_ai`), or
-    both-inattentive (`r_ii`), as given (`ExperimentConfig.validate` checks them).
+    both-inattentive (`r_ii`), as given (`ExperimentConfig` checks them).
 
     `labels` is a boolean vector, True for attentive tokens.
     """

@@ -213,10 +213,9 @@ def train_projector(
     """Minimize the mean per-image repellence loss (cosine logits at `tau`)
     over a frozen corpus from a `seed` init: `proj_steps` steps of
     `optimizer` at `proj_lr` (and `momentum`). Returns the `d_proj`-output
-    projector and each step's mean loss. `cfg` is validated first, and only
-    each image's prepared rows are kept, so `corpus` may be a one-pass stream.
+    projector and each step's mean loss. Only each image's prepared rows are
+    kept, so `corpus` may be a one-pass stream.
     """
-    cfg.validate()
     prepared = [prepare_image(out, cfg) for out in corpus]
     if not prepared:
         raise ValueError("corpus is empty")

@@ -123,6 +123,15 @@ def test_eval_match_runs_raw_without_checkpoint(tmp_path):
     assert exc.value.code == 1
 
 
+def _no_work(monkeypatch) -> None:
+    """Make reading a corpus's samples or training a projector fail the test."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("a sample was read or a projector trained")
+
+    monkeypatch.setattr(cli, "read_corpus", no_work)
+    monkeypatch.setattr(cli, "train_projector", no_work)
+
+
 def test_zero_pairs_is_a_usage_error(tmp_path, capsys, monkeypatch):
     rc = main(["eval-match", "--out", str(tmp_path / "m"), *TINY, "--pairs", "0"])
     assert rc == 1
@@ -132,14 +141,12 @@ def test_zero_pairs_is_a_usage_error(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.count("pairs must be >= 1, got 0") == 2
     assert not (tmp_path / "m").exists() and not (tmp_path / "a").exists()
 
-    # retraining axes reject the pair count before loading or training:
-    # the manifest does not exist, and training would raise
-    def no_training(*args, **kwargs):
-        raise AssertionError("a projector was trained")
-
-    monkeypatch.setattr(cli, "train_projector", no_training)
+    # retraining axes reject the pair count before reading a sample or training
+    corpus = tmp_path / "corpus"
+    _gen(corpus, count=3)
+    _no_work(monkeypatch)
     for axis in ("eta", "kc", "repellence"):
-        rc = main(["ablate", "--axis", axis, "--manifest", str(tmp_path / "none.txt"),
+        rc = main(["ablate", "--axis", axis, "--manifest", str(corpus / "manifest.txt"),
                    "--out", str(tmp_path / "a"), *TINY, "--pairs", "0"])
         assert rc == 1
     assert capsys.readouterr().err.count("pairs must be >= 1, got 0") == 3
@@ -248,7 +255,7 @@ def test_ablate_drop_rate_and_eta(tmp_path):
     assert len((out / "ablate_eta.csv").read_text().splitlines()) == 1 + 3
 
 
-def test_usage_errors_exit_1(tmp_path):
+def test_usage_errors_exit_1(tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--count", "4", "--no-such-flag", "--out", str(tmp_path)])
     assert exc.value.code == 1
@@ -272,11 +279,15 @@ def test_usage_errors_exit_1(tmp_path):
             main(["gen", "--count", "0", "--out", str(tmp_path), flag, "0.1"])
         assert exc.value.code == 1
     assert main(["gen", "--count", "-1", "--out", str(tmp_path), *TINY]) == 1
-    assert main(["train-projector", "--manifest", str(tmp_path / "none.txt"),
-                 "--out", str(tmp_path), "--eta", "2.0"]) == 1
-    assert main(["ablate", "--axis", "kc", "--out", str(tmp_path), *TINY]) == 1
     corpus = tmp_path / "c"
     _gen(corpus, count=3)
+    _no_work(monkeypatch)
+    assert main(["train-projector", "--manifest", str(corpus / "manifest.txt"),
+                 "--out", str(tmp_path), "--eta", "2.0"]) == 1
+    assert main(["ablate", "--axis", "kc", "--out", str(tmp_path), *TINY]) == 1
+    # drop_rate reads no corpus, so a missing one is not even looked for
+    assert main(["ablate", "--axis", "drop_rate", "--manifest", str(tmp_path / "none.txt"),
+                 "--out", str(tmp_path), *TINY]) == 1
     rc = main(["export-simmap", "--landmark", "9", "--out", str(tmp_path / "x.pgm"), *TINY])
     assert rc == 1
 
@@ -498,6 +509,8 @@ def test_eval_detect_rejects_repeat_seeds_past_int64(tiny_run, tmp_path, capsys)
         ("eval-match", "--d", "7"),
         ("gen", "--d", "13"),
         ("train-projector", "--d-proj", "1"),
+        # one 8-pixel token: nothing to split into attentive and inattentive
+        ("gen", "--crop", "8"),
         # 401 digits: past 2**63, float division, deque and np.sqrt overflow on these
         pytest.param("gen", "--crop", "8" * 401, id="gen---crop-401-digits"),
         pytest.param("eval-detect", "--holdout", "9" * 401,
@@ -696,6 +709,18 @@ def test_eval_detect_bounds_heatmaps_on_the_corpus_world(tmp_path, capsys, monke
     assert not (tmp_path / "det").exists()
 
 
+def test_eval_detect_without_config_bounds_heatmaps_on_the_corpus_world(tiny_run, tmp_path,
+                                                                        monkeypatch):
+    # 7 * 10**7 heatmaps imply a 1.2e12-byte conv in the default 96-pixel,
+    # d=32 world, above the limit, but 7.56e11 bytes in tiny.txt's 32-pixel,
+    # d=14 one; with no --config the corpus's world alone bounds them
+    _no_training(monkeypatch)
+    with pytest.raises(AssertionError, match="training ran"):
+        main(["eval-detect", "--manifest", str(tiny_run / "corpus" / "manifest.txt"),
+              "--checkpoint", str(tiny_run / "run" / "checkpoint"), "--budget", "2",
+              "--holdout", "2", "--out", str(tmp_path / "det"), "--heatmaps", str(7 * 10**7)])
+
+
 def test_ablate_rejects_flags_it_would_ignore(tmp_path, capsys, monkeypatch):
     def no_training(*args, **kwargs):
         raise AssertionError("a projector was trained")
@@ -777,6 +802,8 @@ def _form_argv(form: str, manifest: str, checkpoint: str) -> list[str]:
 
 def test_each_command_takes_only_the_config_flags_it_reads(tmp_path, capsys, monkeypatch):
     assert set(NON_DEFAULT) == {f.name for f in fields(ExperimentConfig)}
+    # a default-world corpus of no samples: the forms that read one take its world
+    assert main(["gen", "--count", "0", "--out", str(tmp_path)]) == 0
     out = tmp_path / "out"
     forms = {form: [*_form_argv(form, str(tmp_path / "manifest.txt"), str(tmp_path / "ck")),
                     "--out", str(out)] for form in READ_KEYS}

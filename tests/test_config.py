@@ -1,5 +1,5 @@
 import re
-from dataclasses import asdict, fields
+from dataclasses import FrozenInstanceError, asdict, fields
 
 import pytest
 
@@ -28,7 +28,15 @@ def test_default_values():
     assert cfg.proj_steps == 200 and cfg.proj_lr == 1e-3
     assert cfg.optimizer == "gd"
     assert cfg.d == 32 and cfg.d_aux == 16 and cfg.d_proj == 16
-    cfg.validate()
+
+
+def test_config_is_frozen():
+    # a built config stays in range: a field is changed only through
+    # `dataclasses.replace`, which checks the new record
+    cfg = ExperimentConfig()
+    with pytest.raises(FrozenInstanceError):
+        cfg.kc = 0
+    assert cfg.kc == 4
 
 
 def test_parse_lines_skips_comments_and_blanks(tmp_path):
@@ -129,6 +137,7 @@ def test_dump_load_roundtrip(tmp_path):
         {"seed": "-1"},
         {"patch": "0"},
         {"d_aux": "0"},
+        {"crop": "8"},  # one token: the split needs two
     ],
 )
 def test_validation_rejects(overrides):
@@ -151,7 +160,11 @@ def test_validation_messages():
     # the layout's largest coordinate, 80 of 96, lands on the last pixel at crop 6
     with pytest.raises(ConfigError, match=r"^crop must be >= 6 to hold the landmark layout, got 4$"):
         load_config(overrides={"crop": "4", "patch": "4"})
-    load_config(overrides={"crop": "6", "patch": "6"})
+    load_config(overrides={"crop": "6", "patch": "3"})
+    # a grid of one token has nothing to split into attentive and inattentive
+    with pytest.raises(ConfigError, match=r"^crop must be >= 2 \* patch, got 8$"):
+        load_config(overrides={"crop": "8", "patch": "8"})
+    load_config(overrides={"crop": "16", "patch": "8"})
 
 
 @pytest.mark.parametrize(

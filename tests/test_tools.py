@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from selcorr import cli
+from selcorr.config import ExperimentConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOLS = ROOT / "tools"
@@ -24,7 +25,9 @@ def _load(name: str):
 def _accepted(monkeypatch, argvs: list[list[str]]) -> list[str]:
     """The command of each line, after `cli.main` accepts it: every flag is
     one its command form reads (`cli.READS`) with a value in range. The
-    commands themselves are stubbed out, so no work is run."""
+    commands themselves are stubbed out, and so is the read of a corpus's
+    world, for which the default world stands in, so no work is run."""
+    monkeypatch.setattr(cli, "_corpus_world", lambda manifest: ExperimentConfig())
     ran = []
     for name in ("gen", "train_projector", "eval_match", "eval_detect", "ablate",
                  "export_simmap"):
