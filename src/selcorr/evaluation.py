@@ -94,7 +94,7 @@ def similarity_stack(ref: FeatureGrid, test: FeatureGrid, queries_px: np.ndarray
     pixels = [_query_pixel(query_px, ref.image_h, ref.image_w) for query_px in queries_px]
     # before the test grid's taps, so the reference's are freed first
     queries = _pixel_features(ref, [qx for qx, _ in pixels], [qy for _, qy in pixels])
-    rows, x0, x1, w = bilinear_taps(test, test.image_h, test.image_w)
+    rows, x0, x1, w = bilinear_taps(test)
     # a finite norm keeps its sum of squares below DBL_MAX, so by
     # Cauchy-Schwarz every product below stays finite
     row_norms = norm(rows, axis=2)
@@ -134,7 +134,7 @@ def _query_pixel(query_px, height: int, width: int) -> tuple[int, int]:
 def _pixel_features(grid: FeatureGrid, xs, ys) -> np.ndarray:
     """(len(xs), d) features of the upsampled map at pixels (xs[i], ys[i]),
     bit for bit the map's own values there."""
-    rows, x0, x1, w = bilinear_taps(grid, grid.image_h, grid.image_w)
+    rows, x0, x1, w = bilinear_taps(grid)
     wx = w[xs][:, None]
     out = rows[ys, x0[xs]]
     out *= 1.0 - wx
@@ -186,7 +186,7 @@ def kind_means(errors: np.ndarray, pairs: int) -> tuple[float, float]:
 
 def upsample_features(grid: FeatureGrid) -> DenseFeatureMap:
     """Dense per-pixel map at the grid's native image resolution."""
-    return bilinear_upsample(grid, grid.image_h, grid.image_w)
+    return bilinear_upsample(grid)
 
 
 def soft_argmax(heatmap: np.ndarray, temperature: float = 0.1) -> tuple[float, float]:

@@ -25,7 +25,6 @@ from .tensorio import (
     read_manifest,
     read_tensor,
     sq_dists,
-    write_csv,
     write_tensor,
 )
 
@@ -74,8 +73,7 @@ class SyntheticFaceSpec:
     patch: int = 8
     prototype_seed: int = 0
     identity_seed: int = 0
-    sigma_lm: float = 0.2
-    sigma_bg: float = 0.2
+    sigma: float = 0.2
     d: int = 32
     d_aux: int = 16
 
@@ -95,8 +93,8 @@ class SyntheticFaceSpec:
                 raise ValueError(f"point ({x}, {y}) outside image bounds")
         if self.patch < 1 or self.image_size < self.patch or self.image_size % self.patch != 0:
             raise ValueError("patch must be >= 1 and the image size a positive multiple of it")
-        if min(self.sigma_lm, self.sigma_bg) < 0.0:
-            raise ValueError("noise scales must be non-negative")
+        if self.sigma < 0.0:
+            raise ValueError("the noise scale must be non-negative")
         if self.d_aux < 1:
             raise ValueError("d_aux must be >= 1")
         # the positional signatures take one channel per landmark and anchor,
@@ -279,26 +277,21 @@ def generate_backbone_output(spec: SyntheticFaceSpec, seed: int) -> BackboneOutp
     region = _region_of_cells(spec, centers)
     cells = landmark_cells(spec)
 
-    sigma = np.full(n, spec.sigma_bg)
-    sigma[cells] = spec.sigma_lm
-    main = (proto["region_mean"] + region_off)[region] + sigma[:, None] * rng.standard_normal(
-        (n, spec.d)
-    )
-    aux = proto["region_aux"][region] + 0.5 * sigma[:, None] * rng.standard_normal(
-        (n, spec.d_aux)
-    )
+    sigma = spec.sigma
+    main = (proto["region_mean"] + region_off)[region] + sigma * rng.standard_normal((n, spec.d))
+    aux = proto["region_aux"][region] + 0.5 * sigma * rng.standard_normal((n, spec.d_aux))
     for i, cell in enumerate(cells):
-        main[cell] = proto["lm_mean"][i] + lm_off[i] + spec.sigma_lm * rng.standard_normal(spec.d)
-        aux[cell] = proto["lm_aux"][i] + 0.5 * spec.sigma_lm * rng.standard_normal(spec.d_aux)
+        main[cell] = proto["lm_mean"][i] + lm_off[i] + sigma * rng.standard_normal(spec.d)
+        aux[cell] = proto["lm_aux"][i] + 0.5 * sigma * rng.standard_normal(spec.d_aux)
 
     # positional signature rides on the noise amplitude so sigma=0 keeps
     # tokens exactly prototype-valued
     code = _position_code(spec, centers)
-    main += POS_GAMMA * sigma[:, None] * (code @ proto["pos_embed"].T)
+    main += POS_GAMMA * sigma * (code @ proto["pos_embed"].T)
 
     q = proto["q_cls"]
     # attention-layer analog: same reduced noise as the aux grid
-    keys = 0.5 * sigma[:, None] * rng.standard_normal((n, spec.d))
+    keys = 0.5 * sigma * rng.standard_normal((n, spec.d))
     keys[cells] += BETA * q / (q @ q)
     return BackboneOutput(
         main=FeatureGrid(g, g, spec.patch, main),
@@ -417,11 +410,10 @@ def pair_seeds(master_seed: int, count: int) -> list[int]:
     return [int(s) for s in ss.generate_state(count)]
 
 
-LANDMARK_HEADER = ("landmark_index", "x_px", "y_px")
-
-
 def write_sample(directory: str | Path, output: BackboneOutput, landmarks: np.ndarray) -> None:
-    """Persist one image's tensors plus its landmark table into `directory`.
+    """Persist one image's five tensors into `directory`: the two token
+    grids, the CLS query, the key rows and the (L, 2) float64 ground-truth
+    landmark pixels (x, y).
 
     The grid geometry is not stored: it is the corpus's world, recorded
     once in the corpus's `config.txt`.
@@ -432,8 +424,7 @@ def write_sample(directory: str | Path, output: BackboneOutput, landmarks: np.nd
     write_tensor(directory / "aux.scet", output.aux.features)
     write_tensor(directory / "qcls.scet", output.q_cls)
     write_tensor(directory / "keys.scet", output.keys)
-    rows = [(i, x, y) for i, (x, y) in enumerate(np.asarray(landmarks, dtype=np.float64))]
-    write_csv(directory / "landmarks.csv", [LANDMARK_HEADER, *rows])
+    write_tensor(directory / "landmarks.scet", np.asarray(landmarks, dtype=np.float64))
 
 
 def read_sample(
@@ -441,16 +432,16 @@ def read_sample(
 ) -> tuple[BackboneOutput, np.ndarray]:
     """Inverse of `write_sample` for a sample of the world `spec`.
 
-    Malformed tensors or landmark tables, and a sample off the world, raise
-    ValueError naming the file or the sample: every tensor value must be
-    finite, the grids must hold `spec.grid_size`**2 tokens of `d` and
-    `d_aux` channels, and the table needs the `write_sample` header, one
-    `index,x,y` row per landmark of `spec` numbered from 0, and finite
-    coordinates inside the image.
+    Malformed tensors and a sample off the world raise ValueError naming
+    the file or the sample: every tensor value must be finite, the grids
+    must hold `spec.grid_size`**2 tokens of `d` and `d_aux` channels, and
+    the landmarks must be one (x, y) row per landmark of `spec`, inside
+    the image.
     """
     directory = Path(directory)
-    main, aux, q_cls, keys = (
-        _read_finite(directory / f"{name}.scet") for name in ("main", "aux", "qcls", "keys")
+    main, aux, q_cls, keys, landmarks = (
+        _read_finite(directory / f"{name}.scet")
+        for name in ("main", "aux", "qcls", "keys", "landmarks")
     )
     g = spec.grid_size
     try:
@@ -459,15 +450,18 @@ def read_sample(
         )
     except ValueError as exc:
         raise ValueError(f"sample {directory}: {exc}") from None
-    landmarks = _read_landmarks(directory / "landmarks.csv", output.main)
     for key, value, want in (
         ("d", output.main.channels, spec.d),
         ("d_aux", output.aux.channels, spec.d_aux),
-        ("landmarks", landmarks.shape[0], spec.n_landmarks),
     ):
         if value != want:
             raise ValueError(f"sample {directory}: {key}={value}, but the world has {key}={want}")
-    return output, landmarks
+    path, hi = directory / "landmarks.scet", spec.image_size - 1
+    if landmarks.shape != (spec.n_landmarks, 2):
+        raise ValueError(f"{path}: expected ({spec.n_landmarks}, 2) pixels, got {landmarks.shape}")
+    if landmarks.min() < 0.0 or landmarks.max() > hi:
+        raise ValueError(f"{path}: a coordinate lies outside [0, {hi}]")
+    return output, landmarks.astype(np.float64, copy=False)
 
 
 def _read_finite(path: Path) -> np.ndarray:
@@ -475,31 +469,6 @@ def _read_finite(path: Path) -> np.ndarray:
     if not np.isfinite(tensor).all():
         raise ValueError(f"{path}: non-finite values")
     return tensor
-
-
-def _read_landmarks(path: Path, grid: FeatureGrid) -> np.ndarray:
-    lines = path.read_text().splitlines()
-    if not lines or tuple(lines[0].split(",")) != LANDMARK_HEADER:
-        raise ValueError(f"{path}: header must be {','.join(LANDMARK_HEADER)}")
-    rows = [row.split(",") for row in lines[1:] if row.strip()]
-    if not rows:
-        raise ValueError(f"{path}: no landmarks")
-    pts = []
-    for i, cells in enumerate(rows):
-        if len(cells) != 3 or cells[0].strip() != str(i):
-            raise ValueError(f"{path}: row {i + 1} must be {i},x,y, got {','.join(cells)!r}")
-        try:
-            x, y = float(cells[1]), float(cells[2])
-        except ValueError:
-            raise ValueError(f"{path}: row {i + 1} has a non-numeric coordinate") from None
-        # compared as Python numbers, so nan and inf fail and no bound overflows
-        if not (0.0 <= x <= grid.image_w - 1 and 0.0 <= y <= grid.image_h - 1):
-            raise ValueError(
-                f"{path}: row {i + 1}: ({x}, {y}) is not a finite point inside "
-                f"[0, {grid.image_w - 1}] x [0, {grid.image_h - 1}]"
-            )
-        pts.append((x, y))
-    return np.asarray(pts)
 
 
 def read_corpus(

@@ -154,18 +154,18 @@ class DenseFeatureMap:
         return self.values.shape[2]
 
 
-def bilinear_upsample(grid: FeatureGrid, target_h: int, target_w: int) -> DenseFeatureMap:
-    """Upsample a feature grid to per-pixel resolution.
+def bilinear_upsample(grid: FeatureGrid) -> DenseFeatureMap:
+    """Upsample a feature grid to per-pixel resolution, (image_h, image_w, d).
 
     Each cell's value is anchored at its cell-center pixel; in between the
     interpolation is linear per axis, and pixels outside the convex hull of
     centers clamp to the nearest edge value.
 
     Separable (see `bilinear_taps`): the two source rows are blended once
-    on the small (target_h, grid_w, d) array, then two columns of that at
+    on the small (image_h, grid_w, d) array, then two columns of that at
     pixel resolution.
     """
-    blended, x0, x1, wx = bilinear_taps(grid, target_h, target_w)
+    blended, x0, x1, wx = bilinear_taps(grid)
     wx = wx[None, :, None]
     # one output and one scratch buffer at full size; take() keeps them
     # C-contiguous, as blended[:, x0] would not be
@@ -177,21 +177,17 @@ def bilinear_upsample(grid: FeatureGrid, target_h: int, target_w: int) -> DenseF
     return DenseFeatureMap(out)
 
 
-def bilinear_taps(
-    grid: FeatureGrid, target_h: int, target_w: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def bilinear_taps(grid: FeatureGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The two stages of `bilinear_upsample`, before the column blend.
 
-    Returns `(blended, x0, x1, wx)`: `blended` is the (target_h, grid_w, d)
+    Returns `(blended, x0, x1, wx)`: `blended` is the (image_h, grid_w, d)
     grid with its two source rows blended at each pixel row, and pixel
     column x is `blended[:, x0[x]] * (1 - wx[x]) + blended[:, x1[x]] *
     wx[x]`. `x1` is `x0 + 1`, or `x0` on a 1-wide grid.
     """
-    if target_h < grid.grid_h or target_w < grid.grid_w:
-        raise ValueError("target dims must be >= grid dims")
     vals = grid.features.reshape(grid.grid_h, grid.grid_w, grid.channels)
-    y0, y1, wy = _axis_taps(target_h, grid.grid_h)
-    x0, x1, wx = _axis_taps(target_w, grid.grid_w)
+    y0, y1, wy = _axis_taps(grid.image_h, grid.grid_h)
+    x0, x1, wx = _axis_taps(grid.image_w, grid.grid_w)
     wy = wy[:, None, None]
     return vals[y0] * (1.0 - wy) + vals[y1] * wy, x0, x1, wx
 

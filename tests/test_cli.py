@@ -590,20 +590,20 @@ def test_bad_landmarks_are_a_data_error(tmp_path, capsys):
     assert main(["train-projector", "--manifest", manifest, "--out", str(run), *TINY]) == 0
     ckpt = str(run / "checkpoint")
     # sample 5 is held out by eval-detect (holdout 2); sample 0 is trained on
-    for sample, value in [("sample_0005", "nan"), ("sample_0005", "1e9"), ("sample_0000", "nan")]:
-        table = corpus / sample / "landmarks.csv"
-        original = table.read_text()
-        lines = original.splitlines()
-        lines[2] = f"1,{value},10.0"
-        table.write_text("\n".join(lines) + "\n")
+    for sample, value in [("sample_0005", np.nan), ("sample_0005", 1e9), ("sample_0000", np.nan)]:
+        path = corpus / sample / "landmarks.scet"
+        original = read_tensor(path)
+        landmarks = original.copy()
+        landmarks[1, 0] = value
+        write_tensor(path, landmarks)
         capsys.readouterr()
         assert main(["eval-detect", "--manifest", manifest, "--checkpoint", ckpt,
                      "--budget", "2", "--out", str(tmp_path / "det"), *TINY]) == 2
         assert main(["train-projector", "--manifest", manifest,
                      "--out", str(tmp_path / "run2"), *TINY]) == 2
         err = capsys.readouterr().err
-        assert err.count(str(table)) == 2 and "Traceback" not in err
-        table.write_text(original)
+        assert err.count(str(path)) == 2 and "Traceback" not in err
+        write_tensor(path, original)
     assert not (tmp_path / "det").exists() and not (tmp_path / "run2").exists()
 
 
@@ -634,27 +634,27 @@ def test_inconsistent_corpus_is_a_data_error(tiny_run, tmp_path, capsys, monkeyp
     checkpoint, out = tiny_run / "run" / "checkpoint", tmp_path / "out"
     tiny = load_config(TINY_CONFIG)
     tokens = TINY_SPEC.grid_size**2
+    corpus = tmp_path / "corpus"
+    sample = corpus / "sample_0003"
     for name, edit, message in (
-        ("main.scet", lambda v: v[:-1], f"expected ({tokens}, d) features, got "
+        ("main.scet", lambda v: v[:-1], f"sample {sample}: expected ({tokens}, d) features, got "
          f"({tokens - 1}, {tiny.d})"),
-        ("main.scet", lambda v: v[:, :-1], f"d={tiny.d - 1}, but the world has d={tiny.d}"),
+        ("main.scet", lambda v: v[:, :-1],
+         f"sample {sample}: d={tiny.d - 1}, but the world has d={tiny.d}"),
         ("aux.scet", lambda v: v[:, :-1],
-         f"d_aux={tiny.d_aux - 1}, but the world has d_aux={tiny.d_aux}"),
-        ("landmarks.csv", None, "landmarks=4, but the world has landmarks=5"),
+         f"sample {sample}: d_aux={tiny.d_aux - 1}, but the world has d_aux={tiny.d_aux}"),
+        ("landmarks.scet", lambda v: v[:-1],
+         f"{sample / 'landmarks.scet'}: expected (5, 2) pixels, got (4, 2)"),
     ):
-        corpus = tmp_path / "corpus"
         shutil.rmtree(corpus, ignore_errors=True)
         shutil.copytree(tiny_run / "corpus", corpus)
-        path = corpus / "sample_0003" / name
-        if edit is None:
-            path.write_text("".join(line + "\n" for line in path.read_text().splitlines()[:-1]))
-        else:
-            write_tensor(path, edit(read_tensor(path)))
+        path = sample / name
+        write_tensor(path, edit(read_tensor(path)))
         capsys.readouterr()
         for argv in _corpus_forms(corpus / "manifest.txt", checkpoint, out):
             assert main(argv) == 2, (name, argv[:3])
             err = capsys.readouterr().err
-            assert f"sample {corpus / 'sample_0003'}: {message}" in err, (name, argv[:3])
+            assert message in err, (name, argv[:3])
             assert "Traceback" not in err and not out.exists()
     # an empty manifest
     manifest = corpus / "manifest.txt"
@@ -662,6 +662,25 @@ def test_inconsistent_corpus_is_a_data_error(tiny_run, tmp_path, capsys, monkeyp
     for argv in _corpus_forms(manifest, checkpoint, out):
         assert main(argv) == 2
         assert f"manifest {manifest} lists no samples" in capsys.readouterr().err
+
+
+def test_corpus_with_landmark_tables_is_a_data_error(tiny_run, tmp_path, capsys, monkeypatch):
+    # a corpus written before landmarks became a tensor holds landmarks.csv
+    # tables; it has to be regenerated, and every command says which file
+    # it misses
+    _no_training(monkeypatch)
+    corpus, out = tmp_path / "corpus", tmp_path / "out"
+    shutil.copytree(tiny_run / "corpus", corpus)
+    for directory in read_manifest(corpus / "manifest.txt"):
+        path = directory / "landmarks.scet"
+        rows = [(i, x, y) for i, (x, y) in enumerate(read_tensor(path))]
+        write_csv(directory / "landmarks.csv", [("landmark_index", "x_px", "y_px"), *rows])
+        path.unlink()
+    missing = corpus / "sample_0000" / "landmarks.scet"
+    for argv in _corpus_forms(corpus / "manifest.txt", tiny_run / "run" / "checkpoint", out):
+        assert main(argv) == 2, argv[:3]
+        err = capsys.readouterr().err
+        assert str(missing) in err and "Traceback" not in err and not out.exists()
 
 
 @pytest.mark.parametrize(

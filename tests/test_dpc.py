@@ -167,7 +167,7 @@ def test_substitution_on_noise_free_grid():
     """With zero noise the substituted inattentive set collapses to the
     region values: picking as many centers as regions leaves exactly that
     many distinct inattentive rows, and attentive rows never move."""
-    spec = SyntheticFaceSpec(sigma_lm=0.0, sigma_bg=0.0)
+    spec = SyntheticFaceSpec(sigma=0.0)
     out = generate_backbone_output(spec, seed=0)
     part = split_tokens(cls_similarity(out.q_cls, out.keys), 0.25)
     asg = cluster_tokens(out.aux.features[part.inattentive], kc=spec.n_regions)

@@ -198,7 +198,7 @@ def test_pixel_features_are_bit_identical_to_the_full_map():
     """The query features matching uses are the upsampled map's own values."""
     rng = np.random.default_rng(12)
     grid = FeatureGrid(3, 5, 4, rng.standard_normal((15, 6)))
-    full = bilinear_upsample(grid, 12, 20).values
+    full = bilinear_upsample(grid).values
     ys, xs = (a.ravel() for a in np.mgrid[0:12, 0:20])
     assert evaluation._pixel_features(grid, xs, ys).tobytes() == full[ys, xs].tobytes()
     xs, ys = [7, 7, 0, 19, 7], [5, 5, 11, 0, 5]  # repeated pixels

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -49,9 +50,9 @@ def test_default_batch_hash_pinned():
 
 
 def test_noise_free_token_count():
-    # with both noise scales at zero every token is exactly its prototype:
+    # with the noise scale at zero every token is exactly its prototype:
     # one value per region plus one per landmark
-    spec = SyntheticFaceSpec(sigma_lm=0.0, sigma_bg=0.0)
+    spec = SyntheticFaceSpec(sigma=0.0)
     out = generate_backbone_output(spec, seed=0)
     distinct = np.unique(out.main.features, axis=0).shape[0]
     assert distinct == spec.n_regions + spec.n_landmarks
@@ -66,7 +67,7 @@ def test_landmark_cells_hand_check():
 def test_key_logit_advantage_is_beta():
     # zero noise isolates the planted key component: landmark rows score
     # exactly BETA against the query before the 1/sqrt(d) scaling
-    spec = SyntheticFaceSpec(sigma_lm=0.0, sigma_bg=0.0)
+    spec = SyntheticFaceSpec(sigma=0.0)
     out = generate_backbone_output(spec, seed=0)
     logits = out.keys @ out.q_cls
     cells = landmark_cells(spec)
@@ -89,7 +90,7 @@ def test_spec_validation():
         with pytest.raises(ValueError, match="patch must be >= 1"):
             SyntheticFaceSpec(patch=patch)
     with pytest.raises(ValueError):
-        SyntheticFaceSpec(sigma_bg=-0.1)
+        SyntheticFaceSpec(sigma=-0.1)
     # a channel per landmark and anchor (5 + 3) for the positional signatures,
     # and one per appearance mean (3 groups + 3 regions)
     with pytest.raises(ValueError, match=r"^d = 13 is below 14: 8 positional channels plus "
@@ -182,7 +183,7 @@ def test_warped_spec_moves_geometry_only():
     spec = warped_spec(base, draw_warp(96, rng, sigma_frac=0.05))
     assert spec.landmarks_px != base.landmarks_px
     assert spec.identity_seed == base.identity_seed
-    assert spec.sigma_lm == base.sigma_lm
+    assert spec.sigma == base.sigma
 
 
 def test_warped_spec_solves_once_and_equals_two_warps(monkeypatch):
@@ -243,7 +244,7 @@ def test_sample_spec_varies_identity_and_geometry():
 def test_make_pair_same_vs_different():
     # without noise a landmark's row is its identity's prototype plus offset,
     # so it is bit-equal across a pair exactly when the pair keeps the identity
-    base = replace(SyntheticFaceSpec(), sigma_lm=0.0, sigma_bg=0.0)
+    base = replace(SyntheticFaceSpec(), sigma=0.0)
     same = make_pair(base, "same", 4)
     diff = make_pair(base, "different", 4)
 
@@ -278,7 +279,7 @@ def test_sample_roundtrip(tmp_path):
     write_sample(tmp_path / "s", out, lm)
     # the grid geometry is the corpus's world, recorded in its config.txt
     assert sorted(p.name for p in (tmp_path / "s").iterdir()) == [
-        "aux.scet", "keys.scet", "landmarks.csv", "main.scet", "qcls.scet"
+        "aux.scet", "keys.scet", "landmarks.scet", "main.scet", "qcls.scet"
     ]
     back, lm_back = read_sample(tmp_path / "s", WORLD)
     assert np.array_equal(back.main.features, out.main.features)
@@ -299,41 +300,50 @@ def _written_sample(directory, spec=None):
     return directory
 
 
-GOOD_ROW_1 = "1,67.5,34.8"
+def _set_landmarks(directory, edit):
+    path = directory / "landmarks.scet"
+    write_tensor(path, edit(read_tensor(path)))
+
+
+def _set_value(value):
+    def edit(lm):
+        lm[1, 0] = value
+        return lm
+
+    return edit
 
 
 @pytest.mark.parametrize(
-    "table",
+    "edit",
     [
-        "",  # no header
-        "index,x,y\n0,30.0,34.0\n",  # wrong header
-        "landmark_index,x_px,y_px\n",  # no rows
-        "landmark_index,x_px,y_px\n0,30.0\n",  # two cells
-        "landmark_index,x_px,y_px\n0,30.0,34.0,1\n",  # four cells
-        "landmark_index,x_px,y_px\n1,30.0,34.0\n0,67.5,34.8\n",  # index is not the row
-        "landmark_index,x_px,y_px\n0,30.0,34.0\n2,67.5,34.8\n",  # index skips a row
-        "landmark_index,x_px,y_px\n0,thirty,34.0\n",  # not a number
-        "landmark_index,x_px,y_px\n0,nan,34.0\n",  # not finite
-        "landmark_index,x_px,y_px\n0,30.0,inf\n",  # not finite
-        "landmark_index,x_px,y_px\n0,1e9,34.0\n",  # right of the image
-        "landmark_index,x_px,y_px\n0,30.0,-0.5\n",  # above the image
-        "landmark_index,x_px,y_px\n0,96.0,34.0\n",  # one past the last pixel
+        pytest.param(lambda lm: lm[None], id="rank-3"),
+        pytest.param(lambda lm: np.hstack([lm, lm[:, :1]]), id="3-columns"),
+        pytest.param(lambda lm: lm[:4], id="4-rows"),
+        pytest.param(_set_value(np.nan), id="nan"),
+        pytest.param(_set_value(np.inf), id="inf"),
+        pytest.param(_set_value(-0.5), id="left-of-the-image"),
+        pytest.param(_set_value(1e9), id="right-of-the-image"),
+        pytest.param(_set_value(96.0), id="one-past-the-last-pixel"),
     ],
 )
-def test_read_sample_rejects_bad_landmarks(tmp_path, table):
+def test_read_sample_rejects_bad_landmarks(tmp_path, edit):
     directory = _written_sample(tmp_path / "s")
-    (directory / "landmarks.csv").write_text(table)
-    with pytest.raises(ValueError, match="landmarks.csv"):
+    _set_landmarks(directory, edit)
+    with pytest.raises(ValueError, match=str(directory / "landmarks.scet")):
         read_sample(directory, WORLD)
 
 
 def test_read_sample_accepts_the_image_corners(tmp_path):
     directory = _written_sample(tmp_path / "s")
-    table = directory / "landmarks.csv"
-    lines = table.read_text().splitlines()
-    lines[1:3] = ["0,0.0,0.0", "1,95.0,95.0"]
-    table.write_text("".join(line + "\n" for line in lines))
-    assert read_sample(directory, WORLD)[1].tolist()[:2] == [[0.0, 0.0], [95.0, 95.0]]
+
+    def corners(lm):
+        lm[:2] = [[0.0, 0.0], [95.0, 95.0]]
+        return lm
+
+    _set_landmarks(directory, corners)
+    landmarks = read_sample(directory, WORLD)[1]
+    assert landmarks.dtype == np.float64
+    assert landmarks.tolist()[:2] == [[0.0, 0.0], [95.0, 95.0]]
 
 
 @pytest.mark.parametrize("name", ["main", "aux", "qcls", "keys"])
@@ -369,16 +379,17 @@ def test_read_corpus_checks_consistency(tmp_path):
     manifest = tmp_path / "manifest.txt"
     manifest.write_text("a\nb\n")
     assert len(list(read_corpus(manifest, WORLD))) == 2
+    sample = tmp_path / "b"
     for spec, message in (
         # four landmarks, against the world's five
         (replace(WORLD, landmarks_px=WORLD.landmarks_px[:4], landmark_groups=(0, 0, 1, 2)),
-         "landmarks=4, but the world has landmarks=5"),
-        (SMALL, "expected \\(144, d\\) features, got \\(64, 32\\)"),
-        (replace(WORLD, d=20), "d=20, but the world has d=32"),
-        (replace(WORLD, d_aux=8), "d_aux=8, but the world has d_aux=16"),
+         f"{sample / 'landmarks.scet'}: expected (5, 2) pixels, got (4, 2)"),
+        (SMALL, f"sample {sample}: expected (144, d) features, got (64, 32)"),
+        (replace(WORLD, d=20), f"sample {sample}: d=20, but the world has d=32"),
+        (replace(WORLD, d_aux=8), f"sample {sample}: d_aux=8, but the world has d_aux=16"),
     ):
-        _written_sample(tmp_path / "b", spec)
-        with pytest.raises(ValueError, match=f"sample {tmp_path / 'b'}: {message}"):
+        _written_sample(sample, spec)
+        with pytest.raises(ValueError, match=re.escape(message)):
             list(read_corpus(manifest, WORLD))
     manifest.write_text("\n")
     with pytest.raises(ValueError, match=f"manifest {manifest} lists no samples"):
@@ -388,7 +399,7 @@ def test_read_corpus_checks_consistency(tmp_path):
 def test_read_corpus_reads_one_sample_at_a_time(tmp_path, monkeypatch):
     for name in "abc":
         _written_sample(tmp_path / name)
-    (tmp_path / "c" / "landmarks.csv").write_text("")  # no header
+    (tmp_path / "c" / "landmarks.scet").write_bytes(b"")  # no header
     manifest = tmp_path / "manifest.txt"
     manifest.write_text("a\nb\nc\n")
     read = []

@@ -125,7 +125,7 @@ def test_feature_grid_properties():
 
 def test_upsample_constant_grid():
     grid = FeatureGrid(2, 2, 4, np.full((4, 3), 2.5))
-    dense = bilinear_upsample(grid, 8, 8)
+    dense = bilinear_upsample(grid)
     assert dense.values.shape == (8, 8, 3)
     assert np.all(dense.values == 2.5)
 
@@ -139,7 +139,7 @@ def test_upsample_2x2_hand_oracle():
     """
     corners = np.array([[1.0], [2.0], [3.0], [5.0]])  # rows (0,0),(0,1),(1,0),(1,1)
     grid = FeatureGrid(2, 2, 2, corners)
-    dense = bilinear_upsample(grid, 4, 4)
+    dense = bilinear_upsample(grid)
     v = corners.reshape(2, 2)
     coords = [0.0, 0.25, 0.75, 1.0]
     for iy, wy in enumerate(coords):
@@ -158,7 +158,7 @@ def test_upsample_linear_field_is_exact_inside_hull():
     gh, gw, patch = 3, 4, 8
     rows, cols = np.divmod(np.arange(gh * gw), gw)
     feats = (2.0 * rows + 0.5 * cols)[:, None]
-    dense = bilinear_upsample(FeatureGrid(gh, gw, patch, feats), gh * patch, gw * patch)
+    dense = bilinear_upsample(FeatureGrid(gh, gw, patch, feats))
     ys = np.clip((np.arange(gh * patch) + 0.5) / patch - 0.5, 0, gh - 1)
     xs = np.clip((np.arange(gw * patch) + 0.5) / patch - 0.5, 0, gw - 1)
     expect = 2.0 * ys[:, None] + 0.5 * xs[None, :]
@@ -172,7 +172,7 @@ def test_sample_is_rows_then_columns_two_tap():
     gh, gw, patch, d = 3, 4, 5, 3
     grid = FeatureGrid(gh, gw, patch, rng.standard_normal((gh * gw, d)))
     v = grid.features.reshape(gh, gw, d)
-    full = bilinear_upsample(grid, gh * patch, gw * patch).values
+    full = bilinear_upsample(grid).values
     for iy in range(gh * patch):
         y = min(max((iy + 0.5) / patch - 0.5, 0.0), gh - 1.0)
         y0 = min(int(np.floor(y)), gh - 2)
@@ -184,12 +184,6 @@ def test_sample_is_rows_then_columns_two_tap():
             wx = x - x0
             expect = row[x0] * (1.0 - wx) + row[x0 + 1] * wx
             assert full[iy, ix].tobytes() == expect.tobytes()
-
-
-def test_upsample_rejects_downscale():
-    grid = FeatureGrid(2, 2, 4, np.zeros((4, 1)))
-    with pytest.raises(ValueError):
-        bilinear_upsample(grid, 1, 8)
 
 
 def test_manifest_roundtrip(tmp_path):
