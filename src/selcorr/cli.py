@@ -3,10 +3,12 @@
 Commands: gen, train-projector, eval-match, eval-detect, ablate,
 export-simmap. Every hyperparameter of the method and every grid size is a
 config key that a `--config` file may set; a command takes flags only for
-the keys it reads (`READS`). The synthetic world's statistics are constants
-of `synth`. Reruns with identical seeds produce byte-identical outputs at a
-fixed BLAS thread count: `eval-detect`'s GEMMs may round differently on
-another (`OPENBLAS_NUM_THREADS`, `OMP_NUM_THREADS`, `MKL_NUM_THREADS`).
+the keys it reads (`READS`). A corpus and a checkpoint each record the world
+they were made on in their `config.txt`, and a command that reads one runs
+on that world, not on grid flags. The synthetic world's statistics are
+constants of `synth`. Reruns with identical seeds produce byte-identical
+outputs at a fixed BLAS thread count: `eval-detect`'s GEMMs may round
+differently on another (`OPENBLAS_NUM_THREADS`, `OMP_NUM_THREADS`, `MKL_NUM_THREADS`).
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical divergence.
 """
@@ -21,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, load_config, read_world
 from .evaluation import (
     drop_mask,
     inter_ocular_error,
@@ -63,7 +65,8 @@ KC_SWEEP = (1, 2, 4, 8)
 # matching curve stays flat to a knee and then degrades sharply.
 DROP_SWEEP = (0.0, 0.25, 0.5, 0.75, 0.875, 0.9375, 0.97, 0.99)
 # the world of the synthetic faces: a corpus's `config.txt` records the one
-# it was drawn from, and every command that reads a corpus runs on that one
+# it was drawn from, a checkpoint's the one its corpus was drawn from (and
+# its own `d_proj`), and every command that reads either runs on that one
 WORLD_KEYS = ("crop", "patch", "d", "d_aux")
 GRID_KEYS = {*WORLD_KEYS, "seed"}
 PROJECTOR_KEYS = {"eta", "kc", "tau", "r_aa", "r_ai", "r_ii", "d_proj", "proj_lr", "proj_steps",
@@ -72,17 +75,24 @@ PROJECTOR_KEYS = {"eta", "kc", "tau", "r_aa", "r_ai", "r_ii", "d_proj", "proj_lr
 # No ablate axis reads drop_rate (each sweeps or fixes it), drop_rate trains
 # no projector, eta and kc sweep their own key, and the forms that read a
 # corpus take its world from it; `seed` then seeds only the projector inits
+# or the regressor's. The forms that read a checkpoint take its world and
+# its seed from it; they keep `--seed` only so that one command line runs
+# every form at one seed (tools/output_digests.py and perfbench pass it to
+# each), and a seed other than the checkpoint's is a usage error
 READS = {
     "gen": GRID_KEYS,
     "train-projector": PROJECTOR_KEYS,
     "eval-match": GRID_KEYS | {"pairs", "drop_rate"},
+    "eval-match --checkpoint": {"seed", "pairs", "drop_rate"},
     "eval-detect": {"heatmaps", "softargmax_temp", "reg_lr", "reg_steps", "reg_optimizer",
                     "momentum", "holdout", "repeats", "seed"},
     "ablate --axis drop_rate": GRID_KEYS | {"pairs"},
+    "ablate --axis drop_rate --checkpoint": {"seed", "pairs"},
     "ablate --axis eta": {"pairs"} | (PROJECTOR_KEYS - {"eta"}),
     "ablate --axis kc": {"pairs"} | (PROJECTOR_KEYS - {"kc"}),
     "ablate --axis repellence": {"pairs"} | PROJECTOR_KEYS,
     "export-simmap": GRID_KEYS,
+    "export-simmap --checkpoint": {"seed"},
 }
 
 
@@ -153,16 +163,6 @@ def _projector(checkpoint: Path | None) -> Projector | None:
     return None if checkpoint is None else load_checkpoint(checkpoint)
 
 
-def _corpus_world(manifest: Path) -> ExperimentConfig:
-    """The world of the corpus that `manifest` lists, from its `config.txt`;
-    missing or invalid, a data error naming it."""
-    path = manifest.parent / "config.txt"
-    try:
-        return load_config(path)
-    except ConfigError as exc:
-        raise ValueError(f"corpus world {path}: {exc}") from None
-
-
 def _match_sweep(cfg: ExperimentConfig, projs: list[Projector | None], drop_rates) -> np.ndarray:
     """(projectors, rates, 2 * pairs, L) per-landmark pixel errors of the match
     protocol for each projector (None = raw features) at each drop rate.
@@ -206,11 +206,17 @@ def cmd_gen(cfg: ExperimentConfig, count: int, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_train_projector(cfg: ExperimentConfig, manifest: Path, out: Path) -> int:
+def cmd_train_projector(
+    cfg: ExperimentConfig, manifest: Path, out: Path, world: ExperimentConfig
+) -> int:
+    # the checkpoint records the corpus's world with the keys this run reads;
+    # `seed` stays the world's, and the init seed goes to meta.txt
+    trained = replace(world, **{key: getattr(cfg, key) for key in PROJECTOR_KEYS - {"seed"}})
     corpus = (output for output, _ in read_corpus(manifest, cfg.face_spec()))
     proj, losses = train_projector(corpus, cfg)
     out.mkdir(parents=True, exist_ok=True)
-    digest = save_checkpoint(out / "checkpoint", proj, seed=cfg.seed, steps=cfg.proj_steps)
+    digest = save_checkpoint(out / "checkpoint", proj, trained, seed=cfg.seed,
+                             steps=cfg.proj_steps)
     write_csv(out / "trace.csv", [("step", "loss"), *enumerate(losses)])
     last = losses[-1] if losses else float("nan")
     print(f"trained {cfg.proj_steps} steps, final_loss={last!r}, sha256={digest}")
@@ -280,7 +286,7 @@ def cmd_eval_detect(
 
 def cmd_ablate(
     cfg: ExperimentConfig, axis: str, manifest: Path | None, checkpoint: Path | None,
-    out: Path, world_seed: int | None,
+    out: Path, world: ExperimentConfig | None,
 ) -> int:
     # usage checks come before any variant is trained
     if axis == "drop_rate" and manifest is not None:
@@ -308,7 +314,7 @@ def cmd_ablate(
         values = [label for label, _ in variants]
         projs = [train_projector(corpus, v)[0] for _, v in variants]
         rates = (0.0,)
-        cfg = replace(cfg, seed=world_seed)
+        cfg = replace(cfg, seed=world.seed)
     errors = _match_sweep(cfg, projs, rates).reshape(len(values), 2 * cfg.pairs, -1)
     rows = [(axis, value, *kind_means(e, cfg.pairs)) for value, e in zip(values, errors)]
     out.mkdir(parents=True, exist_ok=True)
@@ -337,27 +343,50 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     flags = {k[2:]: v for k, v in vars(args).items() if k.startswith("k_") and v is not None}
     form = args.command + (f" --axis {args.axis}" if args.command == "ablate" else "")
+    if getattr(args, "checkpoint", None) is not None and f"{form} --checkpoint" in READS:
+        form += " --checkpoint"
     if flags.keys() - READS[form]:
         parser.error(f"{form} ignores {', '.join(sorted(flags.keys() - READS[form]))}")
     try:
-        # a form that reads a corpus runs on its world, so its one config is
-        # defaults < --config < the corpus's world keys < flags
-        world_seed = None
-        if getattr(args, "manifest", None) is not None and form != "ablate --axis drop_rate":
-            world = _corpus_world(args.manifest)
-            flags = {key: str(getattr(world, key)) for key in WORLD_KEYS} | flags
-            world_seed = world.seed
-        cfg = load_config(args.config, flags)
+        # a form that reads a corpus or a checkpoint runs on its world, so its
+        # one config is defaults < --config < the world's keys < flags
+        corpus = trained = None
+        recorded = {}
+        reads_corpus = getattr(args, "axis", None) != "drop_rate"
+        if getattr(args, "manifest", None) is not None and reads_corpus:
+            corpus = read_world(args.manifest.parent)
+            recorded = {key: getattr(corpus, key) for key in WORLD_KEYS}
+        if form.endswith(" --checkpoint") or form == "eval-detect":
+            trained = read_world(args.checkpoint)
+            # eval-detect runs on the corpus's world with the checkpoint's
+            # d_proj, and its seed is the regressor's
+            keys = ["d_proj"] if form == "eval-detect" else [*WORLD_KEYS, "seed", "d_proj"]
+            recorded |= {key: getattr(trained, key) for key in keys}
+        cfg = load_config(args.config, {key: str(v) for key, v in recorded.items()} | flags)
+        if form == "eval-detect":
+            differ = [key for key in sorted(GRID_KEYS)
+                      if getattr(corpus, key) != getattr(trained, key)]
+            if differ:
+                raise ValueError(
+                    f"checkpoint world {args.checkpoint / 'config.txt'} has "
+                    + ", ".join(f"{key}={getattr(trained, key)}" for key in differ)
+                    + f", corpus world {args.manifest.parent / 'config.txt'} has "
+                    + ", ".join(f"{key}={getattr(corpus, key)}" for key in differ)
+                )
+        elif trained is not None and cfg.seed != trained.seed:
+            raise ConfigError(
+                f"--seed {cfg.seed} is not the checkpoint's world seed {trained.seed}"
+            )
         if args.command == "gen":
             return cmd_gen(cfg, args.count, args.out)
         if args.command == "train-projector":
-            return cmd_train_projector(cfg, args.manifest, args.out)
+            return cmd_train_projector(cfg, args.manifest, args.out, corpus)
         if args.command == "eval-match":
             return cmd_eval_match(cfg, args.out, args.checkpoint)
         if args.command == "eval-detect":
             return cmd_eval_detect(cfg, args.manifest, args.checkpoint, args.budget, args.out)
         if args.command == "ablate":
-            return cmd_ablate(cfg, args.axis, args.manifest, args.checkpoint, args.out, world_seed)
+            return cmd_ablate(cfg, args.axis, args.manifest, args.checkpoint, args.out, corpus)
         if args.command == "export-simmap":
             return cmd_export_simmap(cfg, args.out, args.checkpoint, args.landmark, args.kind)
     except ConfigError as exc:

@@ -185,3 +185,13 @@ def load_config(
             raise ConfigError(f"bad value for {key}: {exc}") from exc
     return ExperimentConfig(**kwargs)
 
+
+def read_world(directory: str | Path) -> ExperimentConfig:
+    """The world a corpus or checkpoint directory was made on, from its
+    `config.txt`. That file is input data, so a missing or invalid one
+    raises OSError or ValueError naming it, not ConfigError."""
+    path = Path(directory) / "config.txt"
+    try:
+        return load_config(path)
+    except ConfigError as exc:
+        raise ValueError(f"world {path}: {exc}") from None

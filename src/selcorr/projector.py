@@ -13,12 +13,12 @@ from __future__ import annotations
 import functools
 import hashlib
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ExperimentConfig, read_world
 from .dpc import approximate_inattentive, cluster_tokens
 from .lcr import locality_matrix, loss_and_gradient, pair_weight
 from .partition import cls_similarity, split_tokens
@@ -236,12 +236,17 @@ def train_projector(
     return Projector(w, b), losses
 
 
-def save_checkpoint(directory: str | Path, p: Projector, seed: int, steps: int) -> str:
-    """Write weight/bias tensors plus a metadata file; returns the checksum."""
+def save_checkpoint(
+    directory: str | Path, p: Projector, world: ExperimentConfig, seed: int, steps: int
+) -> str:
+    """Write weight/bias tensors, the `world` they were trained on as
+    `config.txt` (its `d` and `d_proj` are the projector's dimensions) and a
+    metadata file with the init `seed` and `steps`; returns the checksum."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     write_tensor(directory / "weight.scet", p.weight)
     write_tensor(directory / "bias.scet", p.bias)
+    write_key_values(directory / "config.txt", asdict(world))
     digest = projector_checksum(p)
     meta = {
         "in_dim": p.in_dim,
@@ -255,10 +260,12 @@ def save_checkpoint(directory: str | Path, p: Projector, seed: int, steps: int) 
 
 
 def load_checkpoint(directory: str | Path) -> Projector:
-    """Inverse of `save_checkpoint`. The meta.txt in_dim/out_dim and sha256
-    must match the tensors; a missing or different value raises ValueError."""
+    """Inverse of `save_checkpoint`. The meta.txt in_dim/out_dim and sha256,
+    and the config.txt world's d/d_proj, must match the tensors; a missing
+    or different value raises ValueError."""
     directory = Path(directory)
     meta = read_meta(directory / "meta.txt")
+    world = read_world(directory)
     weight = read_tensor(directory / "weight.scet")
     bias = read_tensor(directory / "bias.scet")
     try:
@@ -271,5 +278,11 @@ def load_checkpoint(directory: str | Path) -> Projector:
             recorded = f"{key}={meta[key]}" if key in meta else f"no {key}"
             raise ValueError(
                 f"checkpoint {directory}: meta.txt has {recorded}, the tensors give {value}"
+            )
+    for key, value in (("d", p.in_dim), ("d_proj", p.out_dim)):
+        if getattr(world, key) != value:
+            raise ValueError(
+                f"checkpoint {directory}: config.txt has {key}={getattr(world, key)}, "
+                f"the tensors give {value}"
             )
     return p

@@ -42,6 +42,13 @@ def _gen(out: Path, count: int = 6) -> None:
     assert main(["gen", "--count", str(count), "--out", str(out), *TINY]) == 0
 
 
+def _train(corpus: Path, run: Path, *flags: str) -> Path:
+    """Train on `corpus` into `run`; returns the checkpoint directory."""
+    assert main(["train-projector", "--manifest", str(corpus / "manifest.txt"),
+                 "--out", str(run), *TINY, *flags]) == 0
+    return run / "checkpoint"
+
+
 def _tree_digest(root: Path) -> dict[str, str]:
     return {
         str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
@@ -292,7 +299,7 @@ def test_usage_errors_exit_1(tmp_path, monkeypatch):
     assert rc == 1
 
 
-def test_data_errors_exit_2(tmp_path):
+def test_data_errors_exit_2(tmp_path, capsys):
     rc = main(["train-projector", "--manifest", str(tmp_path / "no" / "manifest.txt"),
                "--out", str(tmp_path / "out"), *TINY])
     assert rc == 2
@@ -302,12 +309,15 @@ def test_data_errors_exit_2(tmp_path):
     rc = main(["train-projector", "--manifest", str(corpus / "manifest.txt"),
                "--out", str(tmp_path / "out"), *TINY])
     assert rc == 2
-    # corpus too small to reserve the held-out block
+    # corpus too small to reserve the held-out block, with a checkpoint of its world
     small = tmp_path / "small"
     _gen(small, count=2)
+    checkpoint = _train(small, tmp_path / "run")
+    capsys.readouterr()
     rc = main(["eval-detect", "--manifest", str(small / "manifest.txt"),
-               "--checkpoint", str(tmp_path / "ck"), "--out", str(tmp_path / "out"), *TINY])
+               "--checkpoint", str(checkpoint), "--out", str(tmp_path / "out"), *TINY])
     assert rc == 2
+    assert "corpus of 2 cannot reserve 2 held-out samples" in capsys.readouterr().err
 
 
 def test_huge_sample_value_is_a_data_error(tmp_path, capsys):
@@ -683,25 +693,46 @@ def test_corpus_with_landmark_tables_is_a_data_error(tiny_run, tmp_path, capsys,
         assert str(missing) in err and "Traceback" not in err and not out.exists()
 
 
+def _checkpoint_forms(manifest: Path, checkpoint: Path, out: Path) -> list[list[str]]:
+    """Every command form that reads a checkpoint, with its inputs and `--out`."""
+    return [
+        ["eval-match", "--checkpoint", str(checkpoint), "--out", str(out), *TINY],
+        ["ablate", "--axis", "drop_rate", "--checkpoint", str(checkpoint), "--out", str(out),
+         *TINY],
+        ["export-simmap", "--checkpoint", str(checkpoint), "--out", str(out), *TINY],
+        ["eval-detect", "--manifest", str(manifest), "--checkpoint", str(checkpoint),
+         "--budget", "2", "--out", str(out), *TINY],
+    ]
+
+
+WORLD_CASES = (
+    (None, "missing"), ("cosine=true\n", "retired-key"), ("crop=30\n", "out-of-range"),
+    ("crop=32\npatch\n", "unparseable"),
+)
+
+
 @pytest.mark.parametrize(
-    "config",
-    [None, "cosine=true\n", "crop=30\n", "crop=32\npatch\n"],
-    ids=["missing", "retired-key", "out-of-range", "unparseable"],
+    "artefact, config",
+    [pytest.param("corpus", config, id=case) for config, case in WORLD_CASES]
+    + [pytest.param("checkpoint", config, id=f"checkpoint-{case}") for config, case in WORLD_CASES],
 )
 def test_corpus_without_a_valid_world_is_a_data_error(tiny_run, tmp_path, capsys, monkeypatch,
-                                                      config):
-    # a corpus's config.txt is the record of its world: missing, with a
-    # retired key, out of range or unparseable, it exits 2 naming the file
+                                                      artefact, config):
+    # a corpus's or a checkpoint's config.txt is the record of its world:
+    # missing, with a retired key, out of range or unparseable, every
+    # command that reads that artefact exits 2 naming the file
     _no_training(monkeypatch)
-    corpus, out = tmp_path / "corpus", tmp_path / "out"
+    corpus, checkpoint, out = tmp_path / "corpus", tmp_path / "checkpoint", tmp_path / "out"
     shutil.copytree(tiny_run / "corpus", corpus)
-    path = corpus / "config.txt"
+    shutil.copytree(tiny_run / "run" / "checkpoint", checkpoint)
+    path = (corpus if artefact == "corpus" else checkpoint) / "config.txt"
     if config is None:
         path.unlink()
     else:
         path.write_text(config)
     capsys.readouterr()
-    for argv in _corpus_forms(corpus / "manifest.txt", tiny_run / "run" / "checkpoint", out):
+    forms = _corpus_forms if artefact == "corpus" else _checkpoint_forms
+    for argv in forms(corpus / "manifest.txt", checkpoint, out):
         assert main(argv) == 2, argv[:3]
         err = capsys.readouterr().err
         assert str(path) in err and "Traceback" not in err, argv[:3]
@@ -717,15 +748,36 @@ def test_eval_detect_bounds_heatmaps_on_the_corpus_world(tmp_path, capsys, monke
     corpus = tmp_path / "corpus"
     assert main(["gen", "--count", "1", "--out", str(corpus), *TINY,
                  "--crop", "96", "--d", "64"]) == 0
+    checkpoint = _train(corpus, tmp_path / "run")
     monkeypatch.setattr(cli, "read_corpus", no_reading)
     capsys.readouterr()
     rc = main(["eval-detect", "--manifest", str(corpus / "manifest.txt"),
-               "--checkpoint", str(tmp_path / "ck"), "--out", str(tmp_path / "det"), *TINY,
+               "--checkpoint", str(checkpoint), "--out", str(tmp_path / "det"), *TINY,
                "--heatmaps", str(10**8)])
     assert rc == 1
     err = capsys.readouterr().err
     assert "heatmaps = 100000000 implies a" in err and "Traceback" not in err
     assert not (tmp_path / "det").exists()
+
+
+def test_eval_detect_bounds_heatmaps_on_the_checkpoint_d_proj(tiny_run, tmp_path, capsys,
+                                                              monkeypatch):
+    # 10**8 heatmaps imply a (5 * 10**8, 3, 3, 14 + 4) conv, 6.48e11 bytes, at
+    # tiny.txt's d_proj, under the limit; the conv eval-detect builds for a
+    # d_proj=64 checkpoint is (5 * 10**8, 3, 3, 14 + 64), 2.81e12 bytes, above it
+    def no_reading(*args, **kwargs):
+        raise AssertionError("the corpus was read")
+
+    checkpoint = _train(tiny_run / "corpus", tmp_path / "run", "--d-proj", "64")
+    monkeypatch.setattr(cli, "read_corpus", no_reading)
+    capsys.readouterr()
+    rc = main(["eval-detect", "--manifest", str(tiny_run / "corpus" / "manifest.txt"),
+               "--checkpoint", str(checkpoint), "--out", str(tmp_path / "det"), *TINY,
+               "--heatmaps", str(10**8)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "heatmaps = 100000000 implies a 2808000000000-byte array" in err
+    assert "Traceback" not in err and not (tmp_path / "det").exists()
 
 
 def test_eval_detect_without_config_bounds_heatmaps_on_the_corpus_world(tiny_run, tmp_path,
@@ -740,6 +792,65 @@ def test_eval_detect_without_config_bounds_heatmaps_on_the_corpus_world(tiny_run
               "--holdout", "2", "--out", str(tmp_path / "det"), "--heatmaps", str(7 * 10**7)])
 
 
+@pytest.fixture(scope="module")
+def seed3_run(tmp_path_factory):
+    """A 6-sample corpus of tiny.txt's world drawn at seed 3, and a
+    checkpoint trained on it from seed 0's init."""
+    root = tmp_path_factory.mktemp("seed3")
+    assert main(["gen", "--count", "6", "--out", str(root / "corpus"), *TINY,
+                 "--seed", "3"]) == 0
+    _train(root / "corpus", root / "run")
+    return root
+
+
+@pytest.mark.parametrize("form", ["eval-match", "ablate --axis drop_rate", "export-simmap"])
+def test_checkpoint_forms_run_on_the_checkpoint_world(seed3_run, tmp_path, capsys, form):
+    # a checkpoint of a seed-3 corpus is scored on seed-3 pairs of its world:
+    # with tiny.txt (seed 0), with the defaults (a 96-pixel, d=32 world) and
+    # with --seed 3 the command writes the same bytes; --seed 0 exits 1
+    argv = [*form.split(), "--checkpoint", str(seed3_run / "run" / "checkpoint")]
+    if form != "export-simmap":
+        argv += ["--pairs", "2"]
+    written = []
+    for tag, settings in (("tiny", TINY), ("defaults", []), ("seed3", [*TINY, "--seed", "3"])):
+        out = tmp_path / tag
+        target = out / "sim.pgm" if form == "export-simmap" else out
+        assert main([*argv, "--out", str(target), *settings]) == 0, tag
+        written.append(_tree_digest(out))
+    assert written[0] and written[0] == written[1] == written[2]
+    capsys.readouterr()
+    assert main([*argv, "--out", str(tmp_path / "seed0"), *TINY, "--seed", "0"]) == 1
+    err = capsys.readouterr().err
+    assert "--seed 0 is not the checkpoint's world seed 3" in err and "Traceback" not in err
+    assert not (tmp_path / "seed0").exists()
+
+
+def test_eval_detect_rejects_a_checkpoint_of_another_world(tiny_run, seed3_run, tmp_path,
+                                                           capsys, monkeypatch):
+    # the seed-3 checkpoint on a seed-0 corpus of its grid, and on a seed-5
+    # corpus of another grid: exit 2 naming both config.txt files, before
+    # any sample is read
+    def no_reading(*args, **kwargs):
+        raise AssertionError("the corpus was read")
+
+    other = tmp_path / "other"
+    assert main(["gen", "--count", "12", "--out", str(other), "--crop", "48", "--patch", "12",
+                 "--d", "14", "--d-aux", "4", "--seed", "5"]) == 0
+    monkeypatch.setattr(cli, "read_corpus", no_reading)
+    checkpoint = seed3_run / "run" / "checkpoint"
+    capsys.readouterr()
+    for corpus, ours, theirs in ((tiny_run / "corpus", "seed=3", "seed=0"),
+                                 (other, "crop=32, patch=8, seed=3", "crop=48, patch=12, seed=5")):
+        rc = main(["eval-detect", "--manifest", str(corpus / "manifest.txt"),
+                   "--checkpoint", str(checkpoint), "--budget", "2",
+                   "--out", str(tmp_path / "det"), *TINY])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert (f"checkpoint world {checkpoint / 'config.txt'} has {ours}, "
+                f"corpus world {corpus / 'config.txt'} has {theirs}") in err
+        assert "Traceback" not in err and not (tmp_path / "det").exists()
+
+
 def test_ablate_rejects_flags_it_would_ignore(tmp_path, capsys, monkeypatch):
     def no_training(*args, **kwargs):
         raise AssertionError("a projector was trained")
@@ -752,11 +863,15 @@ def test_ablate_rejects_flags_it_would_ignore(tmp_path, capsys, monkeypatch):
         rc = main(["ablate", "--axis", axis, "--manifest", manifest,
                    "--checkpoint", str(tmp_path / "ck"), "--out", str(tmp_path / "a"), *TINY])
         assert rc == 1
-    rc = main(["ablate", "--axis", "drop_rate", "--manifest", manifest,
-               "--out", str(tmp_path / "a"), *TINY])
-    assert rc == 1
+    # with or without a checkpoint of the corpus's world, which it would read
+    (tmp_path / "ck").mkdir()
+    shutil.copy(corpus / "config.txt", tmp_path / "ck")
+    for checkpoint in ([], ["--checkpoint", str(tmp_path / "ck")]):
+        rc = main(["ablate", "--axis", "drop_rate", "--manifest", manifest, *checkpoint,
+                   "--out", str(tmp_path / "a"), *TINY])
+        assert rc == 1
     err = capsys.readouterr().err
-    assert err.count("takes no --checkpoint") == 3 and err.count("takes no --manifest") == 1
+    assert err.count("takes no --checkpoint") == 3 and err.count("takes no --manifest") == 2
     # a key the axis sweeps or fixes itself: no axis takes --drop-rate
     for axis in ("kc", "drop_rate"):
         extra = [] if axis == "drop_rate" else ["--manifest", manifest]
@@ -782,9 +897,11 @@ READ_KEYS = {
     "train-projector": {"eta", "kc", "tau", "r_aa", "r_ai", "r_ii", "d_proj", "proj_lr",
                         "proj_steps", "optimizer", "momentum", "seed"},
     "eval-match": {"crop", "patch", "d", "d_aux", "seed", "pairs", "drop_rate"},
+    "eval-match --checkpoint": {"seed", "pairs", "drop_rate"},
     "eval-detect": {"heatmaps", "softargmax_temp", "reg_lr", "reg_steps", "reg_optimizer",
                     "momentum", "holdout", "repeats", "seed"},
     "ablate --axis drop_rate": {"crop", "patch", "d", "d_aux", "seed", "pairs"},
+    "ablate --axis drop_rate --checkpoint": {"seed", "pairs"},
     "ablate --axis eta": {"seed", "pairs", "kc", "tau", "r_aa", "r_ai", "r_ii", "d_proj",
                           "proj_lr", "proj_steps", "optimizer", "momentum"},
     "ablate --axis kc": {"seed", "pairs", "eta", "tau", "r_aa", "r_ai", "r_ii", "d_proj",
@@ -792,6 +909,7 @@ READ_KEYS = {
     "ablate --axis repellence": {"seed", "pairs", "eta", "kc", "tau", "r_aa", "r_ai", "r_ii",
                                  "d_proj", "proj_lr", "proj_steps", "optimizer", "momentum"},
     "export-simmap": {"crop", "patch", "d", "d_aux", "seed"},
+    "export-simmap --checkpoint": {"seed"},
 }
 # a valid value away from the default for every key
 NON_DEFAULT = {
@@ -814,15 +932,22 @@ def _form_argv(form: str, manifest: str, checkpoint: str) -> list[str]:
     argv = form.split()
     if form in ("train-projector", "eval-detect") or argv[-1] in ("eta", "kc", "repellence"):
         argv += ["--manifest", manifest]
-    if form in ("eval-match", "eval-detect", "export-simmap"):
-        argv += ["--checkpoint", checkpoint]
+    if form == "eval-detect":
+        argv.append("--checkpoint")
+    if argv[-1] == "--checkpoint":
+        argv.append(checkpoint)
     return argv
 
 
 def test_each_command_takes_only_the_config_flags_it_reads(tmp_path, capsys, monkeypatch):
     assert set(NON_DEFAULT) == {f.name for f in fields(ExperimentConfig)}
-    # a default-world corpus of no samples: the forms that read one take its world
-    assert main(["gen", "--count", "0", "--out", str(tmp_path)]) == 0
+    # a corpus of no samples in the default world at NON_DEFAULT's seed, and
+    # a checkpoint directory of its world: the forms that read either take
+    # its world, and a checkpoint's seed is the only one its forms accept
+    assert main(["gen", "--count", "0", "--out", str(tmp_path),
+                 "--seed", NON_DEFAULT["seed"]]) == 0
+    (tmp_path / "ck").mkdir()
+    shutil.copy(tmp_path / "config.txt", tmp_path / "ck")
     out = tmp_path / "out"
     forms = {form: [*_form_argv(form, str(tmp_path / "manifest.txt"), str(tmp_path / "ck")),
                     "--out", str(out)] for form in READ_KEYS}
@@ -935,7 +1060,7 @@ def test_gen_config_passes_back_to_every_command(tmp_path):
         written = []
         for tag, settings in (("file", ["--config", str(config)]), ("flags", flags)):
             out = tmp_path / tag / form.replace(" ", "_")
-            target = out / "sim.pgm" if form == "export-simmap" else out
+            target = out / "sim.pgm" if form.startswith("export-simmap") else out
             assert main([*argv, "--out", str(target), *settings]) == 0, (form, tag)
             written.append(_tree_digest(out))
         assert written[0] and written[0] == written[1], form

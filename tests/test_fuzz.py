@@ -180,7 +180,7 @@ def test_loaded_config_builds_everything_or_raises_config_error(values):
 # a 3-sample corpus and a checkpoint trained on it, small enough that each
 # command runs in tens of milliseconds
 CLI_FLAGS = ["--config", str(TINY_CONFIG)]
-CHECKPOINT_FILES = ("meta.txt", "weight.scet", "bias.scet")
+CHECKPOINT_FILES = ("meta.txt", "config.txt", "weight.scet", "bias.scet")
 CORPUS_FILES = (
     "corpus/manifest.txt",
     "corpus/config.txt",

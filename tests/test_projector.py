@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from selcorr import projector
-from selcorr.config import ConfigError, ExperimentConfig, load_config
+from selcorr.config import ConfigError, ExperimentConfig, load_config, read_world
 from selcorr.dpc import cluster_tokens
 from selcorr.lcr import locality_matrix, loss_and_gradient
 from selcorr.partition import cls_similarity, split_tokens
@@ -334,19 +334,26 @@ def test_empty_corpus_rejected():
 
 
 def test_checkpoint_roundtrip(tmp_path):
-    proj, _ = train_projector(_small_corpus(), replace(TINY, proj_steps=3, kc=2))
-    digest = save_checkpoint(tmp_path / "ck", proj, seed=0, steps=3)
+    cfg = replace(TINY, proj_steps=3, kc=2)
+    proj, _ = train_projector(_small_corpus(), cfg)
+    digest = save_checkpoint(tmp_path / "ck", proj, replace(cfg, seed=3), seed=0, steps=3)
     assert digest == projector_checksum(proj)
     back = load_checkpoint(tmp_path / "ck")
     assert np.array_equal(back.weight, proj.weight)
     assert np.array_equal(back.bias, proj.bias)
     meta = (tmp_path / "ck" / "meta.txt").read_text()
-    assert f"sha256={digest}" in meta
+    assert f"sha256={digest}" in meta and "seed=0" in meta
     assert f"in_dim={TINY.d}" in meta and f"out_dim={TINY.d_proj}" in meta
+    # the world the projector was trained on, with the corpus's seed
+    assert read_world(tmp_path / "ck") == replace(cfg, seed=3)
+
+
+def _edit(name, old, new):
+    return lambda ck: (ck / name).write_text((ck / name).read_text().replace(old, new))
 
 
 def _edit_meta(old, new):
-    return lambda ck: (ck / "meta.txt").write_text((ck / "meta.txt").read_text().replace(old, new))
+    return _edit("meta.txt", old, new)
 
 
 @pytest.mark.parametrize(
@@ -356,13 +363,16 @@ def _edit_meta(old, new):
         _edit_meta(f"out_dim={TINY.d_proj}\n", ""),
         _edit_meta("sha256=", "sha256=0"),
         lambda ck: write_tensor(ck / "weight.scet", np.full((TINY.d, TINY.d_proj), np.nan)),
+        _edit("config.txt", f"\nd={TINY.d}\n", f"\nd={TINY.d + 1}\n"),
+        _edit("config.txt", f"d_proj={TINY.d_proj}\n", f"d_proj={TINY.d_proj + 1}\n"),
     ],
-    ids=["in_dim", "no_out_dim", "sha256", "nan_weight"],
+    ids=["in_dim", "no_out_dim", "sha256", "nan_weight", "world_d", "world_d_proj"],
 )
 def test_checkpoint_is_checked_on_load(tmp_path, tamper):
-    proj, _ = train_projector(_small_corpus(), replace(TINY, proj_steps=1, kc=2))
+    cfg = replace(TINY, proj_steps=1, kc=2)
+    proj, _ = train_projector(_small_corpus(), cfg)
     ck = tmp_path / "ck"
-    save_checkpoint(ck, proj, seed=0, steps=1)
+    save_checkpoint(ck, proj, cfg, seed=0, steps=1)
     tamper(ck)
     with pytest.raises(ValueError, match=str(ck)):
         load_checkpoint(ck)

@@ -25,9 +25,10 @@ def _load(name: str):
 def _accepted(monkeypatch, argvs: list[list[str]]) -> list[str]:
     """The command of each line, after `cli.main` accepts it: every flag is
     one its command form reads (`cli.READS`) with a value in range. The
-    commands themselves are stubbed out, and so is the read of a corpus's
-    world, for which the default world stands in, so no work is run."""
-    monkeypatch.setattr(cli, "_corpus_world", lambda manifest: ExperimentConfig())
+    commands themselves are stubbed out, and so is the read of a corpus's or
+    a checkpoint's world, for which the default world stands in, so no work
+    is run."""
+    monkeypatch.setattr(cli, "read_world", lambda directory: ExperimentConfig())
     ran = []
     for name in ("gen", "train_projector", "eval_match", "eval_detect", "ablate",
                  "export_simmap"):
