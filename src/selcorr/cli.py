@@ -5,7 +5,8 @@ export-simmap. Every hyperparameter of the method and every grid size is a
 config key that a `--config` file may set; a command takes flags only for
 the keys it reads (`READS`). A corpus and a checkpoint each record the world
 they were made on in their `config.txt`, and a command that reads one runs
-on that world, not on grid flags. The synthetic world's statistics are
+on that world, not on grid flags. A command loads its checkpoint once, the
+tensors with their world, before it builds its config. The synthetic world's statistics are
 constants of `synth`. Reruns with identical seeds produce byte-identical
 outputs at a fixed BLAS thread count: `eval-detect`'s GEMMs may round
 differently on another (`OPENBLAS_NUM_THREADS`, `OMP_NUM_THREADS`, `MKL_NUM_THREADS`).
@@ -23,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, load_config, read_world
+from .config import WORLD_KEYS, ConfigError, ExperimentConfig, load_config, read_world
 from .evaluation import (
     drop_mask,
     inter_ocular_error,
@@ -64,11 +65,10 @@ KC_SWEEP = (1, 2, 4, 8)
 # Past ~0.96 the drop starts consuming top-scoring landmark cells, so the
 # matching curve stays flat to a knee and then degrades sharply.
 DROP_SWEEP = (0.0, 0.25, 0.5, 0.75, 0.875, 0.9375, 0.97, 0.99)
-# the world of the synthetic faces: a corpus's `config.txt` records the one
-# it was drawn from, a checkpoint's the one its corpus was drawn from (and
-# its own `d_proj`), and every command that reads either runs on that one
-WORLD_KEYS = ("crop", "patch", "d", "d_aux")
-GRID_KEYS = {*WORLD_KEYS, "seed"}
+# a world's grid and seed: a corpus's `config.txt` records the world it was
+# drawn from, a checkpoint's the one its corpus was drawn from (and its own
+# `d_proj`), and every command that reads either runs on that one
+GRID_KEYS = set(WORLD_KEYS) - {"d_proj"}
 PROJECTOR_KEYS = {"eta", "kc", "tau", "r_aa", "r_ai", "r_ii", "d_proj", "proj_lr", "proj_steps",
                   "optimizer", "momentum", "seed"}
 # the config keys each command form reads, the only ones it takes as flags.
@@ -159,10 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _projector(checkpoint: Path | None) -> Projector | None:
-    return None if checkpoint is None else load_checkpoint(checkpoint)
-
-
 def _match_sweep(cfg: ExperimentConfig, projs: list[Projector | None], drop_rates) -> np.ndarray:
     """(projectors, rates, 2 * pairs, L) per-landmark pixel errors of the match
     protocol for each projector (None = raw features) at each drop rate.
@@ -215,16 +211,15 @@ def cmd_train_projector(
     corpus = (output for output, _ in read_corpus(manifest, cfg.face_spec()))
     proj, losses = train_projector(corpus, cfg)
     out.mkdir(parents=True, exist_ok=True)
-    digest = save_checkpoint(out / "checkpoint", proj, trained, seed=cfg.seed,
-                             steps=cfg.proj_steps)
+    digest = save_checkpoint(out / "checkpoint", proj, trained, seed=cfg.seed)
     write_csv(out / "trace.csv", [("step", "loss"), *enumerate(losses)])
     last = losses[-1] if losses else float("nan")
     print(f"trained {cfg.proj_steps} steps, final_loss={last!r}, sha256={digest}")
     return EXIT_OK
 
 
-def cmd_eval_match(cfg: ExperimentConfig, out: Path, checkpoint: Path | None) -> int:
-    errors = _match_sweep(cfg, [_projector(checkpoint)], (cfg.drop_rate,))[0, 0]
+def cmd_eval_match(cfg: ExperimentConfig, out: Path, proj: Projector | None) -> int:
+    errors = _match_sweep(cfg, [proj], (cfg.drop_rate,))[0, 0]
     out.mkdir(parents=True, exist_ok=True)
     rows = [
         (i, lid, "same" if i < cfg.pairs else "different", err)
@@ -238,7 +233,7 @@ def cmd_eval_match(cfg: ExperimentConfig, out: Path, checkpoint: Path | None) ->
 
 
 def cmd_eval_detect(
-    cfg: ExperimentConfig, manifest: Path, checkpoint: Path, budget: int, out: Path
+    cfg: ExperimentConfig, manifest: Path, proj: Projector, budget: int, out: Path
 ) -> int:
     if budget < 1:
         raise ConfigError("budget must be >= 1")
@@ -263,7 +258,6 @@ def cmd_eval_detect(
     if train_n < budget:
         print(f"warning: budget {budget} clamped to {train_n}", file=sys.stderr)
     del train_samples[train_n:]
-    proj = load_checkpoint(checkpoint)
     gts = np.stack([lm for _, lm in held_out])
     runs = []
     for rep in range(cfg.repeats):
@@ -285,19 +279,12 @@ def cmd_eval_detect(
 
 
 def cmd_ablate(
-    cfg: ExperimentConfig, axis: str, manifest: Path | None, checkpoint: Path | None,
+    cfg: ExperimentConfig, axis: str, manifest: Path | None, proj: Projector | None,
     out: Path, world: ExperimentConfig | None,
 ) -> int:
-    # usage checks come before any variant is trained
-    if axis == "drop_rate" and manifest is not None:
-        raise ConfigError("axis drop_rate generates its own pairs and takes no --manifest")
-    if axis != "drop_rate" and checkpoint is not None:
-        raise ConfigError(f"axis {axis} trains a projector per variant and takes no --checkpoint")
     if axis == "drop_rate":
-        values, projs, rates = DROP_SWEEP, [_projector(checkpoint)], DROP_SWEEP
+        values, projs, rates = DROP_SWEEP, [proj], DROP_SWEEP
     else:
-        if manifest is None:
-            raise ConfigError(f"axis {axis} requires --manifest")
         # the variants train on the corpus, and are scored on pairs of its world
         corpus = [output for output, _ in read_corpus(manifest, cfg.face_spec())]
         if axis == "eta":
@@ -325,13 +312,13 @@ def cmd_ablate(
 
 
 def cmd_export_simmap(
-    cfg: ExperimentConfig, out: Path, checkpoint: Path | None, landmark: int, kind: str
+    cfg: ExperimentConfig, out: Path, proj: Projector | None, landmark: int, kind: str
 ) -> int:
     base = cfg.face_spec()
     if not 0 <= landmark < len(base.landmarks_px):
         raise ConfigError(f"landmark index {landmark} out of range")
     pair = make_pair(base, kind, cfg.seed)
-    sims = pair_similarity(pair, _projector(checkpoint))[landmark]
+    sims = pair_similarity(pair, proj)[landmark]
     out.parent.mkdir(parents=True, exist_ok=True)
     write_pgm(out, sims)
     print(f"wrote {out}")
@@ -348,19 +335,28 @@ def main(argv: list[str] | None = None) -> int:
     if flags.keys() - READS[form]:
         parser.error(f"{form} ignores {', '.join(sorted(flags.keys() - READS[form]))}")
     try:
+        # ablate's inputs depend on its axis, and are checked before any is read
+        if args.command == "ablate":
+            trains = args.axis != "drop_rate"
+            if not trains and args.manifest is not None:
+                raise ConfigError("axis drop_rate generates its own pairs and takes no --manifest")
+            if trains and args.checkpoint is not None:
+                raise ConfigError(f"axis {args.axis} trains a projector per variant and takes "
+                                  "no --checkpoint")
+            if trains and args.manifest is None:
+                raise ConfigError(f"axis {args.axis} requires --manifest")
         # a form that reads a corpus or a checkpoint runs on its world, so its
         # one config is defaults < --config < the world's keys < flags
-        corpus = trained = None
+        corpus = trained = proj = None
         recorded = {}
-        reads_corpus = getattr(args, "axis", None) != "drop_rate"
-        if getattr(args, "manifest", None) is not None and reads_corpus:
+        if getattr(args, "manifest", None) is not None:
             corpus = read_world(args.manifest.parent)
-            recorded = {key: getattr(corpus, key) for key in WORLD_KEYS}
+            recorded = {key: getattr(corpus, key) for key in GRID_KEYS - {"seed"}}
         if form.endswith(" --checkpoint") or form == "eval-detect":
-            trained = read_world(args.checkpoint)
+            proj, trained = load_checkpoint(args.checkpoint)
             # eval-detect runs on the corpus's world with the checkpoint's
             # d_proj, and its seed is the regressor's
-            keys = ["d_proj"] if form == "eval-detect" else [*WORLD_KEYS, "seed", "d_proj"]
+            keys = ["d_proj"] if form == "eval-detect" else WORLD_KEYS
             recorded |= {key: getattr(trained, key) for key in keys}
         cfg = load_config(args.config, {key: str(v) for key, v in recorded.items()} | flags)
         if form == "eval-detect":
@@ -382,13 +378,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "train-projector":
             return cmd_train_projector(cfg, args.manifest, args.out, corpus)
         if args.command == "eval-match":
-            return cmd_eval_match(cfg, args.out, args.checkpoint)
+            return cmd_eval_match(cfg, args.out, proj)
         if args.command == "eval-detect":
-            return cmd_eval_detect(cfg, args.manifest, args.checkpoint, args.budget, args.out)
+            return cmd_eval_detect(cfg, args.manifest, proj, args.budget, args.out)
         if args.command == "ablate":
-            return cmd_ablate(cfg, args.axis, args.manifest, args.checkpoint, args.out, corpus)
+            return cmd_ablate(cfg, args.axis, args.manifest, proj, args.out, corpus)
         if args.command == "export-simmap":
-            return cmd_export_simmap(cfg, args.out, args.checkpoint, args.landmark, args.kind)
+            return cmd_export_simmap(cfg, args.out, proj, args.landmark, args.kind)
     except ConfigError as exc:
         print(f"selcorr: {exc}", file=sys.stderr)
         return EXIT_USAGE

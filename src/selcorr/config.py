@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .synth import DEFAULT_ANCHORS, DEFAULT_LANDMARKS, SyntheticFaceSpec
-from .tensorio import parse_key_values
+from .tensorio import parse_key_values, read_meta
 
 
 class ConfigError(ValueError):
@@ -26,6 +26,10 @@ class ConfigError(ValueError):
 # fail on a larger one (out of memory, or past its own size limit) only
 # after work has begun, so a config that implies one is a usage error
 MAX_ARRAY_BYTES = 2**40
+
+# the keys of a world record, the `config.txt` of a corpus or a checkpoint:
+# the synthetic world's grid and seed, and a checkpoint's `d_proj`
+WORLD_KEYS = ("crop", "patch", "d", "d_aux", "seed", "d_proj")
 
 # the default landmark/anchor layout is drawn on a LAYOUT_CROP-pixel image and
 # scales with the crop; its largest coordinate, 80, stays inside the image
@@ -188,10 +192,15 @@ def load_config(
 
 def read_world(directory: str | Path) -> ExperimentConfig:
     """The world a corpus or checkpoint directory was made on, from its
-    `config.txt`. That file is input data, so a missing or invalid one
-    raises OSError or ValueError naming it, not ConfigError."""
+    `config.txt`, which must hold every `WORLD_KEYS` key. That file is input
+    data, so a missing, incomplete or invalid one raises OSError or
+    ValueError naming it, not ConfigError."""
     path = Path(directory) / "config.txt"
     try:
-        return load_config(path)
-    except ConfigError as exc:
+        values = read_meta(path)
+        missing = [key for key in WORLD_KEYS if key not in values]
+        if missing:
+            raise ConfigError(f"lacks {', '.join(missing)}")
+        return load_config(None, values)
+    except ValueError as exc:
         raise ValueError(f"world {path}: {exc}") from None

@@ -237,32 +237,25 @@ def train_projector(
 
 
 def save_checkpoint(
-    directory: str | Path, p: Projector, world: ExperimentConfig, seed: int, steps: int
+    directory: str | Path, p: Projector, world: ExperimentConfig, seed: int
 ) -> str:
     """Write weight/bias tensors, the `world` they were trained on as
-    `config.txt` (its `d` and `d_proj` are the projector's dimensions) and a
-    metadata file with the init `seed` and `steps`; returns the checksum."""
+    `config.txt` (its `d` and `d_proj` are the projector's dimensions) and
+    `meta.txt` with the init `seed` and the tensors' sha256; returns it."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     write_tensor(directory / "weight.scet", p.weight)
     write_tensor(directory / "bias.scet", p.bias)
     write_key_values(directory / "config.txt", asdict(world))
     digest = projector_checksum(p)
-    meta = {
-        "in_dim": p.in_dim,
-        "out_dim": p.out_dim,
-        "seed": seed,
-        "steps": steps,
-        "sha256": digest,
-    }
-    write_key_values(directory / "meta.txt", meta)
+    write_key_values(directory / "meta.txt", {"seed": seed, "sha256": digest})
     return digest
 
 
-def load_checkpoint(directory: str | Path) -> Projector:
-    """Inverse of `save_checkpoint`. The meta.txt in_dim/out_dim and sha256,
-    and the config.txt world's d/d_proj, must match the tensors; a missing
-    or different value raises ValueError."""
+def load_checkpoint(directory: str | Path) -> tuple[Projector, ExperimentConfig]:
+    """Inverse of `save_checkpoint`: the projector and its world. The
+    tensors must match the sha256 of `meta.txt` and the `d` and `d_proj` of
+    the `config.txt` world (`read_world`); otherwise ValueError."""
     directory = Path(directory)
     meta = read_meta(directory / "meta.txt")
     world = read_world(directory)
@@ -272,17 +265,13 @@ def load_checkpoint(directory: str | Path) -> Projector:
         p = Projector(weight, bias)
     except ValueError as exc:
         raise ValueError(f"checkpoint {directory}: {exc}") from None
-    actual = {"in_dim": str(p.in_dim), "out_dim": str(p.out_dim), "sha256": projector_checksum(p)}
-    for key, value in actual.items():
-        if meta.get(key) != value:
-            recorded = f"{key}={meta[key]}" if key in meta else f"no {key}"
+    for name, key, recorded, value in (
+        ("meta.txt", "sha256", meta.get("sha256"), projector_checksum(p)),
+        ("config.txt", "d", world.d, p.in_dim),
+        ("config.txt", "d_proj", world.d_proj, p.out_dim),
+    ):
+        if recorded != value:
             raise ValueError(
-                f"checkpoint {directory}: meta.txt has {recorded}, the tensors give {value}"
+                f"checkpoint {directory}: {name} has {key}={recorded}, the tensors give {value}"
             )
-    for key, value in (("d", p.in_dim), ("d_proj", p.out_dim)):
-        if getattr(world, key) != value:
-            raise ValueError(
-                f"checkpoint {directory}: config.txt has {key}={getattr(world, key)}, "
-                f"the tensors give {value}"
-            )
-    return p
+    return p, world

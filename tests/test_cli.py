@@ -12,7 +12,7 @@ import pytest
 
 from selcorr import cli, projector
 from selcorr.cli import DROP_SWEEP, _match_sweep, main
-from selcorr.config import ExperimentConfig, load_config
+from selcorr.config import ExperimentConfig, load_config, read_world
 from selcorr.evaluation import kind_means, pair_similarity, train_regressor, write_pgm
 from selcorr.partition import cls_similarity, split_tokens
 from selcorr.projector import (
@@ -20,6 +20,7 @@ from selcorr.projector import (
     init_projector,
     load_checkpoint,
     projector_checksum,
+    save_checkpoint,
     train_projector,
 )
 from selcorr.synth import BackboneOutput, make_pair, read_sample
@@ -705,38 +706,63 @@ def _checkpoint_forms(manifest: Path, checkpoint: Path, out: Path) -> list[list[
     ]
 
 
+# edits of a world record, its config.txt, and a part of the message each gives
 WORLD_CASES = (
-    (None, "missing"), ("cosine=true\n", "retired-key"), ("crop=30\n", "out-of-range"),
-    ("crop=32\npatch\n", "unparseable"),
+    (None, "No such file", "missing"),
+    (lambda text: text + "cosine=true\n", "unknown config key 'cosine'", "retired-key"),
+    (lambda text: text.replace("\ncrop=32\n", "\ncrop=30\n"), "crop", "out-of-range"),
+    (lambda text: text + "patch\n", "expected key=value, got 'patch'", "unparseable"),
+    (lambda text: text.replace("\ncrop=32\n", "\n"), "lacks crop", "no-crop"),
 )
 
 
 @pytest.mark.parametrize(
-    "artefact, config",
-    [pytest.param("corpus", config, id=case) for config, case in WORLD_CASES]
-    + [pytest.param("checkpoint", config, id=f"checkpoint-{case}") for config, case in WORLD_CASES],
+    "artefact, edit, message",
+    [pytest.param("corpus", edit, message, id=case) for edit, message, case in WORLD_CASES]
+    + [pytest.param("checkpoint", edit, message, id=f"checkpoint-{case}")
+       for edit, message, case in WORLD_CASES],
 )
 def test_corpus_without_a_valid_world_is_a_data_error(tiny_run, tmp_path, capsys, monkeypatch,
-                                                      artefact, config):
+                                                      artefact, edit, message):
     # a corpus's or a checkpoint's config.txt is the record of its world:
-    # missing, with a retired key, out of range or unparseable, every
-    # command that reads that artefact exits 2 naming the file
-    _no_training(monkeypatch)
+    # missing, with a retired key, out of range, unparseable or without a
+    # world key, every command that reads that artefact exits 2 naming the
+    # file, before it reads a sample
+    _no_work(monkeypatch)
     corpus, checkpoint, out = tmp_path / "corpus", tmp_path / "checkpoint", tmp_path / "out"
     shutil.copytree(tiny_run / "corpus", corpus)
     shutil.copytree(tiny_run / "run" / "checkpoint", checkpoint)
     path = (corpus if artefact == "corpus" else checkpoint) / "config.txt"
-    if config is None:
+    if edit is None:
         path.unlink()
     else:
-        path.write_text(config)
+        path.write_text(edit(path.read_text()))
     capsys.readouterr()
     forms = _corpus_forms if artefact == "corpus" else _checkpoint_forms
     for argv in forms(corpus / "manifest.txt", checkpoint, out):
         assert main(argv) == 2, argv[:3]
         err = capsys.readouterr().err
-        assert str(path) in err and "Traceback" not in err, argv[:3]
+        assert str(path) in err and message in err and "Traceback" not in err, argv[:3]
         assert not out.exists()
+
+
+def test_each_checkpoint_form_reads_the_checkpoint_world_once(tiny_run, tmp_path, monkeypatch):
+    # a command loads its checkpoint once, world and tensors together
+    checkpoint = tiny_run / "run" / "checkpoint"
+    reads = []
+    read_text = Path.read_text
+
+    def counted(path, *args, **kwargs):
+        reads.append(path)
+        return read_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counted)
+    manifest = tiny_run / "corpus" / "manifest.txt"
+    for i in range(4):
+        argv = _checkpoint_forms(manifest, checkpoint, tmp_path / f"out{i}")[i]
+        reads.clear()
+        assert main(argv) == 0, argv[:3]
+        assert reads.count(checkpoint / "config.txt") == 1, argv[:3]
 
 
 def test_eval_detect_bounds_heatmaps_on_the_corpus_world(tmp_path, capsys, monkeypatch):
@@ -823,6 +849,15 @@ def test_checkpoint_forms_run_on_the_checkpoint_world(seed3_run, tmp_path, capsy
     err = capsys.readouterr().err
     assert "--seed 0 is not the checkpoint's world seed 3" in err and "Traceback" not in err
     assert not (tmp_path / "seed0").exists()
+    # the checkpoint is loaded before the config is built: damaged tensors
+    # are reported (exit 2) before the seed mismatch (exit 1)
+    damaged = tmp_path / "damaged"
+    shutil.copytree(seed3_run / "run" / "checkpoint", damaged)
+    write_tensor(damaged / "bias.scet", read_tensor(damaged / "bias.scet") + 1.0)
+    argv[argv.index("--checkpoint") + 1] = str(damaged)
+    assert main([*argv, "--out", str(tmp_path / "seed0"), *TINY, "--seed", "0"]) == 2
+    err = capsys.readouterr().err
+    assert f"checkpoint {damaged}: meta.txt has sha256=" in err and "Traceback" not in err
 
 
 def test_eval_detect_rejects_a_checkpoint_of_another_world(tiny_run, seed3_run, tmp_path,
@@ -942,12 +977,12 @@ def _form_argv(form: str, manifest: str, checkpoint: str) -> list[str]:
 def test_each_command_takes_only_the_config_flags_it_reads(tmp_path, capsys, monkeypatch):
     assert set(NON_DEFAULT) == {f.name for f in fields(ExperimentConfig)}
     # a corpus of no samples in the default world at NON_DEFAULT's seed, and
-    # a checkpoint directory of its world: the forms that read either take
-    # its world, and a checkpoint's seed is the only one its forms accept
+    # a checkpoint of its world: the forms that read either take its world,
+    # and a checkpoint's seed is the only one its forms accept
     assert main(["gen", "--count", "0", "--out", str(tmp_path),
                  "--seed", NON_DEFAULT["seed"]]) == 0
-    (tmp_path / "ck").mkdir()
-    shutil.copy(tmp_path / "config.txt", tmp_path / "ck")
+    world = read_world(tmp_path)
+    save_checkpoint(tmp_path / "ck", init_projector(world.d, world.d_proj, 0), world, seed=0)
     out = tmp_path / "out"
     forms = {form: [*_form_argv(form, str(tmp_path / "manifest.txt"), str(tmp_path / "ck")),
                     "--out", str(out)] for form in READ_KEYS}
@@ -1011,7 +1046,7 @@ def test_export_simmap_writes_the_library_map(tiny_run, tmp_path, use_checkpoint
     # the map is the matching protocol's own: one `pair_similarity` layer
     cfg = load_config(TINY_CONFIG)
     checkpoint = tiny_run / "run" / "checkpoint"
-    proj = load_checkpoint(checkpoint) if use_checkpoint else None
+    proj = load_checkpoint(checkpoint)[0] if use_checkpoint else None
     expected = tmp_path / "expected.pgm"
     write_pgm(expected, pair_similarity(make_pair(cfg.face_spec(), kind, cfg.seed), proj)[landmark])
     out = tmp_path / "sim.pgm"

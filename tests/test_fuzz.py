@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from selcorr.cli import main
-from selcorr.config import ConfigError, ExperimentConfig, load_config
+from selcorr.config import WORLD_KEYS, ConfigError, ExperimentConfig, load_config
 from selcorr.projector import init_projector
 from selcorr.synth import generate_backbone_output, read_sample, write_sample
 from selcorr.tensorio import parse_key_values, write_key_values
@@ -236,3 +236,28 @@ def test_commands_on_mutated_files_end_in_an_exit_code(cli_tree, edits):
             ["eval-match", "--checkpoint", checkpoint, "--out", str(root / "match")],
         ):
             assert _quiet_main([*argv, *CLI_FLAGS]) in (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("key", WORLD_KEYS)
+@pytest.mark.parametrize("artefact", ["corpus", "run/checkpoint"])
+def test_a_world_record_without_a_world_key_is_a_data_error(cli_tree, tmp_path, artefact, key):
+    # each command that reads the artefact exits 2 naming its config.txt,
+    # whichever world key the file lacks
+    shutil.copytree(cli_tree, tmp_path, dirs_exist_ok=True)
+    record = tmp_path / artefact / "config.txt"
+    lines = record.read_text().splitlines(keepends=True)
+    record.write_text("".join(line for line in lines if not line.startswith(f"{key}=")))
+    manifest = str(tmp_path / "corpus" / "manifest.txt")
+    checkpoint = str(tmp_path / "run" / "checkpoint")
+    commands = (
+        ["train-projector", "--manifest", manifest, "--out", str(tmp_path / "trained")],
+        ["eval-detect", "--manifest", manifest, "--checkpoint", checkpoint, "--budget", "2",
+         "--out", str(tmp_path / "detect")],
+        ["eval-match", "--checkpoint", checkpoint, "--out", str(tmp_path / "match")],
+    )
+    flag = "--manifest" if artefact == "corpus" else "--checkpoint"
+    for argv in (argv for argv in commands if flag in argv):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main([*argv, *CLI_FLAGS])
+        assert rc == 2 and f"world {record}: lacks {key}" in err.getvalue(), argv[0]

@@ -10,6 +10,7 @@ import pytest
 
 from selcorr import cli
 from selcorr.config import ExperimentConfig
+from selcorr.projector import init_projector
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOLS = ROOT / "tools"
@@ -25,10 +26,13 @@ def _load(name: str):
 def _accepted(monkeypatch, argvs: list[list[str]]) -> list[str]:
     """The command of each line, after `cli.main` accepts it: every flag is
     one its command form reads (`cli.READS`) with a value in range. The
-    commands themselves are stubbed out, and so is the read of a corpus's or
-    a checkpoint's world, for which the default world stands in, so no work
-    is run."""
-    monkeypatch.setattr(cli, "read_world", lambda directory: ExperimentConfig())
+    commands themselves are stubbed out, and so are the read of a corpus's
+    world and the load of a checkpoint: the default world stands in for
+    both, with a projector of its dimensions, so no work is run."""
+    world = ExperimentConfig()
+    monkeypatch.setattr(cli, "read_world", lambda directory: world)
+    proj = init_projector(world.d, world.d_proj, world.seed)
+    monkeypatch.setattr(cli, "load_checkpoint", lambda directory: (proj, world))
     ran = []
     for name in ("gen", "train_projector", "eval_match", "eval_detect", "ablate",
                  "export_simmap"):
